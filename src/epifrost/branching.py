@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .deterministic import compute_R
-from .errors import ConvergenceError
+from .deterministic import compute_R, monotone_newton
 from .kernel import InfectivityKernel, USamplerFn
 
 __all__ = [
@@ -123,23 +122,28 @@ def simulate_total_progeny(law: OffspringLaw, a: np.ndarray, cap: int,
 @dataclass(frozen=True)
 class ExtinctionSolution:
     q: np.ndarray
-    iterations: int
+    iterations: int  # Newton or Picard steps
     residual: float
     mc_samples: int  # 0 when the generating function was evaluated in closed form
     major_outbreak_prob: Optional[float] = None
+    # linearized bound on |q - root of the (frozen) h|; Monte Carlo error not included
+    error_bound: float = 0.0
 
 
 def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
                            max_iter: int = 1_000_000, mc_samples: int = 100_000,
                            rng: Optional[np.random.Generator] = None,
                            a: Optional[np.ndarray] = None) -> ExtinctionSolution:
-    """Minimal root of q = h(q) by monotone iteration from q = 0.
+    """Minimal root of q = h(q) by safeguarded Newton from q = 0
+    (``deterministic.monotone_newton``); every step is monotone nondecreasing.
 
-    When the law has no closed-form generating function, h is estimated over
-    a frozen set of ``mc_samples`` draws of U per type, reused across every
-    iteration; the estimate stays monotone in q so the iteration still
-    converges upward.  Subcritical and critical laws (R <= 1) short-circuit
-    to q = 1, which standard branching theory guarantees.
+    With a closed-form generating function the Jacobian is a backward
+    difference: h is convex, so it never overstates the slope.  Otherwise h
+    and its exact Jacobian are estimated over a frozen set of
+    ``mc_samples`` draws of U per type, reused across every step; the
+    estimate stays convex and monotone in q.  Subcritical and critical laws
+    (R <= 1) short-circuit to q = 1, which standard branching theory
+    guarantees.
     """
     R = compute_R(law.mu, law.pi)
     if R <= 1.0:
@@ -147,34 +151,29 @@ def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
         return _with_major_prob(sol, a)
 
     if law.pgf is not None:
-        used_samples = 0
-
         def h(s: np.ndarray) -> np.ndarray:
             return np.array([law.pgf(k, s) for k in range(law.m)])
+
+        def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            hs = h(s)
+            back = s - np.sqrt(np.finfo(float).eps) * np.eye(law.m)  # row j: step back in s_j
+            return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(back)], axis=1)
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        used_samples = mc_samples
         frozen = [law.sample_u(k, rng, size=mc_samples) for k in range(law.m)]
 
-        def h(s: np.ndarray) -> np.ndarray:
+        def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             weights = (s - 1.0) * law.pi
-            return np.array([np.mean(np.exp(frozen[k] @ weights)) for k in range(law.m)])
+            terms = [np.exp(u @ weights) for u in frozen]
+            jac = np.stack([e @ u / mc_samples for e, u in zip(terms, frozen)]) * law.pi
+            return np.array([np.mean(e) for e in terms]), jac
 
-    q = np.zeros(law.m)
-    for it in range(1, max_iter + 1):
-        nxt = h(q)
-        if np.any(nxt < q - 1e-15):
-            raise RuntimeError("extinction iteration lost monotonicity")
-        delta = float(np.max(np.abs(nxt - q)))
-        q = nxt
-        if delta <= tol:
-            residual = float(np.max(np.abs(q - h(q))))
-            sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it,
-                                     residual=residual, mc_samples=used_samples)
-            return _with_major_prob(sol, a)
-    residual = float(np.max(np.abs(q - h(q))))
-    raise ConvergenceError("extinction-probability iteration did not converge", q, residual)
+    q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(law.m), 1, 1.0,
+                                             tol, max_iter, "extinction-probability")
+    sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it, residual=residual,
+                             mc_samples=mc_samples if law.pgf is None else 0, error_bound=bound)
+    return _with_major_prob(sol, a)
 
 
 def _with_major_prob(sol: ExtinctionSolution, a: Optional[np.ndarray]) -> ExtinctionSolution:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import branching, clt, deterministic, harness
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, ConvergenceError, SingularMatrixError
+from .errors import ConvergenceError, SingularMatrixError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -32,20 +32,8 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonify(payload), indent=2))
+    print(json.dumps(harness.to_jsonable(payload), indent=2))
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -93,6 +81,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "regime": sol.regime.value,
         "iterations": sol.iterations,
         "residual": sol.residual,
+        "error_bound": sol.error_bound,
         "nonuniqueness_risk": sol.nonuniqueness_risk,
     })
     return EXIT_OK
@@ -108,6 +97,7 @@ def _cmd_extinction(args: argparse.Namespace) -> int:
         "major_outbreak_prob": sol.major_outbreak_prob,
         "iterations": sol.iterations,
         "residual": sol.residual,
+        "error_bound": sol.error_bound,
         "mc_samples": sol.mc_samples,
     })
     return EXIT_OK
@@ -182,12 +172,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError, and inputs the library rejects only once it runs them
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -188,6 +188,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if population.m != kernel.m:
         raise ConfigError(
             f"population has {population.m} types but the kernel has {kernel.m}")
+    try:  # kernels with a known maximum refuse a scaled infectivity above N
+        for i in range(kernel.m):
+            kernel.sample(i, population.N, np.random.default_rng(0))
+    except ValueError as exc:
+        raise ConfigError(f"kernel: {exc}") from exc
 
     replicates = int(doc.get("replicates", 1))
     if replicates < 1:

@@ -16,12 +16,10 @@ All functions here are pure; concurrent use is safe.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError
 
@@ -35,6 +33,8 @@ __all__ = [
 ]
 
 CRITICAL_TOL = 1e-9  # |R - 1| below this is labelled critical
+# relative rounding error of one map evaluation (dot products, exp, means of <= 2^20 draws)
+ROUNDING_FLOOR = 32 * np.finfo(float).eps
 
 
 class Regime(str, enum.Enum):
@@ -48,9 +48,11 @@ class DeterministicSolution:
     tau: np.ndarray
     sigma: np.ndarray
     R: float
-    iterations: int
+    iterations: int  # Newton or Picard steps
     residual: float
     regime: Regime
+    # linearized bound on |tau - fixed point|; its gain grows like 1/(R - 1) near R = 1
+    error_bound: float
     # True when the fixed point may not be unique: reducible mean matrix
     # combined with a seed vector that leaves some types unseeded.
     nonuniqueness_risk: bool = False
@@ -71,15 +73,64 @@ def _regime(R: float) -> Regime:
     return Regime.SUPERCRITICAL if R > 1.0 else Regime.SUBCRITICAL
 
 
+def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                    x0: np.ndarray, direction: int, bound: float, tol: float, max_iter: int,
+                    what: str) -> tuple[np.ndarray, int, float, float]:
+    """Safeguarded Newton for a monotone fixed point x = F(x) from x0, moving
+    in ``direction`` (+1 up, -1 down) towards ``bound``; ``map_and_jacobian``
+    returns (F(x), F'(x)).  Newton converges monotonically from above the
+    largest root of a concave map and from below the minimal root of a convex
+    one (Etessami & Yannakakis 2009; Esparza, Kiefer & Luttenberger 2010).
+    The Newton candidate c is taken only if it lies between the Picard step
+    F(x) and ``bound`` and stays on the starting side (F(c) <= c going down,
+    F(c) >= c going up), else the Picard step, so the same root is selected
+    whatever the Jacobian's accuracy.  Stops once no coordinate moves more
+    than ``tol``; returns (x, steps, residual, error bound) with the bound
+    ||(I - J)^-1||_inf * (residual + rounding floor), inf for singular I - J.
+    Raises RuntimeError if a Picard step would leave the starting side and
+    ConvergenceError carrying the last iterate after max_iter steps.
+    """
+    x = np.asarray(x0, dtype=float)
+    eye = np.eye(len(x))
+    fx, jac = map_and_jacobian(x)
+    residual = float(np.max(np.abs(x - fx)))
+    for it in range(1, max_iter + 1):
+        if np.any(direction * (fx - x) < -1e-15):
+            raise RuntimeError(f"{what} iteration lost monotonicity")
+        nxt, at_nxt = fx, None
+        with np.errstate(all="ignore"):
+            try:
+                cand = x - np.linalg.solve(eye - jac, x - fx)
+            except np.linalg.LinAlgError:
+                cand = fx
+        inside = (direction * (cand - fx) >= 0) & (direction * (bound - cand) >= 0)
+        if np.all(np.isfinite(cand) & inside):
+            at_cand = map_and_jacobian(cand)
+            if np.all(direction * (at_cand[0] - cand) >= 0):
+                nxt, at_nxt = cand, at_cand
+        delta = float(np.max(np.abs(nxt - x)))
+        x = nxt
+        fx, jac = at_nxt if at_nxt is not None else map_and_jacobian(x)
+        residual = float(np.max(np.abs(x - fx)))
+        if delta <= tol:
+            try:
+                gain = float(np.max(np.abs(np.linalg.inv(eye - jac)).sum(axis=1)))
+            except np.linalg.LinAlgError:
+                gain = float("inf")
+            floor = ROUNDING_FLOOR * max(float(np.max(np.abs(fx))), float(np.max(np.abs(x))))
+            return x, it, residual, gain * (residual + floor)
+    raise ConvergenceError(f"{what} iteration did not converge", x, residual)
+
+
 def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
               tol: float = 1e-12, max_iter: int = 1_000_000) -> DeterministicSolution:
     """Solve the attack-rate fixed point tau = r(tau + zeta).
 
-    Iterates from tau = 1, which makes every step monotone nonincreasing and
-    selects the largest fixed point; with no seed (zeta = 0) that is the
-    nonzero attack rate whenever R > 1.  With zeta = 0 and R <= 1 the only
-    fixed point is 0 and it is returned immediately (the plain iteration
-    crawls sublinearly at criticality).
+    ``monotone_newton`` from tau = 1, with the exact Jacobian
+    J[i, k] = exp(-s_i) pi_k mu[k, i], s = ((tau + zeta) * pi) @ mu: every
+    step is nonincreasing, which selects the largest fixed point; with no
+    seed (zeta = 0) that is the nonzero attack rate whenever R > 1.  With
+    zeta = 0 and R <= 1 the only fixed point is 0, returned immediately.
 
     Raises ConvergenceError carrying the last iterate if max_iter is hit.
     """
@@ -94,78 +145,37 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
 
     R = compute_R(mu, pi)
     regime = _regime(R)
-    irreducible = check_irreducibility(mu, pi)
-    risk = (not irreducible) and bool(np.any(zeta == 0))
+    risk = not check_irreducibility(mu, pi) and bool(np.any(zeta == 0))
 
     if np.all(zeta == 0) and R <= 1.0 + CRITICAL_TOL:
         tau = np.zeros(m)
         return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=0,
-                                     residual=0.0, regime=regime,
+                                     residual=0.0, regime=regime, error_bound=0.0,
                                      nonuniqueness_risk=risk)
 
-    tau = np.ones(m)
-    for it in range(1, max_iter + 1):
-        nxt = limit_infection_probability(tau + zeta, mu, pi)
-        if np.any(nxt > tau + 1e-15):
-            raise RuntimeError("fixed-point iteration lost monotonicity")
-        delta = float(np.max(np.abs(tau - nxt)))
-        tau = nxt
-        if delta <= tol:
-            residual = float(np.max(np.abs(tau - limit_infection_probability(tau + zeta, mu, pi))))
-            return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=it,
-                                         residual=residual, regime=regime,
-                                         nonuniqueness_risk=risk)
-    residual = float(np.max(np.abs(tau - limit_infection_probability(tau + zeta, mu, pi))))
-    raise ConvergenceError("attack-rate iteration did not converge", tau, residual)
+    rate = (mu * pi[:, None]).T  # rate[i, k] = pi_k mu[k, i]
+
+    def attack_map(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = rate @ (t + zeta)
+        return -np.expm1(-s), np.exp(-s)[:, None] * rate
+
+    tau, it, residual, bound = monotone_newton(attack_map, np.ones(m), -1, 0.0,
+                                               tol, max_iter, "attack-rate")
+    return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=it,
+                                 residual=residual, regime=regime, error_bound=bound,
+                                 nonuniqueness_risk=risk)
 
 
-def compute_R(mu: np.ndarray, pi: np.ndarray, tol: float = 1e-14,
-              max_iter: int = 100_000) -> float:
-    """Spectral radius of M Pi by power iteration.
-
-    The iteration runs on the nonnegative matrix A = mu @ diag(pi) with a
-    fresh restart if an iterate hits zero (possible for nilpotent patterns,
-    where the radius genuinely is 0).  If the eigenvalue estimates cycle
-    without settling (periodic nonzero patterns), falls back to a dense
-    eigendecomposition of A + eps*I with eps = 1e-12 and reports the shift.
-    """
+def compute_R(mu: np.ndarray, pi: np.ndarray) -> float:
+    """Spectral radius of M Pi from the dense eigenvalues of mu @ diag(pi)."""
     mu = np.asarray(mu, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if np.any(mu < 0):
         raise ValueError("mu must be nonnegative")
     A = mu * pi[None, :]
-    m = A.shape[0]
     if not A.any():
         return 0.0
-
-    x = np.full(m, 1.0 / m)
-    estimate = None
-    restarted = False
-    for _ in range(max_iter):
-        y = x @ A
-        total = y.sum()
-        if total == 0.0:
-            if restarted:
-                return 0.0
-            # restart once from a tilted positive vector; a second zero from a
-            # strictly positive start means A is nilpotent and the radius is 0
-            x = np.arange(1, m + 1, dtype=float)
-            x /= x.sum()
-            restarted = True
-            estimate = None
-            continue
-        if estimate is not None and abs(total - estimate) <= tol:
-            return float(total)
-        estimate = total
-        x = y / total
-
-    eps = 1e-12
-    warnings.warn(
-        f"power iteration did not settle; using dense eigenvalues of the matrix shifted by {eps}",
-        RuntimeWarning,
-    )
-    shifted = float(np.max(np.abs(np.linalg.eigvals(A + eps * np.eye(m)))))
-    return shifted - eps
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def check_irreducibility(mu: np.ndarray, pi: np.ndarray) -> bool:
@@ -173,7 +183,7 @@ def check_irreducibility(mu: np.ndarray, pi: np.ndarray) -> bool:
     strongly connected.  Since pi > 0, this is the irreducibility of the
     transposed mean matrix scaled by Pi, which is what the uniqueness theory
     for the fixed point needs."""
-    mu = np.asarray(mu, dtype=float)
-    pattern = csr_matrix((mu > 0).astype(np.int8))
-    n_components, _ = connected_components(pattern, directed=True, connection="strong")
-    return bool(n_components == 1)
+    reach = np.eye(len(mu), dtype=bool) | (np.asarray(mu, dtype=float) > 0)
+    for _ in range(len(mu).bit_length()):  # paths of length up to 2^k after k squarings
+        reach = reach @ reach
+    return bool(reach.all())

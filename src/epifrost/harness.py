@@ -114,6 +114,19 @@ def write_records(records: Sequence[FinalSizeRecord], path: Path, fmt: str = "cs
 # ---------------------------------------------------------------------------
 
 
+def to_jsonable(obj):
+    """Replace numpy arrays and scalars, at any depth, by plain Python values."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -133,20 +146,9 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        def clean(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            return obj
-
         return json.dumps({
             "all_passed": self.all_passed,
-            "checks": [clean(asdict(c)) for c in self.checks],
+            "checks": [to_jsonable(asdict(c)) for c in self.checks],
         }, indent=2)
 
 
@@ -210,18 +212,19 @@ def _check_clt(records: Sequence[FinalSizeRecord], tau: np.ndarray,
 
 
 def _progeny_pmf(law: branching.OffspringLaw, a: np.ndarray, replicates: int,
-                 seed: int, cap: int, upto: int) -> np.ndarray:
+                 seed: int, upto: int) -> np.ndarray:
     counts = np.zeros(upto + 1)
     for r in range(replicates):
         rng = replicate_rng(seed, r)
-        result = branching.simulate_total_progeny(law, a, cap, rng)
-        if not result.exceeded and result.total <= upto:
+        # only totals <= upto are counted, so a run may stop once it passes upto
+        result = branching.simulate_total_progeny(law, a, upto, rng)
+        if not result.exceeded:
             counts[result.total] += 1
     return counts / replicates
 
 
 def _check_branching_tv(records: Sequence[FinalSizeRecord], law: branching.OffspringLaw,
-                        a: np.ndarray, seed: int, cap: int, upto: int = 10,
+                        a: np.ndarray, seed: int, upto: int = 10,
                         tol: float = 0.02) -> CheckResult:
     n = len(records)
     epi_pmf = np.zeros(upto + 1)
@@ -229,7 +232,7 @@ def _check_branching_tv(records: Sequence[FinalSizeRecord], law: branching.Offsp
         if r.total <= upto:
             epi_pmf[r.total] += 1
     epi_pmf /= n
-    gw_pmf = _progeny_pmf(law, a, n, seed + 1, cap, upto)
+    gw_pmf = _progeny_pmf(law, a, n, seed + 1, upto)
     tv = 0.5 * float(np.abs(epi_pmf - gw_pmf).sum())
     return CheckResult(
         name="branching_tv",
@@ -282,8 +285,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
                                                     allocation=pop.allocation)
                 checks.append(_check_clt(records, solution.tau, summary, pop.N, pop.pi))
             elif name == "branching_tv":
-                cap = max(10_000, int(10 * np.sqrt(pop.N)))
-                checks.append(_check_branching_tv(records, law, pop.a, config.seed, cap))
+                checks.append(_check_branching_tv(records, law, pop.a, config.seed))
 
     report = ValidationReport(checks=checks)
     if records_path is not None:

@@ -271,16 +271,8 @@ def estimate_moments(kernel: InfectivityKernel, N: int, samples: int = 100_000,
         raise ValueError(f"need at least 2 samples, got {samples}")
     if rng is None:
         rng = np.random.default_rng(0)
-    m = kernel.m
-    mu = np.empty((m, m))
-    mu_se = np.empty((m, m))
-    lam = np.empty((m, m, m))
-    lam_se = np.empty((m, m, m))
-    for i in range(m):
-        scaled = N * kernel.sample(i, N, rng, size=samples)  # (samples, m)
-        mu[i], mu_se[i], lam[i], lam_se[i] = _moment_block(scaled)
-    return MomentSummary(mu=mu, lam=lam, estimated_from_samples=True,
-                         sample_count=samples, mu_se=mu_se, lam_se=lam_se)
+    return moments_from_u_sampler(lambda i, rng, size: N * kernel.sample(i, N, rng, size),
+                                  kernel.m, samples, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,13 @@ def scalar_tau(mu: float, zeta: float = 0.0) -> float:
     return brentq(f, -1e-15, 1.0, xtol=1e-15)
 
 
+def scalar_tau_near_critical(mu: float) -> float:
+    """Nonzero root of tau = 1 - exp(-mu tau) for mu > 1, found as the root of
+    (1 - exp(-mu tau)) / tau - 1, whose slope stays near -mu^2/2 as mu -> 1
+    while tau - r(tau) flattens to slope 1 - mu."""
+    return brentq(lambda t: -np.expm1(-mu * t) / t - 1.0, 1e-300, 1.0, xtol=1e-300)
+
+
 def scalar_extinction_poisson(c: float) -> float:
     """Minimal root of q = exp(c (q - 1)) in [0, 1] (Poisson(c) offspring)."""
     if c <= 1.0:

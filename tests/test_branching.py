@@ -4,7 +4,9 @@ import pytest
 import epifrost as ef
 from epifrost.branching import OffspringLaw
 
-from oracles import Q_MU2, scalar_extinction_poisson
+from scipy.optimize import root
+
+from oracles import Q_MU2, scalar_extinction_poisson, scalar_tau_near_critical
 
 
 def _constant_law(scaled, pi):
@@ -173,3 +175,51 @@ def test_extinction_iteration_budget_error():
         ef.extinction_probability(_constant_law([[2.0]], [1.0]), max_iter=2)
     assert exc_info.value.last_iterate.shape == (1,)
     assert exc_info.value.residual > 0
+
+
+@pytest.mark.parametrize("excess", [1e-2, 1e-4, 1e-6])
+def test_extinction_near_critical_scalar(excess):
+    sol = ef.extinction_probability(_constant_law([[1.0 + excess]], [1.0]))
+    # 1 - q solves the attack-rate equation for a constant kernel
+    ref = 1.0 - scalar_tau_near_critical(1.0 + excess)
+    assert sol.iterations <= 50
+    assert abs(sol.q[0] - ref) <= sol.error_bound
+    assert sol.error_bound <= 1e-2 * (1.0 - ref)
+
+
+def test_extinction_near_critical_two_type():
+    base = np.array([[1.0, 2.0], [0.5, 1.5]])
+    pi = np.array([0.4, 0.6])
+    mu = base * (1.0 + 1e-5) / ef.compute_R(base, pi)
+    sol = ef.extinction_probability(_constant_law(mu, pi))
+    assert sol.iterations <= 50
+    # Poisson offspring: y = 1 - q solves y = 1 - exp(-(mu * pi) @ y), which
+    # expm1 evaluates without the cancellation of h(q) near q = 1
+    rate = mu * pi[None, :]
+    y = root(lambda y: y + np.expm1(-rate @ np.abs(y)), np.ones(2), tol=1e-15).x
+    assert np.all(y > 0)
+    assert np.max(np.abs(sol.q - (1.0 - y))) <= sol.error_bound
+    assert sol.error_bound <= 1e-2 * np.min(y)
+
+
+def test_extinction_monte_carlo_newton_matches_plain_iteration():
+    kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(
+        alpha=np.array([[8.0, 3.0], [3.0, 6.0]]), w=ef.ScalarDist.beta(2.0, 3.0)))
+    pi = np.array([0.3, 0.7])
+    law = OffspringLaw(m=2, pi=pi, u_sampler=kernel.u_sampler, mu=kernel.mu, pgf=None)
+    sol = ef.extinction_probability(law, mc_samples=20_000, rng=np.random.default_rng(9))
+    assert np.all(sol.q < 1.0)
+
+    # plain monotone iteration from 0 on the same frozen draws
+    rng = np.random.default_rng(9)
+    frozen = [law.sample_u(k, rng, size=20_000) for k in range(2)]
+    q = np.zeros(2)
+    for _ in range(100_000):
+        nxt = np.array([np.mean(np.exp(u @ ((q - 1.0) * pi))) for u in frozen])
+        done = np.max(np.abs(nxt - q)) <= 1e-15
+        q = nxt
+        if done:
+            break
+    assert np.max(np.abs(sol.q - q)) <= 1e-12
+    assert np.max(np.abs(sol.q - q)) <= sol.error_bound
+    assert sol.iterations < 20

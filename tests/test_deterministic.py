@@ -4,7 +4,10 @@ import pytest
 import epifrost as ef
 from epifrost.errors import ConvergenceError
 
-from oracles import Q_MU2, SIGMA_MU1_ZETA01, TAU_MU2, dense_spectral_radius, scalar_tau
+from scipy.optimize import root
+
+from oracles import (Q_MU2, SIGMA_MU1_ZETA01, TAU_MU2, dense_spectral_radius, scalar_tau,
+                     scalar_tau_near_critical)
 
 
 def test_limit_infection_probability_examples():
@@ -103,10 +106,7 @@ def test_compute_r_matches_dense_oracle():
         mu[rng.random((m, m)) < 0.3] = 0.0
         pi = rng.dirichlet(np.ones(m))
         want = dense_spectral_radius(mu * pi[None, :])
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
-            got = ef.compute_R(mu, pi)
-        assert got == pytest.approx(want, abs=1e-8)
+        assert ef.compute_R(mu, pi) == pytest.approx(want, abs=1e-8)
 
 
 def test_compute_r_nilpotent_pattern():
@@ -115,11 +115,11 @@ def test_compute_r_nilpotent_pattern():
 
 
 def test_compute_r_periodic_pattern_falls_back():
+    # eigenvalues +-2 of equal modulus: the radius needs no dominant eigenvalue
     mu = np.array([[0.0, 8.0], [2.0, 0.0]])
     pi = np.array([0.5, 0.5])
-    with pytest.warns(RuntimeWarning):
-        got = ef.compute_R(mu, pi, max_iter=50)
-    assert got == pytest.approx(dense_spectral_radius(mu * pi[None, :]), abs=1e-8)
+    assert ef.compute_R(mu, pi) == pytest.approx(dense_spectral_radius(mu * pi[None, :]), abs=1e-8)
+    assert ef.compute_R(mu, pi) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_check_irreducibility():
@@ -146,3 +146,42 @@ def test_constant_kernel_extinction_matches_attack_rate():
     ext = ef.extinction_probability(ef.offspring_law_from_kernel(kernel, pi))
     assert abs((1 - ext.q[0]) - sol.tau[0]) <= 1e-9
     assert ext.q[0] == pytest.approx(Q_MU2, abs=1e-10)
+
+
+@pytest.mark.parametrize("excess", [1e-2, 1e-4, 1e-6])
+def test_solve_tau_near_critical_scalar(excess):
+    sol = ef.solve_tau(np.array([[1.0 + excess]]), np.array([1.0]), np.zeros(1))
+    ref = scalar_tau_near_critical(1.0 + excess)
+    assert sol.iterations <= 50
+    assert abs(sol.tau[0] - ref) <= sol.error_bound
+    # the bound is informative: far below the attack rate itself
+    assert sol.error_bound <= 1e-6 * ref
+
+
+def test_solve_tau_near_critical_two_type():
+    base = np.array([[1.0, 2.0], [0.5, 1.5]])
+    pi = np.array([0.4, 0.6])
+    mu = base * (1.0 + 1e-5) / ef.compute_R(base, pi)
+    sol = ef.solve_tau(mu, pi, np.zeros(2))
+    assert sol.R == pytest.approx(1.0 + 1e-5, abs=1e-12)
+    assert sol.iterations <= 50
+    ref = root(lambda t: t - ef.limit_infection_probability(np.abs(t), mu, pi),
+               np.ones(2), tol=1e-15).x
+    assert np.all(ref > 0)
+    assert np.max(np.abs(sol.tau - ref)) <= sol.error_bound
+    assert sol.error_bound <= 1e-6 * np.max(sol.tau)
+
+
+def test_solve_tau_reducible_seeded_picks_largest_root():
+    # type 1 infects type 0 but not the other way round, and only type 0 is
+    # seeded: type 1's own equation has the roots 0 and the scalar attack
+    # rate of 0.5 * 3, and the largest fixed point takes the positive one
+    rng = np.random.default_rng(31)
+    mu = np.array([[rng.uniform(0.2, 0.8), 0.0], [rng.uniform(0.5, 2.0), 3.0]])
+    pi = np.array([0.5, 0.5])
+    zeta = np.array([0.05, 0.0])
+    sol = ef.solve_tau(mu, pi, zeta)
+    assert sol.nonuniqueness_risk
+    assert sol.tau[1] == pytest.approx(scalar_tau(1.5), abs=1e-12)
+    r = ef.limit_infection_probability(sol.tau + zeta, mu, pi)
+    assert np.max(np.abs(sol.tau - r)) <= 1e-12

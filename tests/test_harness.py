@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import epifrost as ef
-from epifrost import cli
+from epifrost import cli, harness
 from epifrost.config import parse_config
 from epifrost.errors import ConfigError
 
@@ -198,6 +201,34 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
     assert cli.main(["solve", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_infectivity_above_population_scale_is_config_error(tmp_path, capsys):
+    doc = _base_config(tmp_path, kernel={"kind": "constant", "mu": [[200.0]]})
+    doc["population"]["N"] = 100
+    path = _write_config(tmp_path, doc)
+    for command in ("simulate", "validate"):
+        assert cli.main([command, "--config", path]) == 2
+        assert "exceeds population scale" in capsys.readouterr().err
+
+
+def test_cli_sampling_value_error_exit_code(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("sampler refused its input")
+
+    monkeypatch.setattr(harness, "run_ensemble", refuse)
+    path = _write_config(tmp_path, _base_config(tmp_path, checks=["lln"]))
+    for command in ("simulate", "validate"):
+        assert cli.main([command, "--config", path]) == 2
+        assert "config error: sampler refused its input" in capsys.readouterr().err
+
+
+def test_import_leaves_out_scipy_stats_and_sparse():
+    code = ("import sys, epifrost; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
