@@ -25,8 +25,8 @@ for mu in (0.6, 0.9, 1.2, 1.5, 2.0, 3.0):
     law = ef.offspring_law_from_kernel(kernel, spec.pi)
     extinction = ef.extinction_probability(law, a=spec.a)
 
-    records = ef.run_ensemble(spec, kernel, REPLICATES, seed=int(mu * 1000))
-    stats = ef.estimate_outbreak_statistics(records)
+    ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=int(mu * 1000))
+    stats = ef.estimate_outbreak_statistics(ensemble)
     major_mean = (f"{stats.major_mean_fraction[0]:.4f}"
                   if stats.major_mean_fraction is not None else "-")
 

@@ -34,8 +34,8 @@ for name, kernel in models.items():
     law = ef.offspring_law_from_kernel(kernel, pi)
     extinction = ef.extinction_probability(law, a=spec.a)
 
-    records = ef.run_ensemble(spec, kernel, REPLICATES, seed=hash(name) % 2**31)
-    report = ef.gaussian_check(records, solution.tau, summary.asym_cov, N, pi)
+    ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=hash(name) % 2**31)
+    report = ef.gaussian_check(ensemble, solution.tau, summary.asym_cov, N, pi)
 
     print(f"--- {name} ---")
     print(f"  R = {solution.R:.3f}, tau = {solution.tau[0]:.5f}, "

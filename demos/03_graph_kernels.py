@@ -16,8 +16,8 @@ REPLICATES = 1_000
 
 def describe(name, kernel, pi, spec, seed):
     R = ef.compute_R(kernel.mu, pi)
-    records = ef.run_ensemble(spec, kernel, REPLICATES, seed=seed)
-    stats = ef.estimate_outbreak_statistics(records)
+    ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=seed)
+    stats = ef.estimate_outbreak_statistics(ensemble)
     print(f"--- {name} ---")
     print(f"  mu =\n{np.array_str(kernel.mu, precision=4)}")
     print(f"  R = {R:.4f}   simulated major fraction = {stats.major_fraction:.4f}")

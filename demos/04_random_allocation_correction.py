@@ -33,10 +33,10 @@ print("allocation correction term:\n", np.round(corrected.upsilon, 4))
 print("covariance without correction:\n", np.round(uncorrected.asym_cov, 4))
 print("covariance with correction:\n", np.round(corrected.asym_cov, 4))
 
-records = ef.run_ensemble(spec, kernel, REPLICATES, seed=4040)
-majors = [r for r in records if r.outbreak_class is ef.OutbreakClass.MAJOR]
+ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=4040)
+majors = ensemble.t_inf[ensemble.major]
 scale = np.sqrt(N * pi)
-y = (np.stack([r.t_inf for r in majors]) / (N * pi) - solution.tau) * scale
+y = (majors / (N * pi) - solution.tau) * scale
 empirical = np.cov(y, rowvar=False)
 
 print(f"\nempirical covariance over {len(majors)} major outbreaks:\n",

@@ -68,17 +68,12 @@ from .kernel import (
     constant_kernel,
     estimate_moments,
     resolve_population,
-    sample_infectivity,
     table_kernel,
 )
 from .simulator import (
-    CountingSnapshot,
+    Ensemble,
     FinalSizeRecord,
-    OutbreakClass,
-    classify_outbreak,
-    counting_indicators,
     default_threshold,
-    evaluate_counting_process,
     replicate_rng,
     run_ensemble,
     run_final_size,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .deterministic import compute_R, monotone_newton
+from .deterministic import at_most_critical, compute_R, monotone_newton
 from .kernel import InfectivityKernel, USamplerFn
 
 __all__ = [
@@ -141,12 +141,11 @@ def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
     difference: h is convex, so it never overstates the slope.  Otherwise h
     and its exact Jacobian are estimated over a frozen set of
     ``mc_samples`` draws of U per type, reused across every step; the
-    estimate stays convex and monotone in q.  Subcritical and critical laws
-    (R <= 1) short-circuit to q = 1, which standard branching theory
-    guarantees.
+    estimate stays convex and monotone in q.  Laws with
+    ``deterministic.at_most_critical(R)``, where ``solve_tau`` gives tau = 0,
+    short-circuit to q = 1 (exact for R <= 1 by standard branching theory).
     """
-    R = compute_R(law.mu, law.pi)
-    if R <= 1.0:
+    if at_most_critical(compute_R(law.mu, law.pi)):
         sol = ExtinctionSolution(q=np.ones(law.m), iterations=0, residual=0.0, mc_samples=0)
         return _with_major_prob(sol, a)
 

@@ -50,14 +50,14 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
-    records = harness.run_ensemble(config.population, config.kernel, config.replicates,
-                                   config.seed, workers=config.workers,
-                                   threshold=config.threshold_override)
+    ensemble = harness.run_ensemble(config.population, config.kernel, config.replicates,
+                                    config.seed, workers=config.workers,
+                                    threshold=config.threshold_override)
     if config.output_path is not None:
-        harness.write_records(records, config.output_path, config.output_format)
-    stats = harness.estimate_outbreak_statistics(records)
+        harness.write_records(ensemble, config.output_path, config.output_format)
+    stats = harness.estimate_outbreak_statistics(ensemble)
     _emit({
-        "replicates": len(records),
+        "replicates": stats.n_records,
         "major_fraction": stats.major_fraction,
         "major_fraction_se": stats.major_fraction_se,
         "major_mean_fraction": stats.major_mean_fraction,

@@ -19,14 +19,13 @@ stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
 
 from .errors import InsufficientDataError, SingularMatrixError
 from .kernel import Allocation
-from .simulator import FinalSizeRecord, OutbreakClass
+from .simulator import Ensemble
 
 __all__ = [
     "AsymptoticSummary",
@@ -160,27 +159,26 @@ class GaussianCheckReport:
     mardia_kurtosis_p: float
 
 
-def gaussian_check(records: Sequence[FinalSizeRecord], tau: np.ndarray,
+def gaussian_check(ensemble: Ensemble, tau: np.ndarray,
                    asym_cov: np.ndarray, n_population: int, pi: np.ndarray,
                    min_major: int = 500) -> GaussianCheckReport:
     """Compare the empirical law of the scaled major-outbreak final size with
     its Gaussian limit.
 
     Forms Y_r = (T_r / (N pi) - tau) * sqrt(N pi) over the major-class
-    records, then reports the sample mean (should shrink to 0), the sample
+    replicates, then reports the sample mean (should shrink to 0), the sample
     covariance against ``asym_cov`` entrywise, and Mardia normality p-values.
     """
     pi = np.asarray(pi, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    major = [r for r in records if r.outbreak_class is OutbreakClass.MAJOR]
-    if len(major) < min_major:
-        raise InsufficientDataError(
-            f"need at least {min_major} major-outbreak records, got {len(major)}")
+    major = ensemble.major
+    n = int(major.sum())
+    if n < min_major:
+        raise InsufficientDataError(f"need at least {min_major} major-outbreak records, got {n}")
     scale = np.sqrt(n_population * pi)
-    t_bar = np.stack([r.t_inf for r in major]) / (n_population * pi)[None, :]
+    t_bar = ensemble.t_inf[major] / (n_population * pi)[None, :]
     y = (t_bar - tau[None, :]) * scale[None, :]
 
-    n = len(major)
     sample_cov = np.cov(y, rowvar=False).reshape(len(pi), len(pi))
     mean_se = np.sqrt(np.diag(sample_cov) / n)
     denom = np.where(np.abs(asym_cov) > 0, np.abs(asym_cov), 1.0)

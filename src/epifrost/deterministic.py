@@ -34,7 +34,7 @@ __all__ = [
 
 CRITICAL_TOL = 1e-9  # |R - 1| below this is labelled critical
 # relative rounding error of one map evaluation (dot products, exp, means of <= 2^20 draws)
-ROUNDING_FLOOR = 32 * np.finfo(float).eps
+ROUNDING_FLOOR = 32 * float(np.finfo(float).eps)
 
 
 class Regime(str, enum.Enum):
@@ -65,6 +65,11 @@ def limit_infection_probability(t: np.ndarray, mu: np.ndarray, pi: np.ndarray) -
     if np.any(t < 0):
         raise ValueError("exposure levels must be nonnegative")
     return -np.expm1(-(t * pi) @ mu)
+
+
+def at_most_critical(R: float) -> bool:
+    """Subcritical or critical: tau = 0 and q = 1; both solvers short-circuit on it."""
+    return R <= 1.0 + CRITICAL_TOL
 
 
 def _regime(R: float) -> Regime:
@@ -130,7 +135,7 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
     J[i, k] = exp(-s_i) pi_k mu[k, i], s = ((tau + zeta) * pi) @ mu: every
     step is nonincreasing, which selects the largest fixed point; with no
     seed (zeta = 0) that is the nonzero attack rate whenever R > 1.  With
-    zeta = 0 and R <= 1 the only fixed point is 0, returned immediately.
+    zeta = 0 and ``at_most_critical(R)``, tau = 0 is returned immediately.
 
     Raises ConvergenceError carrying the last iterate if max_iter is hit.
     """
@@ -147,7 +152,7 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
     regime = _regime(R)
     risk = not check_irreducibility(mu, pi) and bool(np.any(zeta == 0))
 
-    if np.all(zeta == 0) and R <= 1.0 + CRITICAL_TOL:
+    if np.all(zeta == 0) and at_most_critical(R):
         tau = np.zeros(m)
         return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=0,
                                      residual=0.0, regime=regime, error_bound=0.0,

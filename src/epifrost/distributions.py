@@ -152,21 +152,16 @@ class ScalarDist:
         if not isinstance(cfg, dict) or "dist" not in cfg:
             raise ValueError(f"scalar distribution config must be a dict with a 'dist' key: {cfg!r}")
         kind = cfg["dist"]
+        if not isinstance(kind, str) or kind not in CONFIG_PARAMETERS:
+            raise ValueError(f"unknown scalar distribution kind {kind!r}")
         try:
-            if kind == "constant":
-                return ScalarDist.constant(cfg["value"])
-            if kind == "exponential":
-                return ScalarDist.exponential(cfg["mean"])
-            if kind == "gamma":
-                return ScalarDist.gamma(cfg["shape"], cfg["scale"])
-            if kind == "bernoulli":
-                return ScalarDist.bernoulli(cfg["p"])
-            if kind == "uniform":
-                return ScalarDist.uniform(cfg["low"], cfg["high"])
-            if kind == "beta":
-                return ScalarDist.beta(cfg["a"], cfg["b"])
-            if kind == "discrete":
-                return ScalarDist.discrete(cfg["values"], cfg["probs"])
+            args = [cfg[name] for name in CONFIG_PARAMETERS[kind]]
         except KeyError as exc:
             raise ValueError(f"scalar distribution {kind!r} is missing parameter {exc}") from exc
-        raise ValueError(f"unknown scalar distribution kind {kind!r}")
+        return getattr(ScalarDist, kind)(*args)
+
+
+# config tag -> the ScalarDist constructor's parameters, in order
+CONFIG_PARAMETERS = {"constant": ("value",), "exponential": ("mean",), "gamma": ("shape", "scale"),
+                     "bernoulli": ("p",), "uniform": ("low", "high"), "beta": ("a", "b"),
+                     "discrete": ("values", "probs")}

@@ -34,7 +34,7 @@ import numpy as np
 
 from .deterministic import check_irreducibility
 from .distributions import ScalarDist
-from .kernel import Allocation, InfectivityKernel, MomentSummary, moments_from_u_sampler
+from .kernel import Allocation, InfectivityKernel, moments_from_u_sampler, one_or_batch
 
 __all__ = [
     "StaticGraphSpec",
@@ -98,13 +98,11 @@ def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
         else:
             lam[i] = np.diag(alpha[i] ** 2) * w.var
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        n = 1 if size is None else size
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         if shared:
-            draws = w.sample(rng, n)[:, None] * alpha[i][None, :]
-        else:
-            draws = w.sample(rng, (n, m)) * alpha[i][None, :]
-        return draws[0] if size is None else draws
+            return w.sample(rng, n)[:, None] * alpha[i][None, :]
+        return w.sample(rng, (n, m)) * alpha[i][None, :]
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         if alpha.max() > N:
@@ -171,10 +169,9 @@ def mixed_bernoulli_kernel(spec: MixedGraphSpec) -> tuple[InfectivityKernel, All
     for i in range(m):
         lam[i] = theta[i] ** 2 * np.outer(theta, theta) * w.var
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        n = 1 if size is None else size
-        draws = w.sample(rng, n)[:, None] * (theta[i] * theta)[None, :]
-        return draws[0] if size is None else draws
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return w.sample(rng, n)[:, None] * (theta[i] * theta)[None, :]
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         if theta.max() ** 2 > N:
@@ -260,11 +257,9 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     """
     m = spec.rho_plus.shape[0]
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        n = 1 if size is None else size
-        q = spec.q[i].sample(rng, n)
-        u = _dynamic_scaled_u(spec, i, np.asarray(q, dtype=float))
-        return u[0] if size is None else u
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _dynamic_scaled_u(spec, i, np.asarray(spec.q[i].sample(rng, n), dtype=float))
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         n = 1 if size is None else size
@@ -378,14 +373,12 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
         mu, lam = summary.mu, summary.lam
         u_mgf = None
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        n = 1 if size is None else size
-        u = sample_i(i, rng, n) @ b[i].T
-        return u[0] if size is None else u
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return sample_i(i, rng, n) @ b[i].T
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        u = u_sampler(i, rng, size)
-        return -np.expm1(-u / N)
+        return -np.expm1(-u_sampler(i, rng, size) / N)
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                              u_sampler=u_sampler, u_mgf=u_mgf,
@@ -418,10 +411,9 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
     mu = means[:, None] * np.ones((m, m))
     lam = variances[:, None, None] * np.ones((m, m, m))
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        n = 1 if size is None else size
-        u = np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
-        return u[0] if size is None else u
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, size) / N)

@@ -15,15 +15,14 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import branching, clt, deterministic
 from .config import ExperimentConfig
 from .errors import InsufficientDataError
-from .kernel import Allocation
-from .simulator import FinalSizeRecord, OutbreakClass, default_threshold, replicate_rng, run_ensemble
+from .simulator import Ensemble, replicate_rng, run_ensemble
 
 __all__ = [
     "OutbreakStatistics",
@@ -39,11 +38,12 @@ RECORDS_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class OutbreakStatistics:
-    """Ensemble summary: major fraction with its binomial standard error,
-    major-conditional moments of the final-size fractions, and the pmf of
-    small (minor) outbreak totals."""
+    """Ensemble summary: major count and fraction with its binomial standard
+    error, major-conditional moments of the final-size fractions, and the
+    counts of minor outbreak totals."""
 
     n_records: int
+    n_major: int
     major_fraction: float
     major_fraction_se: float
     major_mean_fraction: Optional[np.ndarray]
@@ -51,30 +51,25 @@ class OutbreakStatistics:
     minor_histogram: dict[int, int]
 
 
-def estimate_outbreak_statistics(records: Sequence[FinalSizeRecord]) -> OutbreakStatistics:
-    if not records:
-        raise ValueError("need at least one record")
-    n = len(records)
-    major = [r for r in records if r.outbreak_class is OutbreakClass.MAJOR]
-    p_hat = len(major) / n
+def estimate_outbreak_statistics(ensemble: Ensemble) -> OutbreakStatistics:
+    n = len(ensemble)
+    major = ensemble.major
+    n_major = int(major.sum())
+    p_hat = n_major / n
     se = float(np.sqrt(p_hat * (1 - p_hat) / n))
 
     mean = cov = None
-    if major:
-        fractions = np.stack([r.t_inf / np.maximum(r.population.n_susceptible, 1)
-                              for r in major])
+    if n_major:
+        fractions = ensemble.t_inf[major] / np.maximum(ensemble.n_susceptible[major], 1)
         mean = fractions.mean(axis=0)
         m = fractions.shape[1]
-        cov = (np.cov(fractions, rowvar=False).reshape(m, m)
-               if len(major) > 1 else np.zeros((m, m)))
+        cov = np.cov(fractions, rowvar=False).reshape(m, m) if n_major > 1 else np.zeros((m, m))
 
-    histogram: dict[int, int] = {}
-    for r in records:
-        if r.outbreak_class is OutbreakClass.MINOR:
-            histogram[r.total] = histogram.get(r.total, 0) + 1
-    return OutbreakStatistics(n_records=n, major_fraction=p_hat, major_fraction_se=se,
-                              major_mean_fraction=mean, major_cov_fraction=cov,
-                              minor_histogram=histogram)
+    totals, counts = np.unique(ensemble.total[~major], return_counts=True)
+    return OutbreakStatistics(n_records=n, n_major=n_major, major_fraction=p_hat,
+                              major_fraction_se=se, major_mean_fraction=mean,
+                              major_cov_fraction=cov,
+                              minor_histogram=dict(zip(totals.tolist(), counts.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -82,29 +77,25 @@ def estimate_outbreak_statistics(records: Sequence[FinalSizeRecord]) -> Outbreak
 # ---------------------------------------------------------------------------
 
 
-def write_records(records: Sequence[FinalSizeRecord], path: Path, fmt: str = "csv") -> None:
-    """Write per-replicate records; column order is fixed and versioned."""
-    m = len(records[0].t_inf)
+def write_records(ensemble: Ensemble, path: Path, fmt: str = "csv") -> None:
+    """Write one row per replicate; column order is fixed and versioned."""
+    rows = zip(range(len(ensemble)), ensemble.t_inf.tolist(), ensemble.total.tolist(),
+               ensemble.generations.tolist(),
+               np.where(ensemble.major, "major", "minor").tolist())
+    seed = ensemble.seed
     if fmt == "csv":
+        m = ensemble.t_inf.shape[1]
         with open(path, "w", newline="") as fh:
             fh.write(f"# epifrost records v{RECORDS_FORMAT_VERSION}\n")
             writer = csv.writer(fh)
             writer.writerow(["replicate", "seed"] + [f"t_{k + 1}" for k in range(m)]
                             + ["total", "generations", "class"])
-            for r in records:
-                writer.writerow([r.replicate, r.seed] + [int(x) for x in r.t_inf]
-                                + [r.total, r.generations, r.outbreak_class.value])
+            writer.writerows([r, seed, *t, total, gens, cls] for r, t, total, gens, cls in rows)
     elif fmt == "jsonl":
         with open(path, "w") as fh:
-            for r in records:
-                fh.write(json.dumps({
-                    "replicate": r.replicate,
-                    "seed": r.seed,
-                    "t_inf": [int(x) for x in r.t_inf],
-                    "total": r.total,
-                    "generations": r.generations,
-                    "class": r.outbreak_class.value,
-                }) + "\n")
+            fh.writelines(json.dumps({"replicate": r, "seed": seed, "t_inf": t, "total": total,
+                                      "generations": gens, "class": cls}) + "\n"
+                          for r, t, total, gens, cls in rows)
     else:
         raise ValueError(f"unknown record format {fmt!r}")
 
@@ -156,15 +147,14 @@ def _check_lln(stats: OutbreakStatistics, tau: np.ndarray) -> CheckResult:
     if stats.major_mean_fraction is None:
         return CheckResult("lln", False, {"tau": tau}, {"major_mean": None},
                            {"se": None}, {"note": "no major outbreaks observed"})
-    n_major = round(stats.major_fraction * stats.n_records)
-    se = np.sqrt(np.maximum(np.diag(stats.major_cov_fraction), 0.0) / max(n_major, 1))
+    se = np.sqrt(np.maximum(np.diag(stats.major_cov_fraction), 0.0) / stats.n_major)
     err = np.abs(stats.major_mean_fraction - tau)
     tol = np.maximum(0.01, 4.0 * se)
     return CheckResult(
         name="lln",
         passed=bool(np.all(err <= tol)),
         theoretical={"tau": tau},
-        empirical={"major_mean": stats.major_mean_fraction, "n_major": n_major},
+        empirical={"major_mean": stats.major_mean_fraction, "n_major": stats.n_major},
         standard_error={"se": se},
         tolerance={"per_type": tol, "rule": "max(0.01, 4*SE)"},
     )
@@ -184,10 +174,10 @@ def _check_major_prob(stats: OutbreakStatistics, p_theory: float) -> CheckResult
     )
 
 
-def _check_clt(records: Sequence[FinalSizeRecord], tau: np.ndarray,
+def _check_clt(ensemble: Ensemble, tau: np.ndarray,
                summary: clt.AsymptoticSummary, N: int, pi: np.ndarray) -> CheckResult:
     try:
-        report = clt.gaussian_check(records, tau, summary.asym_cov, N, pi)
+        report = clt.gaussian_check(ensemble, tau, summary.asym_cov, N, pi)
     except InsufficientDataError as exc:
         return CheckResult("clt", False, {"asym_cov": summary.asym_cov},
                            {"error": str(exc)}, {}, {})
@@ -211,28 +201,17 @@ def _check_clt(records: Sequence[FinalSizeRecord], tau: np.ndarray,
     )
 
 
-def _progeny_pmf(law: branching.OffspringLaw, a: np.ndarray, replicates: int,
-                 seed: int, upto: int) -> np.ndarray:
-    counts = np.zeros(upto + 1)
-    for r in range(replicates):
-        rng = replicate_rng(seed, r)
-        # only totals <= upto are counted, so a run may stop once it passes upto
-        result = branching.simulate_total_progeny(law, a, upto, rng)
-        if not result.exceeded:
-            counts[result.total] += 1
-    return counts / replicates
-
-
-def _check_branching_tv(records: Sequence[FinalSizeRecord], law: branching.OffspringLaw,
+def _check_branching_tv(ensemble: Ensemble, law: branching.OffspringLaw,
                         a: np.ndarray, seed: int, upto: int = 10,
                         tol: float = 0.02) -> CheckResult:
-    n = len(records)
-    epi_pmf = np.zeros(upto + 1)
-    for r in records:
-        if r.total <= upto:
-            epi_pmf[r.total] += 1
-    epi_pmf /= n
-    gw_pmf = _progeny_pmf(law, a, n, seed + 1, upto)
+    n = len(ensemble)
+    total = ensemble.total
+    epi_pmf = np.bincount(total[total <= upto], minlength=upto + 1) / n
+    # one branching run per replicate, keyed by (seed + 1, r); only totals
+    # <= upto are counted, so a run may stop once it passes upto
+    runs = (branching.simulate_total_progeny(law, a, upto, replicate_rng(seed + 1, r))
+            for r in range(n))
+    gw_pmf = np.bincount([run.total for run in runs if not run.exceeded], minlength=upto + 1) / n
     tv = 0.5 * float(np.abs(epi_pmf - gw_pmf).sum())
     return CheckResult(
         name="branching_tv",
@@ -259,14 +238,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
     pop = config.population
     kernel = config.kernel
 
-    records = run_ensemble(pop, kernel, config.replicates, config.seed,
-                           workers=config.workers, threshold=config.threshold_override)
-    stats = estimate_outbreak_statistics(records)
+    ensemble = run_ensemble(pop, kernel, config.replicates, config.seed,
+                            workers=config.workers, threshold=config.threshold_override)
+    stats = estimate_outbreak_statistics(ensemble)
 
-    records_path = None
-    if config.output_path is not None:
-        records_path = config.output_path
-        write_records(records, records_path, config.output_format)
+    records_path = config.output_path
+    if records_path is not None:
+        write_records(ensemble, records_path, config.output_format)
 
     checks: list[CheckResult] = []
     if config.checks:
@@ -283,9 +261,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
                 summary = clt.asymptotic_covariance(kernel.mu, kernel.lam, pop.pi,
                                                     solution.tau, pop.zeta,
                                                     allocation=pop.allocation)
-                checks.append(_check_clt(records, solution.tau, summary, pop.N, pop.pi))
+                checks.append(_check_clt(ensemble, solution.tau, summary, pop.N, pop.pi))
             elif name == "branching_tv":
-                checks.append(_check_branching_tv(records, law, pop.a, config.seed))
+                checks.append(_check_branching_tv(ensemble, law, pop.a, config.seed))
 
     report = ValidationReport(checks=checks)
     if records_path is not None:

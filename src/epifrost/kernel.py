@@ -34,7 +34,6 @@ __all__ = [
     "ResolvedPopulation",
     "InfectivityKernel",
     "MomentSummary",
-    "sample_infectivity",
     "estimate_moments",
     "moments_from_u_sampler",
     "resolve_population",
@@ -54,7 +53,8 @@ class PopulationSpec:
 
     Initial infectives may be given as exact counts ``a`` or as intensities
     ``zeta`` (zeta_k = a_k / (N pi_k)).  If both are supplied, ``a`` wins and
-    zeta is recomputed from it.
+    zeta is recomputed from it.  Under deterministic allocation the split of N
+    into types is computed once, here, as read-only arrays.
     """
 
     m: int
@@ -63,6 +63,7 @@ class PopulationSpec:
     a: Optional[np.ndarray] = None
     zeta: Optional[np.ndarray] = None
     allocation: Allocation = Allocation.DETERMINISTIC
+    _split: Optional["ResolvedPopulation"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -80,7 +81,7 @@ class PopulationSpec:
         if self.a is None and self.zeta is None:
             object.__setattr__(self, "a", np.zeros(self.m, dtype=np.int64))
         if self.a is not None:
-            a = np.asarray(self.a, dtype=np.int64)
+            a = np.array(self.a, dtype=np.int64)  # a copy: it is made read-only below
             if a.shape != (self.m,) or np.any(a < 0):
                 raise ValueError("a must be a nonnegative integer vector of length m")
             object.__setattr__(self, "a", a)
@@ -94,6 +95,11 @@ class PopulationSpec:
             object.__setattr__(self, "a", np.rint(zeta * self.N * pi).astype(np.int64))
         if not isinstance(self.allocation, Allocation):
             object.__setattr__(self, "allocation", Allocation(self.allocation))
+        self.a.setflags(write=False)
+        if self.allocation is Allocation.DETERMINISTIC:
+            n_susc = _largest_remainder_split(self.N, pi)
+            n_susc.setflags(write=False)
+            object.__setattr__(self, "_split", ResolvedPopulation(n_susc, self.a))
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,6 @@ class ResolvedPopulation:
 
     n_susceptible: np.ndarray  # (m,) int
     n_infective: np.ndarray  # (m,) int
-
-    @property
-    def total_susceptible(self) -> int:
-        return int(self.n_susceptible.sum())
 
 
 def _largest_remainder_split(N: int, pi: np.ndarray) -> np.ndarray:
@@ -124,17 +126,17 @@ def _largest_remainder_split(N: int, pi: np.ndarray) -> np.ndarray:
 def resolve_population(spec: PopulationSpec, rng: Optional[np.random.Generator] = None) -> ResolvedPopulation:
     """Turn a PopulationSpec into concrete counts.
 
-    Deterministic allocation is a pure function of the spec (largest-remainder
-    rounding).  Multinomial allocation draws (N_1..N_m) ~ Multinomial(N, pi)
-    from ``rng``.  Initial-infective counts come straight from ``spec.a``.
+    Deterministic allocation returns the spec's own largest-remainder split
+    (read-only, shared by every call).  Multinomial allocation draws
+    (N_1..N_m) ~ Multinomial(N, pi) from ``rng``.  Initial-infective counts
+    are ``spec.a`` itself.
     """
-    if spec.allocation is Allocation.DETERMINISTIC:
-        n_susc = _largest_remainder_split(spec.N, spec.pi)
-    else:
-        if rng is None:
-            raise ValueError("random multinomial allocation needs an rng")
-        n_susc = rng.multinomial(spec.N, spec.pi).astype(np.int64)
-    return ResolvedPopulation(n_susceptible=n_susc, n_infective=spec.a.copy())
+    if spec._split is not None:
+        return spec._split
+    if rng is None:
+        raise ValueError("random multinomial allocation needs an rng")
+    return ResolvedPopulation(n_susceptible=rng.multinomial(spec.N, spec.pi).astype(np.int64),
+                              n_infective=spec.a)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,15 @@ SamplerFn = Callable[[int, int, np.random.Generator, Optional[int]], np.ndarray]
 USamplerFn = Callable[[int, np.random.Generator, Optional[int]], np.ndarray]
 # mgf(infector_type, theta) -> E[exp(theta . U_i)] for theta <= 0
 UMgfFn = Callable[[int, np.ndarray], float]
+
+
+def one_or_batch(draw: Callable[[int, np.random.Generator, int], np.ndarray]) -> USamplerFn:
+    """Lift ``draw(i, rng, n) -> (n, m)`` to the u_sampler contract, where
+    ``size=None`` asks for a single (m,) draw."""
+    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
+        out = draw(i, rng, 1 if size is None else size)
+        return out[0] if size is None else out
+    return u_sampler
 
 
 @dataclass(frozen=True)
@@ -186,29 +197,20 @@ class InfectivityKernel:
 
     def sample(self, infector_type: int, N: int, rng: np.random.Generator,
                size: Optional[int] = None) -> np.ndarray:
-        return sample_infectivity(self, infector_type, N, rng, size)
+        """Draw V for one infector type at scale N: one (m,) vector, or a
+        (size, m) batch of i.i.d. draws (components within a draw may depend
+        on each other through shared latent variables such as a lifetime)."""
+        if not 0 <= infector_type < self.m:
+            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
+        if N < 1:
+            raise ValueError(f"population scale must be >= 1, got {N}")
+        return np.asarray(self.sampler(infector_type, N, rng, size), dtype=float)
 
     def sample_u(self, infector_type: int, rng: np.random.Generator,
                  size: Optional[int] = None) -> np.ndarray:
         if not 0 <= infector_type < self.m:
             raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
         return self.u_sampler(infector_type, rng, size)
-
-
-def sample_infectivity(kernel: InfectivityKernel, infector_type: int, N: int,
-                       rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
-    """Draw infectivity vectors V for one infector type at population scale N.
-
-    Returns a single (m,) vector, or a (size, m) batch of i.i.d. draws when
-    ``size`` is given.  Components within one draw may be dependent (shared
-    latent variables such as a lifetime), but distinct draws are independent.
-    """
-    if not 0 <= infector_type < kernel.m:
-        raise ValueError(f"infector type must be in [0, {kernel.m}), got {infector_type}")
-    if N < 1:
-        raise ValueError(f"population scale must be >= 1, got {N}")
-    v = kernel.sampler(infector_type, N, rng, size)
-    return np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -299,10 +301,9 @@ def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
             return row.copy()
         return np.broadcast_to(row, (size, m)).copy()
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        if size is None:
-            return scaled[i].copy()
-        return np.broadcast_to(scaled[i], (size, m)).copy()
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.broadcast_to(scaled[i], (n, m)).copy()
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(np.exp(theta @ scaled[i]))
@@ -345,18 +346,13 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         if values[i].max(initial=0.0) > N:
             raise ValueError(f"scaled infectivity {values[i].max()} exceeds population scale {N}")
-        u = u_sampler(i, rng, size)
-        return u / N
+        return u_sampler(i, rng, size) / N
 
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        if values[i].shape[0] == 1:
-            if size is None:
-                return values[i][0].copy()
-            return np.broadcast_to(values[i][0], (size, m)).copy()
-        n = 1 if size is None else size
-        idx = rng.choice(values[i].shape[0], size=n, p=probs[i])
-        out = values[i][idx]
-        return out[0] if size is None else out
+    @one_or_batch
+    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        if values[i].shape[0] == 1:  # fixed vector: draws nothing from rng
+            return np.broadcast_to(values[i][0], (n, m)).copy()
+        return values[i][rng.choice(values[i].shape[0], size=n, p=probs[i])]
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(np.exp(values[i] @ theta) @ probs[i])

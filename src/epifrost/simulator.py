@@ -7,44 +7,35 @@ infectives, independently of other susceptibles.  The number of new type-k
 infections is therefore Binomial(S_k, 1 - prod(1 - V_{.,k})), which is the
 same distribution the per-individual indicator construction produces, at a
 cost of m binomials per generation instead of one per infective.  The
-literal indicator construction is kept in ``counting_indicators`` for
-property tests.
+literal indicator construction lives with the test suite's oracles
+(``tests/oracles.py``), where property tests compare against it.
 
 Replicates are embarrassingly parallel: each owns a counter-based RNG
 stream keyed by (base seed, replicate index), so ensembles are reproducible
-bit-for-bit regardless of worker count.
+bit-for-bit regardless of worker count.  An ensemble comes back as one
+``Ensemble`` of per-replicate arrays.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import expm1, log1p
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .kernel import Allocation, InfectivityKernel, PopulationSpec, ResolvedPopulation, resolve_population
 
 __all__ = [
-    "OutbreakClass",
+    "Ensemble",
     "FinalSizeRecord",
-    "CountingSnapshot",
     "default_threshold",
-    "classify_outbreak",
     "run_final_size",
     "run_ensemble",
     "replicate_rng",
-    "counting_indicators",
-    "evaluate_counting_process",
 ]
-
-
-class OutbreakClass(str, enum.Enum):
-    MAJOR = "major"
-    MINOR = "minor"
 
 
 @dataclass(frozen=True)
@@ -58,14 +49,38 @@ class FinalSizeRecord:
 
     t_inf: np.ndarray
     generations: int
-    outbreak_class: OutbreakClass
     population: ResolvedPopulation
-    replicate: int = 0
-    seed: Optional[int] = None
 
     @property
     def total(self) -> int:
         return int(self.t_inf.sum())
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Final sizes of an ensemble, one row per replicate (row r is replicate r).
+
+    ``n_susceptible`` is a read-only broadcast of the one split under
+    deterministic allocation.  A replicate is major iff its total final size
+    reaches ``threshold`` (ties count as major).
+    """
+
+    seed: int
+    threshold: int
+    t_inf: np.ndarray  # (R, m) int
+    generations: np.ndarray  # (R,) int
+    n_susceptible: np.ndarray  # (R, m) int
+
+    def __len__(self) -> int:
+        return len(self.generations)
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.t_inf.sum(axis=1)
+
+    @property
+    def major(self) -> np.ndarray:
+        return self.total >= self.threshold
 
 
 def default_threshold(n_susceptible: int) -> int:
@@ -73,50 +88,39 @@ def default_threshold(n_susceptible: int) -> int:
     return int(math.ceil(n_susceptible ** 0.75))
 
 
-def classify_outbreak(record: FinalSizeRecord, threshold: int) -> OutbreakClass:
-    """Major iff the total final size reaches the threshold (ties count as major)."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return OutbreakClass.MAJOR if record.total >= threshold else OutbreakClass.MINOR
-
-
 def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
-                   rng: np.random.Generator, threshold: Optional[int] = None,
-                   replicate: int = 0, seed: Optional[int] = None) -> FinalSizeRecord:
+                   rng: np.random.Generator) -> FinalSizeRecord:
     """Run one epidemic to extinction and return its final size record."""
     if kernel.m != spec.m:
         raise ValueError(f"kernel has {kernel.m} types but population has {spec.m}")
     pop = resolve_population(spec, rng)
-    m = spec.m
-    N = spec.N
-    susceptible = pop.n_susceptible.astype(np.int64).copy()
-    active = pop.n_infective.astype(np.int64).copy()
-    t_inf = np.zeros(m, dtype=np.int64)
+    m, N = spec.m, spec.N
     generations = 0
     # cannot be exceeded; guards an infinite loop caused by a bug
-    generation_cap = N + int(active.sum()) + 1
+    generation_cap = N + int(pop.n_infective.sum()) + 1
 
     if kernel.deterministic and m == 1:
         # scalar fast path: one escape exponent and one binomial per generation
         v = float(kernel.sample(0, N, rng)[0])
         unit = log1p(-v) if v < 1.0 else -math.inf
-        s, n_active, infected = int(susceptible[0]), int(active[0]), 0
+        s0 = s = int(pop.n_susceptible[0])
+        n_active = int(pop.n_infective[0])
         while n_active > 0:
             new = int(rng.binomial(s, -expm1(n_active * unit)))
             if new == 0:
                 break
-            infected += new
             s -= new
             n_active = new
             generations += 1
             if generations > generation_cap:
                 raise RuntimeError("generation count exceeded the population size; simulator bug")
-        t_inf[0] = infected
-        susceptible[0] = s
-        active[0] = 0
+        return FinalSizeRecord(t_inf=np.array([s0 - s], dtype=np.int64),
+                               generations=generations, population=pop)
 
+    susceptible = pop.n_susceptible.astype(np.int64)
+    active = pop.n_infective.astype(np.int64)
     fixed_log_escape = None
-    if kernel.deterministic and m > 1:
+    if kernel.deterministic:
         # V is a fixed vector per type; hoist the per-infective escape terms
         with np.errstate(divide="ignore"):
             fixed_log_escape = np.stack([np.log1p(-kernel.sample(i, N, rng))
@@ -136,18 +140,14 @@ def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
         new = rng.binomial(susceptible, p_infect)
         if not new.any():
             break
-        t_inf += new
         susceptible -= new
         active = new
         generations += 1
         if generations > generation_cap:
             raise RuntimeError("generation count exceeded the population size; simulator bug")
 
-    threshold = default_threshold(pop.total_susceptible) if threshold is None else threshold
-    record = FinalSizeRecord(t_inf=t_inf, generations=generations,
-                             outbreak_class=OutbreakClass.MINOR, population=pop,
-                             replicate=replicate, seed=seed)
-    return replace(record, outbreak_class=classify_outbreak(record, threshold))
+    return FinalSizeRecord(t_inf=pop.n_susceptible - susceptible, generations=generations,
+                           population=pop)
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -157,98 +157,33 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_ensemble(spec: PopulationSpec, kernel: InfectivityKernel, replicates: int,
                  seed: int, workers: int = 1,
-                 threshold: Optional[int] = None) -> list[FinalSizeRecord]:
+                 threshold: Optional[int] = None) -> Ensemble:
     """Run an ensemble of independent replicates.
 
     Replicate r always uses the stream derived from (seed, r), so the output
-    is identical for any worker count; records come back ordered by
-    replicate index.
+    is identical for any worker count.  The major/minor threshold defaults to
+    ``default_threshold(spec.N)``: both allocations resolve exactly N
+    susceptibles.
     """
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
+    threshold = default_threshold(spec.N) if threshold is None else threshold
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
 
     def one(r: int) -> FinalSizeRecord:
-        return run_final_size(spec, kernel, replicate_rng(seed, r),
-                              threshold=threshold, replicate=r, seed=seed)
+        return run_final_size(spec, kernel, replicate_rng(seed, r))
 
     if workers <= 1:
-        return [one(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(replicates)))
-
-
-# ---------------------------------------------------------------------------
-# Literal counting-process construction (slow path, used by property tests)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountingSnapshot:
-    """X(t): how many initial susceptibles of each type the first
-    floor(t_k * N * pi_k) infectives of each type k would infect."""
-
-    t: np.ndarray
-    x: np.ndarray
-
-
-def _exposure_counts(spec: PopulationSpec, t: np.ndarray) -> np.ndarray:
-    return np.floor(np.asarray(t, dtype=float) * spec.N * spec.pi).astype(np.int64)
-
-
-def counting_indicators(spec: PopulationSpec, kernel: InfectivityKernel,
-                        exposure_levels: Sequence[np.ndarray],
-                        rng: np.random.Generator) -> list[list[np.ndarray]]:
-    """Materialize the per-individual infection indicators for one realization.
-
-    Returns ``chi`` with ``chi[level][i]`` a boolean array over the type-i
-    initial susceptibles (deterministic population split).  All levels share
-    the same underlying contact draws, so nested exposure levels produce
-    nested infection sets.
-    """
-    pop = resolve_population(spec, None if spec.allocation is Allocation.DETERMINISTIC else rng)
-    levels = [np.asarray(t, dtype=float) for t in exposure_levels]
-    counts = [_exposure_counts(spec, t) for t in levels]
-    available = pop.n_infective + pop.n_susceptible
-    for t, c in zip(levels, counts):
-        if np.any(c > available):
-            raise ValueError(
-                f"exposure level {t} asks for {c} infectives but only {available} are available")
-    max_exposure = np.maximum.reduce(counts) if counts else np.zeros(spec.m, dtype=np.int64)
-
-    # draw every infectivity vector once, then independent contact coins per
-    # (infective, susceptible) pair
-    contacts: list[list[np.ndarray]] = []  # contacts[k][i]: (L_k, N_i) booleans
-    for k in range(spec.m):
-        L_k = int(max_exposure[k])
-        if L_k > 0:
-            v = kernel.sample(k, spec.N, rng, size=L_k)  # (L_k, m)
-        else:
-            v = np.zeros((0, spec.m))
-        contacts.append([
-            rng.random((L_k, int(pop.n_susceptible[i]))) < v[:, i][:, None]
-            for i in range(spec.m)
-        ])
-
-    chi: list[list[np.ndarray]] = []
-    for c in counts:
-        level_chi = []
-        for i in range(spec.m):
-            hit = np.zeros(int(pop.n_susceptible[i]), dtype=bool)
-            for k in range(spec.m):
-                if c[k] > 0:
-                    hit |= contacts[k][i][: int(c[k])].any(axis=0)
-            level_chi.append(hit)
-        chi.append(level_chi)
-    return chi
-
-
-def evaluate_counting_process(spec: PopulationSpec, kernel: InfectivityKernel,
-                              exposure_levels: Sequence[np.ndarray],
-                              rng: np.random.Generator) -> list[CountingSnapshot]:
-    """Evaluate X(t) at each requested exposure level for one realization."""
-    chi = counting_indicators(spec, kernel, exposure_levels, rng)
-    return [
-        CountingSnapshot(t=np.asarray(t, dtype=float),
-                         x=np.array([int(level[i].sum()) for i in range(spec.m)]))
-        for t, level in zip(exposure_levels, chi)
-    ]
+        records = [one(r) for r in range(replicates)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(one, range(replicates)))
+    t_inf = np.stack([rec.t_inf for rec in records])
+    if spec.allocation is Allocation.DETERMINISTIC:
+        n_susceptible = np.broadcast_to(records[0].population.n_susceptible, t_inf.shape)
+    else:
+        n_susceptible = np.stack([rec.population.n_susceptible for rec in records])
+    return Ensemble(seed=seed, threshold=threshold, t_inf=t_inf,
+                    generations=np.array([rec.generations for rec in records], dtype=np.int64),
+                    n_susceptible=n_susceptible)

@@ -16,8 +16,8 @@ def const_mu2_ensemble():
     # the final size carries O(N^-1/2) skewness (about -0.1 here), which sits
     # near the Mardia skewness test's detection edge at ~8000 major records;
     # this seed leaves that check a comfortable margin (p ~ 0.28)
-    records = ef.run_ensemble(spec, kernel, replicates=10_000, seed=2)
-    return spec, kernel, records
+    ensemble = ef.run_ensemble(spec, kernel, replicates=10_000, seed=2)
+    return spec, kernel, ensemble
 
 
 @pytest.fixture(scope="session")
@@ -27,5 +27,5 @@ def gse_ensemble():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10_000, a=[1])
     kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
         b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
-    records = ef.run_ensemble(spec, kernel, replicates=10_000, seed=515)
-    return spec, kernel, records
+    ensemble = ef.run_ensemble(spec, kernel, replicates=10_000, seed=515)
+    return spec, kernel, ensemble

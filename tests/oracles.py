@@ -3,15 +3,22 @@
 Everything here is deliberately implemented without touching the package's
 own solvers: scalar fixed points go through brentq, spectral radii through
 dense eigendecompositions, small final-size distributions through exact
-chain enumeration, and the dynamic-graph mean through a trajectory-level
-simulation of the partnership process.
+chain enumeration, the dynamic-graph mean through a trajectory-level
+simulation of the partnership process, and the final-size counting process
+through the literal per-individual indicator construction (one contact coin
+per infective-susceptible pair, drawn from the kernel's own sampler).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import binom
+
+from epifrost import Allocation, InfectivityKernel, PopulationSpec, resolve_population
 
 # Values frozen from these oracles (see test modules for the assertions
 # that re-derive them).
@@ -109,3 +116,75 @@ def dynamic_edge_mean_mc(rho_plus: float, rho_minus: float, beta: float,
             on = not on
         values[r] = -np.expm1(-beta * on_time)
     return N * values.mean(), N * values.std(ddof=1) / np.sqrt(samples)
+
+
+@dataclass(frozen=True)
+class CountingSnapshot:
+    """X(t): how many initial susceptibles of each type the first
+    floor(t_k * N * pi_k) infectives of each type k would infect."""
+
+    t: np.ndarray
+    x: np.ndarray
+
+
+def _exposure_counts(spec: PopulationSpec, t: np.ndarray) -> np.ndarray:
+    return np.floor(np.asarray(t, dtype=float) * spec.N * spec.pi).astype(np.int64)
+
+
+def counting_indicators(spec: PopulationSpec, kernel: InfectivityKernel,
+                        exposure_levels: Sequence[np.ndarray],
+                        rng: np.random.Generator) -> list[list[np.ndarray]]:
+    """Materialize the per-individual infection indicators for one realization.
+
+    Returns ``chi`` with ``chi[level][i]`` a boolean array over the type-i
+    initial susceptibles (deterministic population split).  All levels share
+    the same underlying contact draws, so nested exposure levels produce
+    nested infection sets.
+    """
+    pop = resolve_population(spec, None if spec.allocation is Allocation.DETERMINISTIC else rng)
+    levels = [np.asarray(t, dtype=float) for t in exposure_levels]
+    counts = [_exposure_counts(spec, t) for t in levels]
+    available = pop.n_infective + pop.n_susceptible
+    for t, c in zip(levels, counts):
+        if np.any(c > available):
+            raise ValueError(
+                f"exposure level {t} asks for {c} infectives but only {available} are available")
+    max_exposure = np.maximum.reduce(counts) if counts else np.zeros(spec.m, dtype=np.int64)
+
+    # draw every infectivity vector once, then independent contact coins per
+    # (infective, susceptible) pair
+    contacts: list[list[np.ndarray]] = []  # contacts[k][i]: (L_k, N_i) booleans
+    for k in range(spec.m):
+        L_k = int(max_exposure[k])
+        if L_k > 0:
+            v = kernel.sample(k, spec.N, rng, size=L_k)  # (L_k, m)
+        else:
+            v = np.zeros((0, spec.m))
+        contacts.append([
+            rng.random((L_k, int(pop.n_susceptible[i]))) < v[:, i][:, None]
+            for i in range(spec.m)
+        ])
+
+    chi: list[list[np.ndarray]] = []
+    for c in counts:
+        level_chi = []
+        for i in range(spec.m):
+            hit = np.zeros(int(pop.n_susceptible[i]), dtype=bool)
+            for k in range(spec.m):
+                if c[k] > 0:
+                    hit |= contacts[k][i][: int(c[k])].any(axis=0)
+            level_chi.append(hit)
+        chi.append(level_chi)
+    return chi
+
+
+def evaluate_counting_process(spec: PopulationSpec, kernel: InfectivityKernel,
+                              exposure_levels: Sequence[np.ndarray],
+                              rng: np.random.Generator) -> list[CountingSnapshot]:
+    """Evaluate X(t) at each requested exposure level for one realization."""
+    chi = counting_indicators(spec, kernel, exposure_levels, rng)
+    return [
+        CountingSnapshot(t=np.asarray(t, dtype=float),
+                         x=np.array([int(level[i].sum()) for i in range(spec.m)]))
+        for t, level in zip(exposure_levels, chi)
+    ]

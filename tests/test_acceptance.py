@@ -20,6 +20,7 @@ from oracles import (
     TAU_MU2,
     VAR_CONST_MU2,
     VAR_GSE_MEAN2,
+    counting_indicators,
     reed_frost_pmf,
     scalar_extinction_poisson,
     scalar_tau,
@@ -56,9 +57,9 @@ def const_timing():
 
 def test_criterion_2_major_outbreak_fraction(const_mu2_ensemble, const_timing):
     start = time.time()
-    _, _, records = const_mu2_ensemble
+    _, _, ensemble = const_mu2_ensemble
     const_timing["ensemble_reused"] = True
-    frac = np.mean([r.outbreak_class is ef.OutbreakClass.MAJOR for r in records])
+    frac = np.mean(ensemble.major)
     want = 1 - Q_MU2
     assert scalar_extinction_poisson(2.0) == pytest.approx(Q_MU2, abs=1e-12)
     elapsed = time.time() - start
@@ -68,9 +69,8 @@ def test_criterion_2_major_outbreak_fraction(const_mu2_ensemble, const_timing):
 
 
 def test_criterion_3_lln_major_conditional_mean(const_mu2_ensemble):
-    _, _, records = const_mu2_ensemble
-    majors = np.array([r.total for r in records
-                       if r.outbreak_class is ef.OutbreakClass.MAJOR])
+    _, _, ensemble = const_mu2_ensemble
+    majors = ensemble.total[ensemble.major]
     mean_fraction = majors.mean() / 10_000
     assert scalar_tau(2.0) == pytest.approx(TAU_MU2, abs=1e-12)
     _report("criterion 3 (law of large numbers)",
@@ -79,11 +79,11 @@ def test_criterion_3_lln_major_conditional_mean(const_mu2_ensemble):
 
 
 def test_criterion_4_clt_constant_kernel(const_mu2_ensemble):
-    spec, kernel, records = const_mu2_ensemble
+    spec, kernel, ensemble = const_mu2_ensemble
     sol = ef.solve_tau(kernel.mu, spec.pi, np.zeros(1))
     summary = ef.asymptotic_covariance(kernel.mu, kernel.lam, spec.pi, sol.tau, np.zeros(1))
     assert summary.asym_cov[0, 0] == pytest.approx(VAR_CONST_MU2, abs=1e-9)
-    report = ef.gaussian_check(records, sol.tau, summary.asym_cov, spec.N, spec.pi)
+    report = ef.gaussian_check(ensemble, sol.tau, summary.asym_cov, spec.N, spec.pi)
     var = report.sample_cov[0, 0]
     rel = abs(var - VAR_CONST_MU2) / VAR_CONST_MU2
     normal_ok = report.mardia_skew_p > 0.001 and report.mardia_kurtosis_p > 0.001
@@ -94,17 +94,17 @@ def test_criterion_4_clt_constant_kernel(const_mu2_ensemble):
 
 
 def test_criterion_5_clt_with_infectivity_variance(gse_ensemble):
-    spec, kernel, records = gse_ensemble
+    spec, kernel, ensemble = gse_ensemble
     # scaled infectivity ~ Exp(mean 2): q = 1/2 by hand (root of 2q^2 - 3q + 1)
     law = ef.offspring_law_from_kernel(kernel, spec.pi)
     ext = ef.extinction_probability(law, a=spec.a)
     assert ext.q[0] == pytest.approx(0.5, abs=1e-10)
-    frac = np.mean([r.outbreak_class is ef.OutbreakClass.MAJOR for r in records])
+    frac = np.mean(ensemble.major)
 
     sol = ef.solve_tau(kernel.mu, spec.pi, np.zeros(1))
     summary = ef.asymptotic_covariance(kernel.mu, kernel.lam, spec.pi, sol.tau, np.zeros(1))
     assert summary.asym_cov[0, 0] == pytest.approx(VAR_GSE_MEAN2, abs=1e-9)
-    report = ef.gaussian_check(records, sol.tau, summary.asym_cov, spec.N, spec.pi)
+    report = ef.gaussian_check(ensemble, sol.tau, summary.asym_cov, spec.N, spec.pi)
     var = report.sample_cov[0, 0]
     rel = abs(var - VAR_GSE_MEAN2) / VAR_GSE_MEAN2
     _report("criterion 5 (Gaussian limit, random infectivity)",
@@ -129,7 +129,7 @@ def test_criterion_7_random_allocation_correction():
     kernel, allocation = ef.mixed_bernoulli_kernel(ef.MixedGraphSpec(
         theta=[1.0, 2.0], pi=pi, w=ef.ScalarDist.constant(1.0)))
     spec = ef.PopulationSpec(m=2, pi=pi, N=10_000, a=[1, 1], allocation=allocation)
-    records = ef.run_ensemble(spec, kernel, 20_000, seed=777_001)
+    ensemble = ef.run_ensemble(spec, kernel, 20_000, seed=777_001)
 
     sol = ef.solve_tau(kernel.mu, pi, np.zeros(2))
     with_correction = ef.asymptotic_covariance(
@@ -138,9 +138,9 @@ def test_criterion_7_random_allocation_correction():
     without = ef.asymptotic_covariance(
         kernel.mu, kernel.lam, pi, sol.tau, np.zeros(2)).asym_cov
 
-    majors = [r for r in records if r.outbreak_class is ef.OutbreakClass.MAJOR]
+    majors = ensemble.t_inf[ensemble.major]
     scale = np.sqrt(spec.N * pi)
-    y = (np.stack([r.t_inf for r in majors]) / (spec.N * pi) - sol.tau) * scale
+    y = (majors / (spec.N * pi) - sol.tau) * scale
     emp = np.cov(y, rowvar=False)
     d_with = float(np.linalg.norm(emp - with_correction))
     d_without = float(np.linalg.norm(emp - without))
@@ -246,7 +246,7 @@ def test_criterion_9_property_suites():
     chi_t = np.empty(n_real, dtype=bool)
     chi_u = np.empty(n_real, dtype=bool)
     for r in range(n_real):
-        chi = ef.counting_indicators(spec, table, levels, ef.replicate_rng(515_151, r))
+        chi = counting_indicators(spec, table, levels, ef.replicate_rng(515_151, r))
         chi_t[r], chi_u[r] = chi[0][0][0], chi[1][0][1]
     x = chi_t.astype(float) - chi_t.mean()
     y = chi_u.astype(float) - chi_u.mean()
@@ -261,10 +261,9 @@ def test_criterion_9_property_suites():
         b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
     first = ef.run_ensemble(pop, gse, 50, seed=31_337)
     second = ef.run_ensemble(pop, gse, 50, seed=31_337, workers=3)
-    for a, b in zip(first, second):
-        if not (np.array_equal(a.t_inf, b.t_inf) and a.generations == b.generations):
-            failures.append("rerun with fixed seed not bit-identical")
-            break
+    if not (np.array_equal(first.t_inf, second.t_inf)
+            and np.array_equal(first.generations, second.generations)):
+        failures.append("rerun with fixed seed not bit-identical")
 
     _report("criterion 9 (property suites)",
             not failures,

@@ -160,11 +160,11 @@ def test_extinction_solution_carries_major_prob():
 
 def test_major_fraction_consistent_with_extinction(const_mu2_ensemble):
     # simulated major-outbreak fraction vs 1 - q, within 3 binomial SEs
-    spec, kernel, records = const_mu2_ensemble
+    spec, kernel, ensemble = const_mu2_ensemble
     law = ef.offspring_law_from_kernel(kernel, spec.pi)
     p_theory = ef.extinction_probability(law, a=spec.a).major_outbreak_prob
-    frac = np.mean([r.outbreak_class is ef.OutbreakClass.MAJOR for r in records])
-    se = np.sqrt(p_theory * (1 - p_theory) / len(records))
+    frac = np.mean(ensemble.major)
+    se = np.sqrt(p_theory * (1 - p_theory) / len(ensemble))
     assert abs(frac - p_theory) <= 3 * se
 
 
@@ -185,6 +185,21 @@ def test_extinction_near_critical_scalar(excess):
     assert sol.iterations <= 50
     assert abs(sol.q[0] - ref) <= sol.error_bound
     assert sol.error_bound <= 1e-2 * (1.0 - ref)
+
+
+def test_extinction_inside_critical_band_matches_solve_tau():
+    # R = 1 + 5e-10 lies inside the band solve_tau labels critical (tau = 0),
+    # so the extinction solver must agree: q = 1, no major outbreaks
+    mu = np.array([[1.0 + 5e-10]])
+    assert ef.solve_tau(mu, np.array([1.0]), np.zeros(1)).tau[0] == 0.0
+    sol = ef.extinction_probability(_constant_law(mu, [1.0]), a=np.array([1]))
+    assert sol.q[0] == 1.0
+    assert sol.major_outbreak_prob == 0.0
+    assert sol.iterations == 0
+
+
+def test_extinction_error_bound_is_a_plain_float():
+    assert type(ef.extinction_probability(_constant_law([[2.0]], [1.0])).error_bound) is float
 
 
 def test_extinction_near_critical_two_type():

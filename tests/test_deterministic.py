@@ -158,6 +158,11 @@ def test_solve_tau_near_critical_scalar(excess):
     assert sol.error_bound <= 1e-6 * ref
 
 
+def test_solve_tau_error_bound_is_a_plain_float():
+    sol = ef.solve_tau(np.array([[2.0]]), np.array([1.0]), np.zeros(1))
+    assert type(sol.error_bound) is float
+
+
 def test_solve_tau_near_critical_two_type():
     base = np.array([[1.0, 2.0], [0.5, 1.5]])
     pi = np.array([0.4, 0.6])

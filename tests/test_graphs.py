@@ -254,19 +254,19 @@ def test_random_type_identical_types_collapse():
     base = ef.ScalarDist.constant(2.0)
     kernel2, allocation = ef.ball_clancy95_model([base, base], pi=np.array([0.5, 0.5]))
     spec2 = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=2000, a=[1, 0], allocation=allocation)
-    records2 = ef.run_ensemble(spec2, kernel2, 4000, seed=91)
+    ens2 = ef.run_ensemble(spec2, kernel2, 4000, seed=91)
 
     kernel1, _ = ef.ball_clancy95_model([base], pi=np.array([1.0]))
     spec1 = ef.PopulationSpec(m=1, pi=[1.0], N=2000, a=[1])
-    records1 = ef.run_ensemble(spec1, kernel1, 4000, seed=92)
+    ens1 = ef.run_ensemble(spec1, kernel1, 4000, seed=92)
 
-    frac2 = np.mean([r.outbreak_class is ef.OutbreakClass.MAJOR for r in records2])
-    frac1 = np.mean([r.outbreak_class is ef.OutbreakClass.MAJOR for r in records1])
+    frac2 = np.mean(ens2.major)
+    frac1 = np.mean(ens1.major)
     se = np.sqrt(frac1 * (1 - frac1) / 4000)
     assert abs(frac2 - frac1) < 4 * np.sqrt(2) * se
 
-    major2 = np.array([r.total for r in records2 if r.outbreak_class is ef.OutbreakClass.MAJOR])
-    major1 = np.array([r.total for r in records1 if r.outbreak_class is ef.OutbreakClass.MAJOR])
+    major2 = ens2.total[ens2.major]
+    major1 = ens1.total[ens1.major]
     pooled_se = np.sqrt(major1.var() / len(major1) + major2.var() / len(major2))
     assert abs(major1.mean() - major2.mean()) < 4 * pooled_se
 

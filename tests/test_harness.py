@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -163,10 +164,62 @@ def test_jsonl_records(tmp_path):
     assert set(rows[0]) == {"replicate", "seed", "t_inf", "total", "generations", "class"}
 
 
+_MOVER_DIAG = [[3.88, 0.1, 0.1], [0.1, 3.88, 0.1], [0.1, 0.1, 3.88]]
+GOLDEN_CONFIGS = {
+    "reed_frost": {"population": {"m": 1, "pi": [1.0], "N": 10_000, "a": [1]},
+                   "kernel": {"kind": "constant", "mu": [[1.5]]}},
+    "mover": {"population": {"m": 3, "pi": [0.5, 0.3, 0.2], "N": 20_000, "a": [1, 0, 0],
+                             "allocation": "random_multinomial"},
+              "kernel": {"kind": "ball_clancy93", "b": [_MOVER_DIAG] * 3,
+                         "sojourn": [[{"dist": "exponential", "mean": 1.0 if i == j else 0.25}
+                                      for j in range(3)] for i in range(3)]}},
+}
+
+
+@pytest.mark.parametrize("name, replicates, fmt, sha", [
+    ("reed_frost", 300, "csv", "4b482e633398d75f9c3748f7b6078f942cb948164956183da1ec939cbb45bcdf"),
+    ("reed_frost", 300, "jsonl", "375fee3ea436ccdd1b7afb1c23ffe50057ea23139f1a207b26edf2ca60010a65"),
+    ("mover", 50, "csv", "9276dface756a25b81afcffdf5ad1ae99706e15a7dfc589aab43630f20f6954f"),
+])
+def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
+    # pins the random stream and the records layout: a change to either,
+    # deliberate or not, shows up here
+    config = parse_config(dict(GOLDEN_CONFIGS[name], replicates=replicates, seed=3))
+    ensemble = ef.run_ensemble(config.population, config.kernel, replicates, seed=3)
+    path = tmp_path / f"records.{fmt}"
+    ef.write_records(ensemble, path, fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_ensemble_statistics_match_per_replicate_loop():
+    # the columnar statistics against a loop over single runs on the same
+    # (seed, r) streams, under random allocation where every row has its own split
+    config = parse_config(dict(GOLDEN_CONFIGS["mover"], replicates=60, seed=8))
+    pop, kernel = config.population, config.kernel
+    ensemble = ef.run_ensemble(pop, kernel, 60, seed=8, threshold=300)
+    records = [ef.run_final_size(pop, kernel, ef.replicate_rng(8, r)) for r in range(60)]
+    assert np.array_equal(ensemble.t_inf, [rec.t_inf for rec in records])
+    assert np.array_equal(ensemble.n_susceptible, [rec.population.n_susceptible for rec in records])
+    major = [rec for rec in records if rec.total >= 300]
+    fractions = np.stack([rec.t_inf / rec.population.n_susceptible for rec in major])
+    histogram = {}
+    for rec in records:
+        if rec.total < 300:
+            histogram[rec.total] = histogram.get(rec.total, 0) + 1
+
+    stats = ef.estimate_outbreak_statistics(ensemble)
+    assert 1 < stats.n_major == len(major) < 60
+    assert stats.major_fraction == len(major) / 60
+    assert np.array_equal(stats.major_mean_fraction, fractions.mean(axis=0))
+    assert np.array_equal(stats.major_cov_fraction, np.cov(fractions, rowvar=False))
+    assert stats.minor_histogram == histogram
+
+
 def test_estimate_outbreak_statistics_all_minor():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=100, a=[1])
-    records = ef.run_ensemble(spec, ef.constant_kernel([[0.0]]), 50, seed=1)
-    stats = ef.estimate_outbreak_statistics(records)
+    ensemble = ef.run_ensemble(spec, ef.constant_kernel([[0.0]]), 50, seed=1)
+    stats = ef.estimate_outbreak_statistics(ensemble)
+    assert stats.n_records == 50 and stats.n_major == 0
     assert stats.major_fraction == 0.0
     assert stats.major_mean_fraction is None
     assert stats.minor_histogram == {0: 50}

@@ -7,9 +7,19 @@ from epifrost.kernel import _largest_remainder_split
 
 def test_constant_kernel_sample():
     kernel = ef.constant_kernel([[2.0]])
-    v = ef.sample_infectivity(kernel, 0, 100, np.random.default_rng(0))
+    v = kernel.sample(0, 100, np.random.default_rng(0))
     assert v.shape == (1,)
     assert v[0] == pytest.approx(0.02, abs=1e-15)
+
+
+def test_sample_rejects_bad_type_and_scale():
+    kernel = ef.constant_kernel([[2.0]])
+    rng = np.random.default_rng(0)
+    for infector_type in (-1, 1):
+        with pytest.raises(ValueError, match="infector type"):
+            kernel.sample(infector_type, 100, rng)
+    with pytest.raises(ValueError, match="population scale"):
+        kernel.sample(0, 0, rng)
 
 
 def test_zero_kernel_sample():

@@ -4,7 +4,14 @@ from scipy import stats
 
 import epifrost as ef
 
-from oracles import R_NU_HALF_N50, TAU_MU2, reed_frost_pmf, scalar_tau
+from oracles import (
+    R_NU_HALF_N50,
+    TAU_MU2,
+    counting_indicators,
+    evaluate_counting_process,
+    reed_frost_pmf,
+    scalar_tau,
+)
 
 
 def test_zero_kernel_means_no_epidemic():
@@ -12,7 +19,9 @@ def test_zero_kernel_means_no_epidemic():
     record = ef.run_final_size(spec, ef.constant_kernel([[0.0]]), ef.replicate_rng(0, 0))
     assert record.total == 0
     assert record.generations == 0
-    assert record.outbreak_class is ef.OutbreakClass.MINOR
+    ensemble = ef.run_ensemble(spec, ef.constant_kernel([[0.0]]), 1, seed=0)
+    assert ensemble.total[0] == 0 and ensemble.generations[0] == 0
+    assert not ensemble.major[0]
 
 
 def test_final_size_distribution_matches_enumeration_n2():
@@ -65,35 +74,43 @@ def test_ensemble_worker_count_does_not_change_output():
     serial = ef.run_ensemble(spec, kernel, 10, seed=42, workers=1)
     threaded = ef.run_ensemble(spec, kernel, 10, seed=42, workers=4)
     assert len(serial) == len(threaded) == 10
-    for x, y in zip(serial, threaded):
-        assert x.replicate == y.replicate
-        assert np.array_equal(x.t_inf, y.t_inf)
-        assert x.generations == y.generations
+    assert serial.t_inf.shape == threaded.t_inf.shape == (10, 1)
+    assert np.array_equal(serial.t_inf, threaded.t_inf)
+    assert np.array_equal(serial.generations, threaded.generations)
+    # row r is replicate r: the stream keyed by (seed, r)
+    for r in range(10):
+        record = ef.run_final_size(spec, kernel, ef.replicate_rng(42, r))
+        assert np.array_equal(serial.t_inf[r], record.t_inf)
+        assert serial.generations[r] == record.generations
 
 
 def test_ensemble_zero_kernel_all_empty():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=100, a=[1])
-    records = ef.run_ensemble(spec, ef.constant_kernel([[0.0]]), 100, seed=0)
-    assert all(r.total == 0 for r in records)
+    ensemble = ef.run_ensemble(spec, ef.constant_kernel([[0.0]]), 100, seed=0)
+    assert len(ensemble) == 100
+    assert np.all(ensemble.total == 0)
 
 
 def test_ensemble_major_fraction_const_mu2(const_mu2_ensemble):
-    _, _, records = const_mu2_ensemble
-    stats_ = ef.estimate_outbreak_statistics(records)
+    _, _, ensemble = const_mu2_ensemble
+    stats_ = ef.estimate_outbreak_statistics(ensemble)
     assert abs(stats_.major_fraction - (1 - 0.2032)) < 0.02
 
 
 def test_classify_outbreak_rules():
-    pop = ef.ResolvedPopulation(n_susceptible=np.array([10_000]), n_infective=np.array([1]))
-    make = lambda total: ef.FinalSizeRecord(
-        t_inf=np.array([total]), generations=1,
-        outbreak_class=ef.OutbreakClass.MINOR, population=pop)
+    make = lambda *totals: ef.Ensemble(
+        seed=0, threshold=1000, t_inf=np.array(totals).reshape(-1, 1),
+        generations=np.ones(len(totals), dtype=np.int64),
+        n_susceptible=np.full((len(totals), 1), 10_000))
     assert ef.default_threshold(10_000) == 1000
-    assert ef.classify_outbreak(make(3), 1000) is ef.OutbreakClass.MINOR
-    assert ef.classify_outbreak(make(7950), 1000) is ef.OutbreakClass.MAJOR
-    assert ef.classify_outbreak(make(1000), 1000) is ef.OutbreakClass.MAJOR  # tie -> major
+    assert np.array_equal(make(3, 7950, 1000).major, [False, True, True])  # tie -> major
+    # run_ensemble applies the default threshold for N = 10^4, or an override
+    spec = ef.PopulationSpec(m=1, pi=[1.0], N=10_000, a=[1])
+    kernel = ef.constant_kernel([[2.0]])
+    assert ef.run_ensemble(spec, kernel, 2, seed=0).threshold == 1000
+    assert ef.run_ensemble(spec, kernel, 2, seed=0, threshold=0).major.all()
     with pytest.raises(ValueError):
-        ef.classify_outbreak(make(3), -1)
+        ef.run_ensemble(spec, kernel, 2, seed=0, threshold=-1)
 
 
 def test_weak_lln_error_decreases_with_n():
@@ -103,9 +120,8 @@ def test_weak_lln_error_decreases_with_n():
     errors = []
     for n in (100, 1000, 10_000):
         spec = ef.PopulationSpec(m=1, pi=[1.0], N=n, a=[1])
-        records = ef.run_ensemble(spec, kernel, 2000, seed=321 + n)
-        major = [r for r in records if r.outbreak_class is ef.OutbreakClass.MAJOR]
-        fractions = np.array([r.total / n for r in major])
+        ensemble = ef.run_ensemble(spec, kernel, 2000, seed=321 + n)
+        fractions = ensemble.total[ensemble.major] / n
         errors.append(abs(np.mean(np.abs(fractions - tau))))
     assert errors[0] > errors[1] > errors[2]
     assert abs(fractions.mean() - TAU_MU2) < 0.01
@@ -119,8 +135,7 @@ def test_weak_lln_error_decreases_with_n():
 def test_counting_process_zero_exposure():
     spec = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=20, a=[1, 1])
     kernel = ef.constant_kernel(np.full((2, 2), 2.0))
-    snaps = ef.evaluate_counting_process(spec, kernel, [np.zeros(2)],
-                                         ef.replicate_rng(0, 0))
+    snaps = evaluate_counting_process(spec, kernel, [np.zeros(2)], ef.replicate_rng(0, 0))
     assert np.all(snaps[0].x == 0)
 
 
@@ -128,7 +143,7 @@ def test_counting_process_certain_infection():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10, a=[2])
     kernel = ef.constant_kernel([[10.0]])  # V = 1 at N = 10
     t_max = np.array([(10 + 2) / 10.0])
-    snaps = ef.evaluate_counting_process(spec, kernel, [t_max], ef.replicate_rng(1, 0))
+    snaps = evaluate_counting_process(spec, kernel, [t_max], ef.replicate_rng(1, 0))
     assert snaps[0].x[0] == 10
 
 
@@ -140,8 +155,8 @@ def test_counting_process_mean_matches_formula():
     total = 0
     runs = 4000
     for r in range(runs):
-        total += ef.evaluate_counting_process(spec, kernel, level,
-                                              ef.replicate_rng(88, r))[0].x[0]
+        total += evaluate_counting_process(spec, kernel, level,
+                                           ef.replicate_rng(88, r))[0].x[0]
     mean_fraction = total / runs / 50
     se = np.sqrt(R_NU_HALF_N50 * (1 - R_NU_HALF_N50) / (50 * runs))  # crude upper bound
     assert abs(mean_fraction - R_NU_HALF_N50) < 6 * se + 0.005
@@ -155,7 +170,7 @@ def test_counting_process_monotone_in_exposure():
     ])
     levels = [np.array([0.2, 0.1]), np.array([0.5, 0.4]), np.array([1.0, 0.9])]
     for r in range(50):
-        snaps = ef.evaluate_counting_process(spec, kernel, levels, ef.replicate_rng(5, r))
+        snaps = evaluate_counting_process(spec, kernel, levels, ef.replicate_rng(5, r))
         assert np.all(snaps[0].x <= snaps[1].x)
         assert np.all(snaps[1].x <= snaps[2].x)
 
@@ -164,7 +179,7 @@ def test_counting_process_rejects_excess_exposure():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10, a=[1])
     kernel = ef.constant_kernel([[1.0]])
     with pytest.raises(ValueError):
-        ef.evaluate_counting_process(spec, kernel, [np.array([2.0])], ef.replicate_rng(0, 0))
+        evaluate_counting_process(spec, kernel, [np.array([2.0])], ef.replicate_rng(0, 0))
 
 
 def test_indicator_covariance_nonnegative():
@@ -177,7 +192,7 @@ def test_indicator_covariance_nonnegative():
     chi_t = np.empty(realizations, dtype=bool)
     chi_u = np.empty(realizations, dtype=bool)
     for r in range(realizations):
-        chi = ef.counting_indicators(spec, kernel, levels, ef.replicate_rng(303, r))
+        chi = counting_indicators(spec, kernel, levels, ef.replicate_rng(303, r))
         chi_t[r] = chi[0][0][0]  # individual j at exposure t
         chi_u[r] = chi[1][0][1]  # individual l != j at exposure u
     x = chi_t.astype(float) - chi_t.mean()
