@@ -50,12 +50,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
-    ensemble = harness.run_ensemble(config.population, config.kernel, config.replicates,
-                                    config.seed, workers=config.workers,
-                                    threshold=config.threshold_override)
-    if config.output_path is not None:
-        harness.write_records(ensemble, config.output_path, config.output_format)
-    stats = harness.estimate_outbreak_statistics(ensemble)
+    _, stats = harness.simulate_ensemble(config)
     _emit({
         "replicates": stats.n_records,
         "major_fraction": stats.major_fraction,

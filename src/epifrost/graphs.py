@@ -343,6 +343,9 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
         def sample_i(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
             return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1)
 
+        def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+            return b[i] @ [tables[i][j].sample(rng, n).sum() for j in range(m)]
+
         deterministic = all(d.is_constant for row in tables for d in row)
         means = np.stack([[tables[i][j].mean for j in range(m)] for i in range(m)])
         variances = np.stack([[tables[i][j].var for j in range(m)] for i in range(m)])
@@ -366,6 +369,9 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
                 raise ValueError("sojourn times must be nonnegative")
             return out
 
+        def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+            return b[i] @ sample_i(i, rng, n).sum(axis=0)
+
         deterministic = False
         summary = moments_from_u_sampler(
             lambda i, rng, size: sample_i(i, rng, size) @ b[i].T,
@@ -381,7 +387,7 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
         return -np.expm1(-u_sampler(i, rng, size) / N)
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf,
+                             u_sampler=u_sampler, u_mgf=u_mgf, u_sum=u_sum,
                              deterministic=deterministic, moment_summary=summary)
 
 
@@ -415,6 +421,9 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
 
+    def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(m, base[i].sample(rng, n).sum())
+
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, size) / N)
 
@@ -424,6 +433,6 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
             return base[i].mgf(float(theta.sum()))
 
     kernel = InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                               u_sampler=u_sampler, u_mgf=u_mgf,
+                               u_sampler=u_sampler, u_mgf=u_mgf, u_sum=u_sum,
                                deterministic=all(d.is_constant for d in base))
     return kernel, Allocation.RANDOM_MULTINOMIAL

@@ -30,6 +30,7 @@ __all__ = [
     "ValidationReport",
     "estimate_outbreak_statistics",
     "write_records",
+    "simulate_ensemble",
     "run_experiment",
 ]
 
@@ -228,6 +229,15 @@ def _check_branching_tv(ensemble: Ensemble, law: branching.OffspringLaw,
 # ---------------------------------------------------------------------------
 
 
+def simulate_ensemble(config: ExperimentConfig) -> tuple[Ensemble, OutbreakStatistics]:
+    """Run the configured ensemble, write its records if configured, and summarise it."""
+    ensemble = run_ensemble(config.population, config.kernel, config.replicates, config.seed,
+                            workers=config.workers, threshold=config.threshold_override)
+    if config.output_path is not None:
+        write_records(ensemble, config.output_path, config.output_format)
+    return ensemble, estimate_outbreak_statistics(ensemble)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], ValidationReport]:
     """Run the configured ensemble plus every enabled theory check.
 
@@ -237,14 +247,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
     """
     pop = config.population
     kernel = config.kernel
-
-    ensemble = run_ensemble(pop, kernel, config.replicates, config.seed,
-                            workers=config.workers, threshold=config.threshold_override)
-    stats = estimate_outbreak_statistics(ensemble)
-
+    ensemble, stats = simulate_ensemble(config)
     records_path = config.output_path
-    if records_path is not None:
-        write_records(ensemble, records_path, config.output_format)
 
     checks: list[CheckResult] = []
     if config.checks:

@@ -149,6 +149,9 @@ SamplerFn = Callable[[int, int, np.random.Generator, Optional[int]], np.ndarray]
 USamplerFn = Callable[[int, np.random.Generator, Optional[int]], np.ndarray]
 # mgf(infector_type, theta) -> E[exp(theta . U_i)] for theta <= 0
 UMgfFn = Callable[[int, np.ndarray], float]
+# u_sum(infector_type, rng, n) -> (m,) sum of n i.i.d. draws of U_i; only for
+# kernels with V = 1 - exp(-U/N) exactly, drawing the variates sampler would
+USumFn = Callable[[int, np.random.Generator, int], np.ndarray]
 
 
 def one_or_batch(draw: Callable[[int, np.random.Generator, int], np.ndarray]) -> USamplerFn:
@@ -175,6 +178,7 @@ class InfectivityKernel:
     sampler: SamplerFn = field(repr=False)
     u_sampler: USamplerFn = field(repr=False)
     u_mgf: Optional[UMgfFn] = field(default=None, repr=False)
+    u_sum: Optional[USumFn] = field(default=None, repr=False)
     deterministic: bool = False
     moment_summary: Optional["MomentSummary"] = None
 
@@ -205,6 +209,16 @@ class InfectivityKernel:
         if N < 1:
             raise ValueError(f"population scale must be >= 1, got {N}")
         return np.asarray(self.sampler(infector_type, N, rng, size), dtype=float)
+
+    def log_escape(self, infector_type: int, n: int, N: int,
+                   rng: np.random.Generator) -> np.ndarray:
+        """(m,) sum of log(1 - V) over n i.i.d. draws for one infector type: the
+        log-probability that a susceptible escapes all n infectives.  Kernels
+        with ``u_sum`` return -sum(U)/N from the same draws."""
+        if self.u_sum is not None:
+            return -self.u_sum(infector_type, rng, n) / N
+        with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
+            return np.log1p(-self.sample(infector_type, N, rng, size=n)).sum(axis=0)
 
     def sample_u(self, infector_type: int, rng: np.random.Generator,
                  size: Optional[int] = None) -> np.ndarray:

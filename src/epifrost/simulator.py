@@ -131,11 +131,8 @@ def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
             idx = np.nonzero(active)[0]  # skip zero rows: 0 * -inf is nan
             log_escape = active[idx] @ fixed_log_escape[idx]
         else:
-            log_escape = np.zeros(m)
-            with np.errstate(divide="ignore"):
-                for i in np.nonzero(active)[0]:
-                    v = kernel.sample(int(i), N, rng, size=int(active[i]))  # (n_i, m)
-                    log_escape += np.log1p(-v).sum(axis=0)
+            log_escape = sum(kernel.log_escape(int(i), int(active[i]), N, rng)
+                             for i in np.nonzero(active)[0])
         p_infect = -np.expm1(log_escape)
         new = rng.binomial(susceptible, p_infect)
         if not new.any():

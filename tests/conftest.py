@@ -29,3 +29,32 @@ def gse_ensemble():
         b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
     ensemble = ef.run_ensemble(spec, kernel, replicates=10_000, seed=515)
     return spec, kernel, ensemble
+
+
+@pytest.fixture(scope="session")
+def exponential_hazard_kernels():
+    """Kernels whose V is exactly 1 - exp(-U/N), keyed by name, each with a
+    population it can run on: the mover model with sojourn tables (random
+    allocation, as in the benchmark), the mover model with a joint sojourn
+    sampler, and the random-type model."""
+    def joint(i, rng, n):
+        total = rng.exponential(1.0 + 0.5 * i, n)
+        return np.stack([0.7 * total, 0.3 * total], axis=1)
+
+    diag = [[3.88, 0.1, 0.1], [0.1, 3.88, 0.1], [0.1, 0.1, 3.88]]
+    mover = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([diag] * 3),
+        sojourn=[[ef.ScalarDist.exponential(1.0 if i == j else 0.25) for j in range(3)]
+                 for i in range(3)]))
+    mover_joint = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([[[2.5, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.5, 2.5]]]),
+        i_sampler=joint, moment_samples=2000))
+    random_type, allocation = ef.ball_clancy95_model(
+        [ef.ScalarDist.exponential(1.8), ef.ScalarDist.gamma(2.0, 0.9)], pi=[0.6, 0.4])
+    return {
+        "mover": (ef.PopulationSpec(m=3, pi=[0.5, 0.3, 0.2], N=5000, a=[1, 0, 0],
+                                    allocation=ef.Allocation.RANDOM_MULTINOMIAL), mover),
+        "mover_joint": (ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=5000, a=[1, 0]), mover_joint),
+        "random_type": (ef.PopulationSpec(m=2, pi=[0.6, 0.4], N=5000, a=[1, 0],
+                                          allocation=allocation), random_type),
+    }

@@ -173,6 +173,10 @@ GOLDEN_CONFIGS = {
               "kernel": {"kind": "ball_clancy93", "b": [_MOVER_DIAG] * 3,
                          "sojourn": [[{"dist": "exponential", "mean": 1.0 if i == j else 0.25}
                                       for j in range(3)] for i in range(3)]}},
+    "random_type": {"population": {"m": 2, "N": 10_000, "a": [1, 0]},
+                    "kernel": {"kind": "ball_clancy95", "pi": [0.6, 0.4],
+                               "u": [{"dist": "exponential", "mean": 1.8},
+                                     {"dist": "gamma", "shape": 2.0, "scale": 0.9}]}},
 }
 
 
@@ -180,6 +184,7 @@ GOLDEN_CONFIGS = {
     ("reed_frost", 300, "csv", "4b482e633398d75f9c3748f7b6078f942cb948164956183da1ec939cbb45bcdf"),
     ("reed_frost", 300, "jsonl", "375fee3ea436ccdd1b7afb1c23ffe50057ea23139f1a207b26edf2ca60010a65"),
     ("mover", 50, "csv", "9276dface756a25b81afcffdf5ad1ae99706e15a7dfc589aab43630f20f6954f"),
+    ("random_type", 300, "csv", "d6022fcc3b1a5163005432626364938de978f03627fe6a1e607aa8e9a5d9d740"),
 ])
 def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     # pins the random stream and the records layout: a change to either,

@@ -209,3 +209,20 @@ def test_scaled_values_must_fit_population():
     kernel = ef.constant_kernel([[2.0]])
     with pytest.raises(ValueError):
         kernel.sample(0, 1, np.random.default_rng(0))  # 2/1 > 1
+
+
+@pytest.mark.parametrize("name", ["mover", "mover_joint", "random_type"])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("N", [100, 20_000])
+def test_log_escape_sums_the_same_draws(exponential_hazard_kernels, name, n, N):
+    # -sum(U)/N from u_sum against the per-draw sum of log(1 - V): same value,
+    # and the same number of draws taken from the stream
+    _, kernel = exponential_hazard_kernels[name]
+    assert kernel.u_sum is not None
+    for i in range(kernel.m):
+        summed_rng, per_draw_rng = np.random.default_rng(17), np.random.default_rng(17)
+        summed = kernel.log_escape(i, n, N, summed_rng)
+        per_draw = np.log1p(-kernel.sample(i, N, per_draw_rng, size=n)).sum(axis=0)
+        assert summed.shape == (kernel.m,)
+        np.testing.assert_allclose(summed, per_draw, rtol=1e-12, atol=0)
+        assert summed_rng.bit_generator.state == per_draw_rng.bit_generator.state

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -66,6 +69,34 @@ def test_rerun_with_same_seed_is_bit_identical():
     b = ef.run_final_size(spec, kernel, ef.replicate_rng(9, 3))
     assert np.array_equal(a.t_inf, b.t_inf)
     assert a.generations == b.generations
+
+
+@pytest.mark.parametrize("name", ["mover", "mover_joint", "random_type"])
+def test_summed_u_ensemble_equals_per_draw_ensemble(exponential_hazard_kernels, name):
+    # the per-generation sum of U keeps the random stream: records match the
+    # per-infective log1p path exactly
+    spec, kernel = exponential_hazard_kernels[name]
+    per_draw = dataclasses.replace(kernel, u_sum=None)
+    for seed in (0, 3, 11):
+        summed = ef.run_ensemble(spec, kernel, 200, seed=seed)
+        reference = ef.run_ensemble(spec, per_draw, 200, seed=seed)
+        assert summed.major.any()
+        assert np.array_equal(summed.t_inf, reference.t_inf)
+        assert np.array_equal(summed.generations, reference.generations)
+        assert np.array_equal(summed.n_susceptible, reference.n_susceptible)
+
+
+def test_certain_infection_on_the_sampled_path():
+    # V = 1 (scaled value equal to N) makes log(1 - V) = -inf: every remaining
+    # susceptible is infected in the first generation, silently
+    spec = ef.PopulationSpec(m=1, pi=[1.0], N=50, a=[1])
+    kernel = ef.table_kernel([(np.array([[50.0], [50.0]]), np.array([0.5, 0.5]))])
+    assert not kernel.deterministic and kernel.u_sum is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = ef.run_final_size(spec, kernel, ef.replicate_rng(5, 0))
+    assert record.t_inf.tolist() == [50]
+    assert record.generations == 1
 
 
 def test_ensemble_worker_count_does_not_change_output():
