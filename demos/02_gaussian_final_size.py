@@ -35,7 +35,7 @@ for name, kernel in models.items():
     extinction = ef.extinction_probability(law, a=spec.a)
 
     ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=hash(name) % 2**31)
-    report = ef.gaussian_check(ensemble, solution.tau, summary.asym_cov, N, pi)
+    report = ef.gaussian_check(ensemble, solution.tau, N, pi)
 
     print(f"--- {name} ---")
     print(f"  R = {solution.R:.3f}, tau = {solution.tau[0]:.5f}, "

@@ -21,8 +21,6 @@ def describe(name, kernel, pi, spec, seed):
     print(f"--- {name} ---")
     print(f"  mu =\n{np.array_str(kernel.mu, precision=4)}")
     print(f"  R = {R:.4f}   simulated major fraction = {stats.major_fraction:.4f}")
-    if kernel.moment_summary is not None:
-        print(f"  (moments estimated from {kernel.moment_summary.sample_count} draws)")
     print()
 
 
@@ -43,7 +41,7 @@ describe("mixed Bernoulli graph (random allocation)", mixed, pi,
 # dynamic Bernoulli graph: partnerships churn while an exponential lifetime runs
 dynamic = ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
     rho_plus=[[3.0]], rho_minus=[[0.5]], beta=[[1.5]],
-    q=[ef.ScalarDist.exponential(1.0)], moment_samples=50_000))
+    q=[ef.ScalarDist.exponential(1.0)]))
 pi = np.array([1.0])
 describe("dynamic Bernoulli graph", dynamic, pi,
          ef.PopulationSpec(m=1, pi=pi, N=N, a=[1]), seed=3)

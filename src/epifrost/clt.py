@@ -157,16 +157,15 @@ class GaussianCheckReport:
     mardia_kurtosis_p: float
 
 
-def gaussian_check(ensemble: Ensemble, tau: np.ndarray,
-                   asym_cov: np.ndarray, n_population: int, pi: np.ndarray,
-                   min_major: int = 500) -> GaussianCheckReport:
+def gaussian_check(ensemble: Ensemble, tau: np.ndarray, n_population: int,
+                   pi: np.ndarray, min_major: int = 500) -> GaussianCheckReport:
     """Compare the empirical law of the scaled major-outbreak final size with
     its Gaussian limit.
 
     Forms Y_r = (T_r / (N pi) - tau) * sqrt(N pi) over the major-class
     replicates, then reports the sample mean (should shrink to 0), the sample
-    covariance (the caller compares it with ``asym_cov``), and Mardia
-    normality p-values.
+    covariance (the caller compares it with ``AsymptoticSummary.asym_cov``),
+    and Mardia normality p-values.
     """
     pi = np.asarray(pi, dtype=float)
     tau = np.asarray(tau, dtype=float)

@@ -123,16 +123,13 @@ def build_kernel(cfg: dict) -> tuple[InfectivityKernel, Optional[Allocation], Op
                 rho_minus=np.asarray(_require(cfg, "rho_minus", "kernel"), dtype=float),
                 beta=np.asarray(_require(cfg, "beta", "kernel"), dtype=float),
                 q=q,
-                moment_samples=int(cfg.get("moment_samples", 100_000)),
             )
             return dynamic_bernoulli_kernel(spec), None, None
         if kind == "ball_clancy93":
             b = np.asarray(_require(cfg, "b", "kernel"), dtype=float)
             sojourn_cfg = _require(cfg, "sojourn", "kernel")
             sojourn = [[_scalar_dist(c, "kernel.sojourn") for c in row] for row in sojourn_cfg]
-            spec = BallClancy93Spec(b=b, sojourn=sojourn,
-                                    moment_samples=int(cfg.get("moment_samples", 100_000)))
-            return ball_clancy93_kernel(spec), None, None
+            return ball_clancy93_kernel(BallClancy93Spec(b=b, sojourn=sojourn)), None, None
         if kind == "ball_clancy95":
             pi = np.asarray(_require(cfg, "pi", "kernel"), dtype=float)
             base = [_scalar_dist(c, "kernel.u") for c in _require(cfg, "u", "kernel")]

@@ -2,17 +2,21 @@
 
 Kernel specifications need a handful of nonnegative scalar laws (contact
 probabilities W, infectious lifetimes Q, group sojourn times I).  Each law
-must expose sampling, exact first and second moments, and, when available,
-a closed-form moment generating function evaluated at nonpositive
-arguments (that is all the extinction solver ever needs).
+exposes sampling, exact first and second moments, and its exact moment
+generating function M(t) = E[exp(tX)] and derivative M'(t) = E[X exp(tX)]
+at nonpositive arguments: the extinction solver needs M, the dynamic-graph
+moments need both.  Beta laws (and uniform ones, a shifted and scaled
+Beta(1, 1)) evaluate M through Kummer's confluent hypergeometric function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
+from scipy import special
 
 __all__ = ["ScalarDist"]
 
@@ -21,15 +25,16 @@ __all__ = ["ScalarDist"]
 class ScalarDist:
     """A nonnegative scalar random variable with known moments.
 
-    ``mgf`` is ``None`` when no closed form is available (the caller falls
-    back to Monte Carlo); when present it must accept any t <= 0.
+    ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
+    and accept any t <= 0.
     """
 
     name: str
     mean: float
     var: float
     sample: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
-    mgf: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    mgf: Callable[[float], float] = field(repr=False)
+    mgf_prime: Callable[[float], float] = field(repr=False)
     support_max: float = np.inf
 
     @property
@@ -47,6 +52,7 @@ class ScalarDist:
             var=0.0,
             sample=lambda rng, size: np.full(size, v),
             mgf=lambda t: float(np.exp(t * v)),
+            mgf_prime=lambda t: float(v * np.exp(t * v)),
             support_max=v,
         )
 
@@ -61,6 +67,7 @@ class ScalarDist:
             var=m * m,
             sample=lambda rng, size: rng.exponential(m, size),
             mgf=lambda t: 1.0 / (1.0 - m * t),  # finite for all t < 1/m
+            mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
         )
 
     @staticmethod
@@ -74,6 +81,7 @@ class ScalarDist:
             var=k * s * s,
             sample=lambda rng, size: rng.gamma(k, s, size),
             mgf=lambda t: float((1.0 - s * t) ** (-k)),
+            mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
         )
 
     @staticmethod
@@ -87,6 +95,7 @@ class ScalarDist:
             var=pp * (1 - pp),
             sample=lambda rng, size: (rng.random(size) < pp).astype(float),
             mgf=lambda t: float(1 - pp + pp * np.exp(t)),
+            mgf_prime=lambda t: float(pp * np.exp(t)),
             support_max=1.0 if pp > 0 else 0.0,
         )
 
@@ -95,24 +104,21 @@ class ScalarDist:
         a, b = float(low), float(high)
         if not 0 <= a < b:
             raise ValueError(f"uniform distribution needs 0 <= low < high, got [{a}, {b}]")
-
-        def _mgf(t: float) -> float:
-            if t == 0.0:
-                return 1.0
-            return float((np.exp(t * b) - np.exp(t * a)) / (t * (b - a)))
-
+        w = b - a  # X = a + w B with B ~ Beta(1, 1)
         return ScalarDist(
             name=f"uniform({a}, {b})",
             mean=(a + b) / 2,
-            var=(b - a) ** 2 / 12,
+            var=w ** 2 / 12,
             sample=lambda rng, size: rng.uniform(a, b, size),
-            mgf=_mgf,
+            mgf=lambda t: math.exp(t * a) * _kummer(1.0, 2.0, t * w),
+            mgf_prime=lambda t: math.exp(t * a) * (a * _kummer(1.0, 2.0, t * w)
+                                                   + w / 2 * _kummer(2.0, 3.0, t * w)),
             support_max=b,
         )
 
     @staticmethod
     def beta(a: float, b: float) -> "ScalarDist":
-        # No elementary MGF; extinction solvers use the Monte Carlo path.
+        # M(t) = M(a, a+b, t) and M'(t) = (a/(a+b)) M(a+1, a+b+1, t) (Kummer's M)
         aa, bb = float(a), float(b)
         if aa <= 0 or bb <= 0:
             raise ValueError("beta distribution needs a > 0 and b > 0")
@@ -123,7 +129,8 @@ class ScalarDist:
             mean=mean,
             var=var,
             sample=lambda rng, size: rng.beta(aa, bb, size),
-            mgf=None,
+            mgf=lambda t: _kummer(aa, aa + bb, t),
+            mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
             support_max=1.0,
         )
 
@@ -143,6 +150,7 @@ class ScalarDist:
             var=var,
             sample=lambda rng, size: rng.choice(vals, size=size, p=ps),
             mgf=lambda t: float(np.exp(t * vals) @ ps),
+            mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
             support_max=float(vals.max()) if vals.size else 0.0,
         )
 
@@ -159,6 +167,14 @@ class ScalarDist:
         except KeyError as exc:
             raise ValueError(f"scalar distribution {kind!r} is missing parameter {exc}") from exc
         return getattr(ScalarDist, kind)(*args)
+
+
+def _kummer(a: float, c: float, t: float) -> float:
+    """Kummer's M(a, c, t) for t <= 0 as e^t M(c - a, c, -t), a series of positive
+    terms; below t = -700, where that form overflows, scipy's M(a, c, t) itself."""
+    if t < -700.0:
+        return float(special.hyp1f1(a, c, t))
+    return math.exp(t) * float(special.hyp1f1(c - a, c, -t))
 
 
 # config tag -> the ScalarDist constructor's parameters, in order

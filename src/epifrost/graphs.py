@@ -109,16 +109,12 @@ def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
             raise ValueError(f"edge intensity {alpha.max()} exceeds population scale {N}")
         return u_sampler(i, rng, size) / N
 
-    u_mgf = None
-    if w.mgf is not None:
-        w_mgf = w.mgf
-
-        if shared:
-            def u_mgf(i: int, theta: np.ndarray) -> float:
-                return w_mgf(float(theta @ alpha[i]))
-        else:
-            def u_mgf(i: int, theta: np.ndarray) -> float:
-                return float(np.prod([w_mgf(float(t * a)) for t, a in zip(theta, alpha[i])]))
+    if shared:
+        def u_mgf(i: int, theta: np.ndarray) -> float:
+            return w.mgf(float(theta @ alpha[i]))
+    else:
+        def u_mgf(i: int, theta: np.ndarray) -> float:
+            return float(np.prod([w.mgf(float(t * a)) for t, a in zip(theta, alpha[i])]))
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                              u_sampler=u_sampler, u_mgf=u_mgf,
@@ -178,12 +174,8 @@ def mixed_bernoulli_kernel(spec: MixedGraphSpec) -> tuple[InfectivityKernel, All
             raise ValueError(f"connectivity product {theta.max() ** 2} exceeds population scale {N}")
         return u_sampler(i, rng, size) / N
 
-    u_mgf = None
-    if w.mgf is not None:
-        w_mgf = w.mgf
-
-        def u_mgf(i: int, theta_arg: np.ndarray) -> float:
-            return w_mgf(float(theta[i] * (theta_arg @ theta)))
+    def u_mgf(i: int, theta_arg: np.ndarray) -> float:
+        return w.mgf(float(theta[i] * (theta_arg @ theta)))
 
     kernel = InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                                u_sampler=u_sampler, u_mgf=u_mgf,
@@ -205,7 +197,6 @@ class DynamicGraphSpec:
     rho_minus: np.ndarray
     beta: np.ndarray
     q: Sequence[ScalarDist]
-    moment_samples: int = 100_000
 
     def __post_init__(self):
         rp = np.atleast_2d(np.asarray(self.rho_plus, dtype=float))
@@ -251,9 +242,12 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     infection probabilities is then the deterministic function of Q_i
     derived from the equilibrium partnership process (components dependent
     through the shared lifetime), with the population scale entering at
-    sampling time.  Moments are exact for degenerate lifetimes, otherwise
-    estimated by Monte Carlo over the scaled limit law with standard errors
-    recorded.
+    sampling time.  With d = beta + rho_minus, c = rho_plus beta / d and
+    g = beta / (rho_minus d) the scaled weight is u_j(q) = c_j (q + g_j (1 -
+    e^{-d_j q})), so the moments are exact in the lifetime's generating
+    function M (``_dynamic_moments``).  Only the generating function of U
+    has no closed form unless every lifetime is constant; the extinction
+    solver then estimates it by Monte Carlo.
     """
     m = spec.rho_plus.shape[0]
 
@@ -274,25 +268,41 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
         v = np.clip(v, 0.0, 1.0)
         return v[0] if size is None else v
 
+    moments = [_dynamic_moments(spec, i) for i in range(m)]
+    mu = np.stack([mean for mean, _ in moments])
+    lam = np.stack([cov for _, cov in moments])
     all_constant = all(d.is_constant for d in spec.q)
-    if all_constant:
-        mu = np.stack([_dynamic_scaled_u(spec, i, np.array([spec.q[i].mean]))[0]
-                       for i in range(m)])
-        lam = np.zeros((m, m, m))
-        summary = None
-        scaled_rows = mu
-
+    u_mgf = None
+    if all_constant:  # U_i is the fixed row mu[i]
         def u_mgf(i: int, theta: np.ndarray) -> float:
-            return float(np.exp(theta @ scaled_rows[i]))
-    else:
-        summary = moments_from_u_sampler(u_sampler, m, spec.moment_samples,
-                                         np.random.default_rng(12345))
-        mu, lam = summary.mu, summary.lam
-        u_mgf = None
+            return float(np.exp(theta @ mu[i]))
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                              u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=all_constant, moment_summary=summary)
+                             deterministic=all_constant)
+
+
+def _dynamic_moments(spec: DynamicGraphSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact E[U_i] and cov(U_i) for u_j(q) = c_j (q + g_j (1 - e^{-d_j q})).
+
+    With M the lifetime's generating function and C_j = cov(q, e^{-d_j q}) =
+    M'(-d_j) - E[q] M(-d_j):  E[u_j] = c_j (E[q] + g_j (1 - M(-d_j))) and
+    cov(u_j, u_k) = c_j c_k (var q - g_j C_j - g_k C_k
+                             + g_j g_k (M(-d_j - d_k) - M(-d_j) M(-d_k))).
+    """
+    q = spec.q[i]
+    beta, rm = spec.beta[i], spec.rho_minus[i]
+    d = beta + rm  # > 0: rho_minus is strictly positive
+    c = spec.rho_plus[i] * beta / d
+    g = beta / (rm * d)
+    mgf = np.array([q.mgf(-x) for x in d])
+    gc = g * (np.array([q.mgf_prime(-x) for x in d]) - q.mean * mgf)
+    joint = np.array([[q.mgf(-x - y) for y in d] for x in d]) - np.outer(mgf, mgf)
+    mean = c * (q.mean + g * (1.0 - mgf))
+    if q.is_constant:  # the terms below cancel exactly, but not in floating point
+        return mean, np.zeros((len(d), len(d)))
+    cov = q.var - gc[:, None] - gc[None, :] + np.outer(g, g) * joint
+    return mean, np.outer(c, c) * cov
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +363,9 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
         lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
         summary = None
 
-        u_mgf = None
-        if all(d.mgf is not None for row in tables for d in row):
-            def u_mgf(i: int, theta: np.ndarray) -> float:
-                args = b[i].T @ theta  # component l: sum_k theta_k b[i][k, l]
-                return float(np.prod([tables[i][l].mgf(float(args[l])) for l in range(m)]))
+        def u_mgf(i: int, theta: np.ndarray) -> float:
+            args = b[i].T @ theta  # component l: sum_k theta_k b[i][k, l]
+            return float(np.prod([tables[i][l].mgf(float(args[l])) for l in range(m)]))
     else:
         joint = spec.i_sampler
 
@@ -427,10 +435,8 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, size) / N)
 
-    u_mgf = None
-    if all(d.mgf is not None for d in base):
-        def u_mgf(i: int, theta: np.ndarray) -> float:
-            return base[i].mgf(float(theta.sum()))
+    def u_mgf(i: int, theta: np.ndarray) -> float:
+        return base[i].mgf(float(theta.sum()))
 
     kernel = InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                                u_sampler=u_sampler, u_mgf=u_mgf, u_sum=u_sum,

@@ -178,7 +178,7 @@ def _check_major_prob(stats: OutbreakStatistics, p_theory: float) -> CheckResult
 def _check_clt(ensemble: Ensemble, tau: np.ndarray,
                summary: clt.AsymptoticSummary, N: int, pi: np.ndarray) -> CheckResult:
     try:
-        report = clt.gaussian_check(ensemble, tau, summary.asym_cov, N, pi)
+        report = clt.gaussian_check(ensemble, tau, N, pi)
     except InsufficientDataError as exc:
         return CheckResult("clt", False, {"asym_cov": summary.asym_cov},
                            {"error": str(exc)}, {}, {})

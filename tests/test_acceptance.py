@@ -83,7 +83,7 @@ def test_criterion_4_clt_constant_kernel(const_mu2_ensemble):
     sol = ef.solve_tau(kernel.mu, spec.pi, np.zeros(1))
     summary = ef.asymptotic_covariance(kernel.mu, kernel.lam, spec.pi, sol.tau, np.zeros(1))
     assert summary.asym_cov[0, 0] == pytest.approx(VAR_CONST_MU2, abs=1e-9)
-    report = ef.gaussian_check(ensemble, sol.tau, summary.asym_cov, spec.N, spec.pi)
+    report = ef.gaussian_check(ensemble, sol.tau, spec.N, spec.pi)
     var = report.sample_cov[0, 0]
     rel = abs(var - VAR_CONST_MU2) / VAR_CONST_MU2
     normal_ok = report.mardia_skew_p > 0.001 and report.mardia_kurtosis_p > 0.001
@@ -104,7 +104,7 @@ def test_criterion_5_clt_with_infectivity_variance(gse_ensemble):
     sol = ef.solve_tau(kernel.mu, spec.pi, np.zeros(1))
     summary = ef.asymptotic_covariance(kernel.mu, kernel.lam, spec.pi, sol.tau, np.zeros(1))
     assert summary.asym_cov[0, 0] == pytest.approx(VAR_GSE_MEAN2, abs=1e-9)
-    report = ef.gaussian_check(ensemble, sol.tau, summary.asym_cov, spec.N, spec.pi)
+    report = ef.gaussian_check(ensemble, sol.tau, spec.N, spec.pi)
     var = report.sample_cov[0, 0]
     rel = abs(var - VAR_GSE_MEAN2) / VAR_GSE_MEAN2
     _report("criterion 5 (Gaussian limit, random infectivity)",
@@ -191,7 +191,7 @@ def test_criterion_9_property_suites():
             b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]])),
         ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
             rho_plus=[[1.0]], rho_minus=[[1.0]], beta=[[1.0]],
-            q=[ef.ScalarDist.exponential(1.0)], moment_samples=2000)),
+            q=[ef.ScalarDist.exponential(1.0)])),
     ]
     for kernel in kernels:
         for i in range(kernel.m):

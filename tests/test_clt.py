@@ -157,14 +157,13 @@ def test_gaussian_check_insufficient_data():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=100, a=[1])
     ensemble = ef.run_ensemble(spec, ef.constant_kernel([[0.5]]), 50, seed=3)
     with pytest.raises(InsufficientDataError):
-        ef.gaussian_check(ensemble, np.zeros(1), np.eye(1), 100, np.ones(1))
+        ef.gaussian_check(ensemble, np.zeros(1), 100, np.ones(1))
 
 
 def test_gaussian_check_mean_and_var(const_mu2_ensemble):
     spec, kernel, ensemble = const_mu2_ensemble
     sol = ef.solve_tau(kernel.mu, spec.pi, np.zeros(1))
-    summary = ef.asymptotic_covariance(kernel.mu, kernel.lam, spec.pi, sol.tau, np.zeros(1))
-    report = ef.gaussian_check(ensemble, sol.tau, summary.asym_cov, spec.N, spec.pi)
+    report = ef.gaussian_check(ensemble, sol.tau, spec.N, spec.pi)
     assert report.n_major >= 500
     # each mean component within 4 sqrt(var/count) of zero
     assert np.all(np.abs(report.sample_mean) <= 4 * report.mean_se)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import epifrost as ef
+from epifrost.graphs import _dynamic_scaled_u
 
 from oracles import MU_DYN_UNIT, dense_spectral_radius, dynamic_edge_mean_mc
 
@@ -110,6 +114,41 @@ def test_mixed_bernoulli_fictitious_split_collapses():
         assert s @ cov2 @ s == pytest.approx(var1, abs=1e-9)
 
 
+@pytest.mark.parametrize("graph", ["static", "mixed"])
+def test_beta_graph_extinction_is_closed_form(graph):
+    # the benchmark's Beta-law graph configs: the Kummer-function pgf against
+    # the frozen-sample Monte Carlo pgf, within 4 of the latter's standard errors
+    if graph == "static":
+        pi = np.array([0.5, 0.5])
+        kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(
+            alpha=np.array([[6.0, 2.0], [2.0, 4.5]]), w=ef.ScalarDist.beta(2.0, 3.0)))
+    else:
+        pi = np.array([0.7, 0.3])
+        kernel, _ = ef.mixed_bernoulli_kernel(ef.MixedGraphSpec(
+            theta=[1.0, 2.5], pi=pi, w=ef.ScalarDist.beta(2.0, 2.0)))
+    law = ef.offspring_law_from_kernel(kernel, pi)
+    exact = ef.extinction_probability(law)
+    assert exact.mc_samples == 0
+    assert np.all(exact.q < 1.0) and exact.residual <= 1e-12
+
+    n = 100_000
+    sampled = ef.extinction_probability(replace(law, pgf=None), mc_samples=n,
+                                        rng=np.random.default_rng(17))
+    assert sampled.mc_samples == n
+
+    def h(s):
+        return np.array([law.pgf(k, s) for k in range(2)])
+
+    # SE of the sampled h at the root, carried to q through (I - h'(q))^-1
+    theta = (exact.q - 1.0) * pi
+    second = np.array([kernel.u_mgf(k, 2.0 * theta) for k in range(2)])
+    h_se = np.sqrt((second - h(exact.q) ** 2) / n)
+    step = 1e-6 * np.eye(2)
+    jac = np.column_stack([(h(exact.q + e) - h(exact.q - e)) / 2e-6 for e in step])
+    q_se = np.abs(np.linalg.inv(np.eye(2) - jac)) @ h_se
+    assert np.all(np.abs(sampled.q - exact.q) <= 4.0 * q_se)
+
+
 # ---------------------------------------------------------------------------
 # Dynamic Bernoulli graph
 # ---------------------------------------------------------------------------
@@ -160,23 +199,74 @@ def test_dynamic_mean_matches_trajectory_oracle():
     for rho_plus, rho_minus, beta, q in cases:
         kernel = ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
             rho_plus=[[rho_plus]], rho_minus=[[rho_minus]], beta=[[beta]],
-            q=[q], moment_samples=200_000))
+            q=[q]))
         est, se = dynamic_edge_mean_mc(rho_plus, rho_minus, beta,
                                        lambda r: q.sample(r, 1)[0],
                                        N=100_000, samples=100_000, rng=rng)
-        tol = 3 * se + (3 * kernel.moment_summary.mu_se[0, 0]
-                        if kernel.moment_summary is not None else 0.0)
-        assert abs(kernel.mu[0, 0] - est) <= tol + 1e-3
+        assert abs(kernel.mu[0, 0] - est) <= 3 * se + 1e-3  # mu is exact: no SE of its own
 
 
-def test_dynamic_estimated_moments_carry_standard_errors():
+def test_dynamic_moments_are_exact():
+    # unit rates, Q ~ Exp(1): d = 2, c = g = 1/2 and M(t) = 1/(1 - t), so
+    # mu = (1 + (1 - 1/3)/2)/2 = 2/3 and lam = (1 + 2/9 + (1/5 - 1/9)/4)/4 = 14/45
     kernel = ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
         rho_plus=[[1.0]], rho_minus=[[1.0]], beta=[[1.0]],
-        q=[ef.ScalarDist.exponential(1.0)], moment_samples=20_000))
-    assert kernel.moment_summary is not None
-    assert kernel.moment_summary.estimated_from_samples
-    assert kernel.moment_summary.sample_count == 20_000
-    assert np.all(np.isfinite(kernel.moment_summary.mu_se))
+        q=[ef.ScalarDist.exponential(1.0)]))
+    assert kernel.moment_summary is None
+    assert kernel.mu[0, 0] == pytest.approx(2 / 3, rel=1e-15)
+    assert kernel.lam[0, 0, 0] == pytest.approx(14 / 45, rel=1e-15)
+    assert not kernel.deterministic
+
+
+def _dynamic_reference(spec, i, lifetime):
+    """E[U_i] and cov(U_i) by quadrature (or a sum over atoms) over the lifetime."""
+    def u(q):
+        return _dynamic_scaled_u(spec, i, np.array([q]))[0]
+
+    if isinstance(lifetime, tuple):  # (values, probs) of a discrete law
+        values, probs = lifetime
+        rows = np.stack([u(q) for q in values])
+        mean = probs @ rows
+        return mean, (rows - mean).T @ ((rows - mean) * probs[:, None])
+
+    def expect(f):
+        lo, hi = lifetime.support()
+        # split at the mean so the fast-decaying start is resolved on its own
+        parts = [(lo, lifetime.mean()), (lifetime.mean(), hi)]
+        return sum(integrate.quad(lambda q: f(q) * lifetime.pdf(q), a, b, epsabs=1e-15,
+                                  epsrel=1e-13, limit=200)[0] for a, b in parts)
+
+    m = spec.rho_plus.shape[0]
+    mean = np.array([expect(lambda q, j=j: u(q)[j]) for j in range(m)])
+    cov = np.array([[expect(lambda q, j=j, k=k: (u(q)[j] - mean[j]) * (u(q)[k] - mean[k]))
+                     for k in range(m)] for j in range(m)])
+    return mean, cov
+
+
+DYNAMIC_RATES = dict(rho_plus=[[1.5, 0.8], [0.8, 2.0]], rho_minus=[[1.0, 0.5], [0.5, 2.0]],
+                     beta=[[1.5, 1.0], [1.0, 3.0]])
+
+
+@pytest.mark.parametrize("law, lifetime, rates", [
+    (ef.ScalarDist.exponential(1.0), stats.expon(scale=1.0), DYNAMIC_RATES),
+    (ef.ScalarDist.gamma(2.5, 0.6), stats.gamma(2.5, scale=0.6), DYNAMIC_RATES),
+    (ef.ScalarDist.uniform(0.2, 2.0), stats.uniform(0.2, 1.8), DYNAMIC_RATES),
+    (ef.ScalarDist.beta(2.0, 3.0), stats.beta(2.0, 3.0), DYNAMIC_RATES),
+    (ef.ScalarDist.discrete([0.5, 1.0, 3.0], [0.2, 0.5, 0.3]),
+     (np.array([0.5, 1.0, 3.0]), np.array([0.2, 0.5, 0.3])), DYNAMIC_RATES),
+    # fast decay: d E[Q] = 50 and 40, where a 16-point Gauss-Laguerre rule is off by about 1e-3
+    (ef.ScalarDist.exponential(1.0), stats.expon(scale=1.0),
+     dict(rho_plus=[[1.0, 0.5], [0.5, 1.0]], rho_minus=[[20.0, 15.0], [15.0, 20.0]],
+          beta=[[30.0, 25.0], [25.0, 30.0]])),
+], ids=["exponential", "gamma", "uniform", "beta", "discrete", "fast-decay"])
+def test_dynamic_moments_match_quadrature(law, lifetime, rates):
+    spec = ef.DynamicGraphSpec(q=[law, law], **rates)
+    kernel = ef.dynamic_bernoulli_kernel(spec)
+    for i in range(2):
+        mean, cov = _dynamic_reference(spec, i, lifetime)
+        np.testing.assert_allclose(kernel.mu[i], mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(kernel.lam[i], cov, rtol=1e-12, atol=1e-14)
+        assert np.linalg.eigvalsh(kernel.lam[i]).min() >= -1e-14 * kernel.lam[i].max()
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_sampled_v_in_unit_cube_fuzz():
             theta=[1.0, 2.0], pi=[0.5, 0.5], w=ef.ScalarDist.uniform(0.0, 1.0)))[0],
         ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
             rho_plus=[[1.0]], rho_minus=[[1.0]], beta=[[1.0]],
-            q=[ef.ScalarDist.exponential(1.0)], moment_samples=2000)),
+            q=[ef.ScalarDist.exponential(1.0)])),
         ef.ball_clancy93_kernel(ef.BallClancy93Spec(
             b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]])),
         ef.ball_clancy95_model([ef.ScalarDist.gamma(2.0, 1.0), ef.ScalarDist.constant(1.5)],
