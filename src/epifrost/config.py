@@ -23,6 +23,7 @@ supply pi themselves; the population block may omit pi in that case.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -59,7 +60,6 @@ class ExperimentConfig:
     replicates: int
     seed: int
     threshold_override: Optional[int] = None
-    workers: int = 1
     output_path: Optional[Path] = None
     output_format: str = "csv"
     checks: tuple[str, ...] = ()
@@ -185,18 +185,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if population.m != kernel.m:
         raise ConfigError(
             f"population has {population.m} types but the kernel has {kernel.m}")
-    try:  # kernels with a known maximum refuse a scaled infectivity above N
-        for i in range(kernel.m):
-            kernel.sample(i, population.N, np.random.default_rng(0))
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
+    if population.N < kernel.max_scaled < math.inf:
+        raise ConfigError(f"kernel: scaled infectivity {kernel.max_scaled} exceeds "
+                          f"population scale {population.N}")
 
     replicates = int(doc.get("replicates", 1))
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    workers = int(doc.get("workers", 1))
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if doc.get("workers", 1) != 1:  # replicates run one after another
+        raise ConfigError(f"workers must be 1, got {doc['workers']!r}")
 
     threshold = doc.get("threshold_override")
     if threshold is not None:
@@ -223,7 +220,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         replicates=replicates,
         seed=int(doc.get("seed", 0)),
         threshold_override=threshold,
-        workers=workers,
         output_path=Path(output["path"]) if output.get("path") else None,
         output_format=output_format,
         checks=checks,

@@ -35,6 +35,7 @@ __all__ = [
 CRITICAL_TOL = 1e-9  # |R - 1| below this is labelled critical
 # relative rounding error of one map evaluation (dot products, exp, means of <= 2^20 draws)
 ROUNDING_FLOOR = 32 * float(np.finfo(float).eps)
+ULP_SLACK = 4 * float(np.finfo(float).eps)  # on F(c) - c, relative to max(|c|, 1)
 
 
 class Regime(str, enum.Enum):
@@ -88,10 +89,12 @@ def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, n
     one (Etessami & Yannakakis 2009; Esparza, Kiefer & Luttenberger 2010).
     The Newton candidate c is taken only if it lies between the Picard step
     F(x) and ``bound`` and stays on the starting side (F(c) <= c going down,
-    F(c) >= c going up), else the Picard step, so the same root is selected
-    whatever the Jacobian's accuracy.  Stops once no coordinate moves more
-    than ``tol``; returns (x, steps, residual, error bound) with the bound
-    ||(I - J)^-1||_inf * (residual + rounding floor), inf for singular I - J.
+    F(c) >= c going up; while the Picard step moves more than ``tol``, to
+    within ``ULP_SLACK`` * max(|c|, 1)), else the Picard step, so the same
+    root is selected whatever the Jacobian's accuracy.  Stops once no
+    coordinate moves more than ``tol``; returns (x, steps, residual, error
+    bound) with the bound ||(I - J)^-1||_inf * (residual + rounding floor),
+    inf for singular I - J.
     Raises RuntimeError if a Picard step would leave the starting side and
     ConvergenceError carrying the last iterate after max_iter steps.
     """
@@ -111,7 +114,10 @@ def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, n
         inside = (direction * (cand - fx) >= 0) & (direction * (bound - cand) >= 0)
         if np.all(np.isfinite(cand) & inside):
             at_cand = map_and_jacobian(cand)
-            if np.all(direction * (at_cand[0] - cand) >= 0):
+            # F(c) - c a few ulps on the wrong side is rounding noise at the root;
+            # once a Picard step moves <= tol it ends the loop, and needs no slack
+            slack = 0.0 if residual <= tol else ULP_SLACK * np.maximum(np.abs(cand), 1.0)
+            if np.all(direction * (at_cand[0] - cand) >= -slack):
                 nxt, at_nxt = cand, at_cand
         delta = float(np.max(np.abs(nxt - x)))
         x = nxt

@@ -105,8 +105,6 @@ def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
         return w.sample(rng, (n, m)) * alpha[i][None, :]
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        if alpha.max() > N:
-            raise ValueError(f"edge intensity {alpha.max()} exceeds population scale {N}")
         return u_sampler(i, rng, size) / N
 
     if shared:
@@ -117,8 +115,8 @@ def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
             return float(np.prod([w.mgf(float(t * a)) for t, a in zip(theta, alpha[i])]))
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=w.is_constant)
+                             u_sampler=u_sampler, u_mgf=u_mgf, deterministic=w.is_constant,
+                             max_scaled=float(alpha.max()))  # edge probability alpha / N <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +168,14 @@ def mixed_bernoulli_kernel(spec: MixedGraphSpec) -> tuple[InfectivityKernel, All
         return w.sample(rng, n)[:, None] * (theta[i] * theta)[None, :]
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        if theta.max() ** 2 > N:
-            raise ValueError(f"connectivity product {theta.max() ** 2} exceeds population scale {N}")
         return u_sampler(i, rng, size) / N
 
     def u_mgf(i: int, theta_arg: np.ndarray) -> float:
         return w.mgf(float(theta[i] * (theta_arg @ theta)))
 
     kernel = InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                               u_sampler=u_sampler, u_mgf=u_mgf,
-                               deterministic=w.is_constant)
+                               u_sampler=u_sampler, u_mgf=u_mgf, deterministic=w.is_constant,
+                               max_scaled=float(theta.max()) ** 2)  # theta_i theta_j / N <= 1
     return kernel, Allocation.RANDOM_MULTINOMIAL
 
 

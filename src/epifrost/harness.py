@@ -22,7 +22,7 @@ import numpy as np
 from . import branching, clt, deterministic
 from .config import ExperimentConfig
 from .errors import InsufficientDataError
-from .simulator import Ensemble, replicate_rng, run_ensemble
+from .simulator import Ensemble, replicate_streams, run_ensemble
 
 __all__ = [
     "OutbreakStatistics",
@@ -210,8 +210,8 @@ def _check_branching_tv(ensemble: Ensemble, law: branching.OffspringLaw,
     epi_pmf = np.bincount(total[total <= upto], minlength=upto + 1) / n
     # one branching run per replicate, keyed by (seed + 1, r); only totals
     # <= upto are counted, so a run may stop once it passes upto
-    runs = (branching.simulate_total_progeny(law, a, upto, replicate_rng(seed + 1, r))
-            for r in range(n))
+    runs = (branching.simulate_total_progeny(law, a, upto, rng)
+            for rng in replicate_streams(seed + 1, n))
     gw_pmf = np.bincount([run.total for run in runs if not run.exceeded], minlength=upto + 1) / n
     tv = 0.5 * float(np.abs(epi_pmf - gw_pmf).sum())
     return CheckResult(
@@ -232,7 +232,7 @@ def _check_branching_tv(ensemble: Ensemble, law: branching.OffspringLaw,
 def simulate_ensemble(config: ExperimentConfig) -> tuple[Ensemble, OutbreakStatistics]:
     """Run the configured ensemble, write its records if configured, and summarise it."""
     ensemble = run_ensemble(config.population, config.kernel, config.replicates, config.seed,
-                            workers=config.workers, threshold=config.threshold_override)
+                            threshold=config.threshold_override)
     if config.output_path is not None:
         write_records(ensemble, config.output_path, config.output_format)
     return ensemble, estimate_outbreak_statistics(ensemble)

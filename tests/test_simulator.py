@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import epifrost as ef
+from epifrost.simulator import KEY_BLOCK, MAX_REPLICATES, replicate_streams, stream_keys
 
 from oracles import (
     R_NU_HALF_N50,
@@ -99,20 +100,65 @@ def test_certain_infection_on_the_sampled_path():
     assert record.generations == 1
 
 
-def test_ensemble_worker_count_does_not_change_output():
+@pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 - 1])
+def test_ensemble_row_r_is_replicate_r(seed):
+    # row r of an ensemble is run_final_size on the stream keyed by (seed, r)
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=200, a=[1])
     kernel = ef.constant_kernel([[2.0]])
-    serial = ef.run_ensemble(spec, kernel, 10, seed=42, workers=1)
-    threaded = ef.run_ensemble(spec, kernel, 10, seed=42, workers=4)
-    assert len(serial) == len(threaded) == 10
-    assert serial.t_inf.shape == threaded.t_inf.shape == (10, 1)
-    assert np.array_equal(serial.t_inf, threaded.t_inf)
-    assert np.array_equal(serial.generations, threaded.generations)
-    # row r is replicate r: the stream keyed by (seed, r)
+    ensemble = ef.run_ensemble(spec, kernel, 10, seed=seed)
+    assert ensemble.t_inf.shape == (10, 1)
     for r in range(10):
-        record = ef.run_final_size(spec, kernel, ef.replicate_rng(42, r))
-        assert np.array_equal(serial.t_inf[r], record.t_inf)
-        assert serial.generations[r] == record.generations
+        record = ef.run_final_size(spec, kernel, ef.replicate_rng(seed, r))
+        assert np.array_equal(ensemble.t_inf[r], record.t_inf)
+        assert ensemble.generations[r] == record.generations
+
+
+def _seed_sequence_keys(seed, indices):
+    return np.array([np.random.SeedSequence([seed, int(r)]).generate_state(2, np.uint64)
+                     for r in indices])
+
+
+def test_stream_keys_match_seed_sequence_for_every_index_up_to_a_million():
+    stop = 10**6 + 1
+    for start in range(0, stop, 100_000):
+        end = min(start + 100_000, stop)
+        assert np.array_equal(stream_keys(7, start, end),
+                              _seed_sequence_keys(7, range(start, end)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 2**33 + 5])
+def test_stream_keys_match_seed_sequence_sampled(seed):
+    # block edges, a sample up to 10^6, and the last indices below 2^32
+    edges = [k * KEY_BLOCK + d for k in range(1, 4) for d in (-1, 0, 1)]
+    sample = np.random.default_rng(seed % 1000).integers(0, 10**6, size=200)
+    for r in [0, 1, *edges, *sample, 10**6, MAX_REPLICATES - 1]:
+        assert np.array_equal(stream_keys(seed, r, r + 1)[0], _seed_sequence_keys(seed, [r])[0])
+    for start, stop in [(KEY_BLOCK - 3, 2 * KEY_BLOCK + 3), (MAX_REPLICATES - 5, MAX_REPLICATES)]:
+        assert np.array_equal(stream_keys(seed, start, stop),
+                              _seed_sequence_keys(seed, range(start, stop)))
+
+
+def test_replicate_streams_draw_what_replicate_rng_draws():
+    # across a key-block boundary, with draws that leave Philox's buffer part-used
+    indices = {0, 1, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1}
+    for r, rng in enumerate(replicate_streams(99, KEY_BLOCK + 2)):
+        if r in indices:
+            ref = ef.replicate_rng(99, r)
+            assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                                  ref.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert np.array_equal(rng.binomial(100, 0.3, size=4), ref.binomial(100, 0.3, size=4))
+            assert np.array_equal(rng.random(3), ref.random(3))
+
+
+def test_run_ensemble_refuses_what_the_streams_cannot_key():
+    spec = ef.PopulationSpec(m=1, pi=[1.0], N=50, a=[1])
+    kernel = ef.constant_kernel([[2.0]])
+    with pytest.raises(ValueError, match="2\\^32 replicates"):
+        ef.run_ensemble(spec, kernel, MAX_REPLICATES + 1, seed=0)
+    with pytest.raises(ValueError, match="workers must be 1"):
+        ef.run_ensemble(spec, kernel, 5, seed=0, workers=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ef.run_ensemble(spec, kernel, 5, seed=-1)
 
 
 def test_ensemble_zero_kernel_all_empty():
