@@ -62,11 +62,9 @@ from .harness import (
 from .kernel import (
     Allocation,
     InfectivityKernel,
-    MomentSummary,
     PopulationSpec,
     ResolvedPopulation,
     constant_kernel,
-    estimate_moments,
     resolve_population,
     table_kernel,
 )

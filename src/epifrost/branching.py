@@ -6,20 +6,21 @@ number of type-j children.  The per-type generating functions are
 
     h_k(s) = E[ prod_j exp((s_j - 1) pi_j U_{k,j}) ],
 
-the extinction probability q is the minimal root of q = h(q) in [0, 1]^m,
-and with a_i initial ancestors of type i a major outbreak happens with
+the kernel's exact generating function of U_k at (s - 1) pi.  The
+extinction probability q is the minimal root of q = h(q) in [0, 1]^m, and
+with a_i initial ancestors of type i a major outbreak happens with
 probability 1 - prod_i q_i^{a_i}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .deterministic import at_most_critical, compute_R, monotone_newton
-from .kernel import InfectivityKernel, USamplerFn
+from .kernel import InfectivityKernel
 
 __all__ = [
     "OffspringLaw",
@@ -35,24 +36,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OffspringLaw:
-    """Mixed-Poisson offspring law of the approximating branching process.
+    """Mixed-Poisson offspring law of the approximating branching process:
+    a view of an infectivity kernel and the type proportions pi.
 
-    ``pgf``, when present, evaluates h_k(s) in closed form; otherwise the
-    extinction solver estimates it by Monte Carlo.  ``mu`` is the matrix of
-    scaled means E[U_{k,j}] (the offspring mean matrix is mu @ diag(pi)).
+    ``pgf(k, s)`` evaluates h_k(s) through the kernel's exact generating
+    function.  ``mu`` is the matrix of scaled means E[U_{k,j}] (the
+    offspring mean matrix is mu @ diag(pi)).
     """
 
-    m: int
+    kernel: InfectivityKernel
     pi: np.ndarray
-    u_sampler: USamplerFn
-    mu: np.ndarray
-    pgf: Optional[Callable[[int, np.ndarray], float]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
+
+    @property
+    def m(self) -> int:
+        return self.kernel.m
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.kernel.mu
 
     def sample_u(self, parent_type: int, rng: np.random.Generator,
                  size: Optional[int] = None) -> np.ndarray:
-        if not 0 <= parent_type < self.m:
-            raise ValueError(f"parent type must be in [0, {self.m}), got {parent_type}")
-        return self.u_sampler(parent_type, rng, size)
+        return self.kernel.sample_u(parent_type, rng, size)
+
+    def pgf(self, k: int, s: np.ndarray) -> float:
+        return self.kernel.u_mgf(k, (np.asarray(s, dtype=float) - 1.0) * self.pi)
 
     @property
     def offspring_mean_matrix(self) -> np.ndarray:
@@ -61,16 +72,7 @@ class OffspringLaw:
 
 def offspring_law_from_kernel(kernel: InfectivityKernel, pi: np.ndarray) -> OffspringLaw:
     """Derive the branching offspring law from an infectivity kernel."""
-    pi = np.asarray(pi, dtype=float)
-    pgf = None
-    if kernel.u_mgf is not None:
-        mgf = kernel.u_mgf
-
-        def pgf(k: int, s: np.ndarray) -> float:
-            return mgf(k, (np.asarray(s, dtype=float) - 1.0) * pi)
-
-    return OffspringLaw(m=kernel.m, pi=pi, u_sampler=kernel.u_sampler,
-                        mu=kernel.mu, pgf=pgf)
+    return OffspringLaw(kernel=kernel, pi=pi)
 
 
 def sample_offspring(law: OffspringLaw, parent_type: int,
@@ -124,54 +126,39 @@ class ExtinctionSolution:
     q: np.ndarray
     iterations: int  # Newton or Picard steps
     residual: float
-    mc_samples: int  # 0 when the generating function was evaluated in closed form
+    mc_samples: int = 0  # always 0: h is exact for every kernel
     major_outbreak_prob: Optional[float] = None
-    # linearized bound on |q - root of the (frozen) h|; Monte Carlo error not included
+    # linearized bound on |q - root of h|
     error_bound: float = 0.0
 
 
 def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
-                           max_iter: int = 1_000_000, mc_samples: int = 100_000,
-                           rng: Optional[np.random.Generator] = None,
+                           max_iter: int = 1_000_000,
                            a: Optional[np.ndarray] = None) -> ExtinctionSolution:
     """Minimal root of q = h(q) by safeguarded Newton from q = 0
     (``deterministic.monotone_newton``); every step is monotone nondecreasing.
 
-    With a closed-form generating function the Jacobian is a backward
-    difference: h is convex, so it never overstates the slope.  Otherwise h
-    and its exact Jacobian are estimated over a frozen set of
-    ``mc_samples`` draws of U per type, reused across every step; the
-    estimate stays convex and monotone in q.  Laws with
-    ``deterministic.at_most_critical(R)``, where ``solve_tau`` gives tau = 0,
-    short-circuit to q = 1 (exact for R <= 1 by standard branching theory).
+    The Jacobian is a backward difference: h is convex, so it never
+    overstates the slope.  Laws with ``deterministic.at_most_critical(R)``,
+    where ``solve_tau`` gives tau = 0, short-circuit to q = 1 (exact for
+    R <= 1 by standard branching theory).
     """
     if at_most_critical(compute_R(law.mu, law.pi)):
-        sol = ExtinctionSolution(q=np.ones(law.m), iterations=0, residual=0.0, mc_samples=0)
+        sol = ExtinctionSolution(q=np.ones(law.m), iterations=0, residual=0.0)
         return _with_major_prob(sol, a)
 
-    if law.pgf is not None:
-        def h(s: np.ndarray) -> np.ndarray:
-            return np.array([law.pgf(k, s) for k in range(law.m)])
+    def h(s: np.ndarray) -> np.ndarray:
+        return np.array([law.pgf(k, s) for k in range(law.m)])
 
-        def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            hs = h(s)
-            back = s - np.sqrt(np.finfo(float).eps) * np.eye(law.m)  # row j: step back in s_j
-            return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(back)], axis=1)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        frozen = [law.sample_u(k, rng, size=mc_samples) for k in range(law.m)]
-
-        def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            weights = (s - 1.0) * law.pi
-            terms = [np.exp(u @ weights) for u in frozen]
-            jac = np.stack([e @ u / mc_samples for e, u in zip(terms, frozen)]) * law.pi
-            return np.array([np.mean(e) for e in terms]), jac
+    def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hs = h(s)
+        back = s - np.sqrt(np.finfo(float).eps) * np.eye(law.m)  # row j: step back in s_j
+        return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(back)], axis=1)
 
     q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(law.m), 1, 1.0,
                                              tol, max_iter, "extinction-probability")
     sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it, residual=residual,
-                             mc_samples=mc_samples if law.pgf is None else 0, error_bound=bound)
+                             error_bound=bound)
     return _with_major_prob(sol, a)
 
 

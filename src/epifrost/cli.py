@@ -85,8 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_extinction(args: argparse.Namespace) -> int:
     config = _load(args)
     law = branching.offspring_law_from_kernel(config.kernel, config.population.pi)
-    sol = branching.extinction_probability(law, mc_samples=config.extinction_mc_samples,
-                                           a=config.population.a)
+    sol = branching.extinction_probability(law, a=config.population.a)
     _emit({
         "q": sol.q,
         "major_outbreak_prob": sol.major_outbreak_prob,
@@ -125,7 +124,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         "mu": kernel.mu,
         "lambda": kernel.lam,
         "R": deterministic.compute_R(kernel.mu, config.population.pi),
-        "moments_estimated": kernel.moment_summary is not None,
+        "moments_estimated": False,  # mu and lambda are exact for every kernel
     })
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +48,10 @@ from .kernel import Allocation, InfectivityKernel, PopulationSpec, constant_kern
 __all__ = ["ExperimentConfig", "VALID_CHECKS", "load_config", "parse_config", "build_kernel"]
 
 VALID_CHECKS = ("lln", "major_prob", "clt", "branching_tv")
+TOP_LEVEL_FIELDS = ("population", "kernel", "replicates", "seed", "threshold_override",
+                    "workers", "output", "checks")
+POPULATION_FIELDS = ("m", "pi", "N", "a", "zeta", "allocation")
+OUTPUT_FIELDS = ("path", "format")
 KERNEL_KINDS = ("constant", "custom_table", "static_graph", "mixed_bernoulli",
                 "dynamic_graph", "ball_clancy93", "ball_clancy95")
 
@@ -63,7 +67,12 @@ class ExperimentConfig:
     output_path: Optional[Path] = None
     output_format: str = "csv"
     checks: tuple[str, ...] = ()
-    extinction_mc_samples: int = 100_000
+
+
+def _reject_unknown(table: dict, valid: tuple[str, ...], context: str) -> None:
+    unknown = [key for key in table if key not in valid]
+    if unknown:
+        raise ConfigError(f"{context}: unknown field {unknown[0]!r}; valid fields are {valid}")
 
 
 def _require(table: dict, key: str, context: str):
@@ -115,11 +124,12 @@ def build_kernel(cfg: dict) -> tuple[InfectivityKernel, Optional[Allocation], Op
             return kernel, alloc, spec.pi
         if kind == "dynamic_graph":
             q_cfg = _require(cfg, "q", "kernel")
-            m = np.atleast_2d(np.asarray(cfg["rho_plus"], dtype=float)).shape[0]
+            rho_plus = np.asarray(_require(cfg, "rho_plus", "kernel"), dtype=float)
+            m = np.atleast_2d(rho_plus).shape[0]
             q = ([_scalar_dist(c, "kernel.q") for c in q_cfg] if isinstance(q_cfg, list)
                  else [_scalar_dist(q_cfg, "kernel.q")] * m)
             spec = DynamicGraphSpec(
-                rho_plus=np.asarray(_require(cfg, "rho_plus", "kernel"), dtype=float),
+                rho_plus=rho_plus,
                 rho_minus=np.asarray(_require(cfg, "rho_minus", "kernel"), dtype=float),
                 beta=np.asarray(_require(cfg, "beta", "kernel"), dtype=float),
                 q=q,
@@ -144,6 +154,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the runtime objects."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _reject_unknown(doc, TOP_LEVEL_FIELDS, "config")
 
     kernel_cfg = _require(doc, "kernel", "config")
     kernel, forced_alloc, kernel_pi = build_kernel(kernel_cfg)
@@ -151,6 +162,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     pop_cfg = _require(doc, "population", "config")
     if not isinstance(pop_cfg, dict):
         raise ConfigError("population block must be an object")
+    _reject_unknown(pop_cfg, POPULATION_FIELDS, "population")
     pi = pop_cfg.get("pi")
     if pi is None:
         if kernel_pi is None:
@@ -209,6 +221,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     output = doc.get("output", {})
     if output and not isinstance(output, dict):
         raise ConfigError("output block must be an object")
+    _reject_unknown(output, OUTPUT_FIELDS, "output")
     output_format = output.get("format", "csv")
     if output_format not in ("csv", "jsonl"):
         raise ConfigError(f"output.format must be 'csv' or 'jsonl', got {output_format!r}")
@@ -223,7 +236,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         output_path=Path(output["path"]) if output.get("path") else None,
         output_format=output_format,
         checks=checks,
-        extinction_mc_samples=int(doc.get("extinction_mc_samples", 100_000)),
     )
 
 

@@ -27,14 +27,14 @@ sampler encodes.  Prescribed-degree and scale-free graphs are out of scope
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .deterministic import check_irreducibility
 from .distributions import ScalarDist
-from .kernel import Allocation, InfectivityKernel, moments_from_u_sampler, one_or_batch
+from .kernel import Allocation, InfectivityKernel, one_or_batch
 
 __all__ = [
     "StaticGraphSpec",
@@ -241,9 +241,8 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     sampling time.  With d = beta + rho_minus, c = rho_plus beta / d and
     g = beta / (rho_minus d) the scaled weight is u_j(q) = c_j (q + g_j (1 -
     e^{-d_j q})), so the moments are exact in the lifetime's generating
-    function M (``_dynamic_moments``).  Only the generating function of U
-    has no closed form unless every lifetime is constant; the extinction
-    solver then estimates it by Monte Carlo.
+    function M (``_dynamic_moments``).  The generating function of U is
+    E[exp(theta . u(Q_i))], taken by the lifetime's ``expect``.
     """
     m = spec.rho_plus.shape[0]
 
@@ -267,15 +266,13 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     moments = [_dynamic_moments(spec, i) for i in range(m)]
     mu = np.stack([mean for mean, _ in moments])
     lam = np.stack([cov for _, cov in moments])
-    all_constant = all(d.is_constant for d in spec.q)
-    u_mgf = None
-    if all_constant:  # U_i is the fixed row mu[i]
-        def u_mgf(i: int, theta: np.ndarray) -> float:
-            return float(np.exp(theta @ mu[i]))
+
+    def u_mgf(i: int, theta: np.ndarray) -> float:
+        return float(spec.q[i].expect(lambda q: np.exp(_dynamic_scaled_u(spec, i, q) @ theta)))
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                              u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=all_constant)
+                             deterministic=all(d.is_constant for d in spec.q))
 
 
 def _dynamic_moments(spec: DynamicGraphSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,20 +305,15 @@ def _dynamic_moments(spec: DynamicGraphSpec, i: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class BallClancy93Spec:
-    """Contact-rate matrices by origin plus the sojourn-time law.
+    """Contact-rate matrices by origin plus the sojourn-time laws.
 
     ``b[i]`` has entry [k, j] = rate of contacting a given group-k
-    individual while an origin-i infective is in group j.  Sojourn times are
-    either independent per group (``sojourn[i][j]`` a ScalarDist) or a joint
-    sampler ``i_sampler(i, rng, size) -> (size, m)`` with moments estimated
-    by Monte Carlo.
+    individual while an origin-i infective is in group j; ``sojourn[i][j]``
+    is the law of the time I^i_j it spends in group j, independent across j.
     """
 
     b: np.ndarray  # (m, m, m): b[i] = B_i
-    sojourn: Optional[Sequence[Sequence[ScalarDist]]] = None
-    i_sampler: Optional[Callable[[int, np.random.Generator, int], np.ndarray]] = field(
-        default=None, repr=False)
-    moment_samples: int = 100_000
+    sojourn: Sequence[Sequence[ScalarDist]]
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -331,68 +323,38 @@ class BallClancy93Spec:
         m = b.shape[0]
         if b.shape != (m, m, m) or np.any(b < 0):
             raise ValueError("b must be m nonnegative m x m matrices")
-        if (self.sojourn is None) == (self.i_sampler is None):
-            raise ValueError("provide exactly one of sojourn marginals or a joint i_sampler")
-        if self.sojourn is not None:
-            if len(self.sojourn) != m or any(len(row) != m for row in self.sojourn):
-                raise ValueError(f"sojourn must be an {m} x {m} table of scalar laws")
+        if len(self.sojourn) != m or any(len(row) != m for row in self.sojourn):
+            raise ValueError(f"sojourn must be an {m} x {m} table of scalar laws")
 
 
 def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
     """Compile the mover model: V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j)."""
     b = spec.b
     m = b.shape[0]
+    tables = spec.sojourn
 
-    if spec.sojourn is not None:
-        tables = spec.sojourn
-
-        def sample_i(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-            return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1)
-
-        def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-            return b[i] @ [tables[i][j].sample(rng, n).sum() for j in range(m)]
-
-        deterministic = all(d.is_constant for row in tables for d in row)
-        means = np.stack([[tables[i][j].mean for j in range(m)] for i in range(m)])
-        variances = np.stack([[tables[i][j].var for j in range(m)] for i in range(m)])
-        mu = np.einsum("ikj,ij->ik", b, means)
-        lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
-        summary = None
-
-        def u_mgf(i: int, theta: np.ndarray) -> float:
-            args = b[i].T @ theta  # component l: sum_k theta_k b[i][k, l]
-            return float(np.prod([tables[i][l].mgf(float(args[l])) for l in range(m)]))
-    else:
-        joint = spec.i_sampler
-
-        def sample_i(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-            out = np.asarray(joint(i, rng, n), dtype=float)
-            if out.shape != (n, m):
-                raise ValueError(f"i_sampler must return shape ({n}, {m}), got {out.shape}")
-            if np.any(out < 0):
-                raise ValueError("sojourn times must be nonnegative")
-            return out
-
-        def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-            return b[i] @ sample_i(i, rng, n).sum(axis=0)
-
-        deterministic = False
-        summary = moments_from_u_sampler(
-            lambda i, rng, size: sample_i(i, rng, size) @ b[i].T,
-            m, spec.moment_samples, np.random.default_rng(67890))
-        mu, lam = summary.mu, summary.lam
-        u_mgf = None
+    means = np.stack([[tables[i][j].mean for j in range(m)] for i in range(m)])
+    variances = np.stack([[tables[i][j].var for j in range(m)] for i in range(m)])
+    mu = np.einsum("ikj,ij->ik", b, means)
+    lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
 
     @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return sample_i(i, rng, n) @ b[i].T
+        return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1) @ b[i].T
+
+    def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return b[i] @ [tables[i][j].sample(rng, n).sum() for j in range(m)]
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, size) / N)
 
+    def u_mgf(i: int, theta: np.ndarray) -> float:
+        args = b[i].T @ theta  # component l: sum_k theta_k b[i][k, l]
+        return float(np.prod([tables[i][l].mgf(float(args[l])) for l in range(m)]))
+
     return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
                              u_sampler=u_sampler, u_mgf=u_mgf, u_sum=u_sum,
-                             deterministic=deterministic, moment_summary=summary)
+                             deterministic=all(d.is_constant for row in tables for d in row))
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
             if name == "lln":
                 checks.append(_check_lln(stats, solution.tau))
             elif name == "major_prob":
-                ext = branching.extinction_probability(
-                    law, mc_samples=config.extinction_mc_samples, a=pop.a)
+                ext = branching.extinction_probability(law, a=pop.a)
                 checks.append(_check_major_prob(stats, ext.major_outbreak_prob))
             elif name == "clt":
                 summary = clt.asymptotic_covariance(kernel.mu, kernel.lam, pop.pi,

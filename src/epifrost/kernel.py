@@ -34,9 +34,6 @@ __all__ = [
     "PopulationSpec",
     "ResolvedPopulation",
     "InfectivityKernel",
-    "MomentSummary",
-    "estimate_moments",
-    "moments_from_u_sampler",
     "resolve_population",
     "constant_kernel",
     "table_kernel",
@@ -166,7 +163,8 @@ def one_or_batch(draw: Callable[[int, np.random.Generator, int], np.ndarray]) ->
 
 @dataclass(frozen=True)
 class InfectivityKernel:
-    """Per-type infectivity law plus its scaled moment summary.
+    """Per-type infectivity law plus its scaled moments and the generating
+    function ``u_mgf(i, theta)`` = E[exp(theta . U_i)] for theta <= 0.
 
     ``deterministic`` marks kernels whose V is a fixed vector given the
     infector type and N (no randomness); the simulator exploits this to
@@ -181,11 +179,10 @@ class InfectivityKernel:
     lam: np.ndarray  # (m, m, m); lam[i] is the covariance matrix of U_i
     sampler: SamplerFn = field(repr=False)
     u_sampler: USamplerFn = field(repr=False)
-    u_mgf: Optional[UMgfFn] = field(default=None, repr=False)
+    u_mgf: UMgfFn = field(repr=False)
     u_sum: Optional[USumFn] = field(default=None, repr=False)
     deterministic: bool = False
     max_scaled: float = math.inf
-    moment_summary: Optional["MomentSummary"] = None
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -232,70 +229,6 @@ class InfectivityKernel:
         if not 0 <= infector_type < self.m:
             raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
         return self.u_sampler(infector_type, rng, size)
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Scaled moments (mu, lam) with provenance and, when estimated, standard errors."""
-
-    mu: np.ndarray  # (m, m)
-    lam: np.ndarray  # (m, m, m)
-    estimated_from_samples: bool
-    sample_count: int
-    mu_se: Optional[np.ndarray] = None
-    lam_se: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.estimated_from_samples:
-            if self.mu_se is None or self.lam_se is None:
-                raise ValueError("estimated summaries must carry standard errors")
-            if not (np.all(np.isfinite(self.mu_se)) and np.all(np.isfinite(self.lam_se))):
-                raise ValueError("standard errors must be finite")
-
-
-def _moment_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean/covariance estimates with standard errors for one (n, m) sample block."""
-    n = scaled.shape[0]
-    mean = scaled.mean(axis=0)
-    mean_se = scaled.std(axis=0, ddof=1) / np.sqrt(n)
-    centered = scaled - mean
-    cov = centered.T @ centered / (n - 1)
-    # delta-method SE of each covariance entry, plus an O(cov/n) floor: for
-    # degenerate fourth moments (e.g. Bernoulli(1/2) weights) the estimator's
-    # finite-sample bias dominates its vanishing sampling noise
-    prod = centered[:, :, None] * centered[:, None, :]
-    cov_se = np.sqrt((prod.std(axis=0, ddof=1) / np.sqrt(n)) ** 2 + (cov / n) ** 2)
-    return mean, mean_se, cov, cov_se
-
-
-def moments_from_u_sampler(u_sampler: USamplerFn, m: int, samples: int,
-                           rng: np.random.Generator) -> MomentSummary:
-    """Estimate (mu, lam) directly from the scaled limit law."""
-    mu = np.empty((m, m))
-    mu_se = np.empty((m, m))
-    lam = np.empty((m, m, m))
-    lam_se = np.empty((m, m, m))
-    for i in range(m):
-        mu[i], mu_se[i], lam[i], lam_se[i] = _moment_block(u_sampler(i, rng, samples))
-    return MomentSummary(mu=mu, lam=lam, estimated_from_samples=True,
-                         sample_count=samples, mu_se=mu_se, lam_se=lam_se)
-
-
-def estimate_moments(kernel: InfectivityKernel, N: int, samples: int = 100_000,
-                     rng: Optional[np.random.Generator] = None) -> MomentSummary:
-    """Monte Carlo estimate of N*E[V] and N^2*cov(V) per infector type.
-
-    Fallback for kernels without closed-form moments; always records the
-    standard error of every estimated entry so downstream tolerances can
-    scale with it.  Degenerate (zero-variance) kernels are fine and simply
-    report zero lam with zero standard error.
-    """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return moments_from_u_sampler(lambda i, rng, size: N * kernel.sample(i, N, rng, size),
-                                  kernel.m, samples, rng)
 
 
 # ---------------------------------------------------------------------------

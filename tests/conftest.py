@@ -35,20 +35,20 @@ def gse_ensemble():
 def exponential_hazard_kernels():
     """Kernels whose V is exactly 1 - exp(-U/N), keyed by name, each with a
     population it can run on: the mover model with sojourn tables (random
-    allocation, as in the benchmark), the mover model with a joint sojourn
-    sampler, and the random-type model."""
-    def joint(i, rng, n):
-        total = rng.exponential(1.0 + 0.5 * i, n)
-        return np.stack([0.7 * total, 0.3 * total], axis=1)
-
+    allocation, as in the benchmark), a mover model whose infectives stay in
+    one group, so that both components of U share one sojourn draw
+    (deterministic allocation), and the random-type model."""
     diag = [[3.88, 0.1, 0.1], [0.1, 3.88, 0.1], [0.1, 0.1, 3.88]]
     mover = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
         b=np.array([diag] * 3),
         sojourn=[[ef.ScalarDist.exponential(1.0 if i == j else 0.25) for j in range(3)]
                  for i in range(3)]))
+    # U_i = T_i (b_i @ (0.7, 0.3)) with T_i ~ Exp(1 + i/2): group 0 is the
+    # only one visited, and the constant zero sojourn in group 1 draws nothing
     mover_joint = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
-        b=np.array([[[2.5, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.5, 2.5]]]),
-        i_sampler=joint, moment_samples=2000))
+        b=np.array([[[1.9, 0.0], [0.65, 0.0]], [[0.85, 0.0], [1.1, 0.0]]]),
+        sojourn=[[ef.ScalarDist.exponential(1.0 + 0.5 * i), ef.ScalarDist.constant(0.0)]
+                 for i in range(2)]))
     random_type, allocation = ef.ball_clancy95_model(
         [ef.ScalarDist.exponential(1.8), ef.ScalarDist.gamma(2.0, 0.9)], pi=[0.6, 0.4])
     return {

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented without touching the package's
 own solvers: scalar fixed points go through brentq, spectral radii through
 dense eigendecompositions, small final-size distributions through exact
-chain enumeration, the dynamic-graph mean through a trajectory-level
+chain enumeration, kernel moments through Monte Carlo over the kernel's
+own sampler, the dynamic-graph mean through a trajectory-level
 simulation of the partnership process, and the final-size counting process
 through the literal per-individual indicator construction (one contact coin
 per infective-susceptible pair, drawn from the kernel's own sampler).
@@ -11,11 +12,13 @@ per infective-susceptible pair, drawn from the kernel's own sampler).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy import integrate, special
+from scipy.optimize import brentq, root
 from scipy.stats import binom
 
 from epifrost import Allocation, InfectivityKernel, PopulationSpec, resolve_population
@@ -55,6 +58,53 @@ def scalar_extinction_poisson(c: float) -> float:
     if c <= 1.0:
         return 1.0
     return brentq(lambda q: q - np.exp(c * (q - 1.0)), 0.0, 1.0 - 1e-12, xtol=1e-15)
+
+
+def estimate_moments(kernel: InfectivityKernel, N: int, samples: int = 100_000,
+                     rng: np.random.Generator | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Monte Carlo estimate of N*E[V] and N^2*cov(V) per infector type from
+    the kernel's own sampler, as (mu, mu_se, lam, lam_se).
+
+    Each entry carries a standard error: the mean's plain SE, and for the
+    covariance the delta-method SE plus an O(cov/n) floor, since for
+    degenerate fourth moments (e.g. Bernoulli(1/2) weights) the estimator's
+    finite-sample bias dominates its vanishing sampling noise.
+    """
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    m = kernel.m
+    mu, mu_se = np.empty((m, m)), np.empty((m, m))
+    lam, lam_se = np.empty((m, m, m)), np.empty((m, m, m))
+    for i in range(m):
+        scaled = N * kernel.sample(i, N, rng, size=samples)
+        mu[i] = scaled.mean(axis=0)
+        mu_se[i] = scaled.std(axis=0, ddof=1) / np.sqrt(samples)
+        centered = scaled - mu[i]
+        lam[i] = centered.T @ centered / (samples - 1)
+        prod = centered[:, :, None] * centered[:, None, :]
+        lam_se[i] = np.sqrt((prod.std(axis=0, ddof=1) / np.sqrt(samples)) ** 2
+                            + (lam[i] / samples) ** 2)
+    return mu, mu_se, lam, lam_se
+
+
+def beta_mgf_by_quadrature(a: float, b: float, t: float) -> float:
+    """E[exp(tX)] for X ~ Beta(a, b) by adaptive quadrature, no Kummer function
+    involved: weight="alg" folds x^(a-1) (1-x)^(b-1) into the rule, endpoint
+    singularities included."""
+    integral, _ = integrate.quad(lambda x: math.exp(t * x), 0.0, 1.0, weight="alg",
+                                 wvar=(a - 1.0, b - 1.0), epsabs=0.0, epsrel=2e-14, limit=200)
+    return integral / special.beta(a, b)
+
+
+def minimal_root(h, m: int) -> np.ndarray:
+    """Root of q = h(q) in [0, 1]^m by scipy's hybrid solver from q = 0, solved
+    for y = 1 - q so that the trivial root q = 1 shows as y = 0 (refused)."""
+    y = root(lambda y: y - 1.0 + h(1.0 - y), np.ones(m), tol=1e-15).x
+    assert np.all(y > 1e-6), f"landed on the trivial root: 1 - q = {y}"
+    return 1.0 - y
 
 
 def dense_spectral_radius(a: np.ndarray) -> float:

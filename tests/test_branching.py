@@ -1,15 +1,18 @@
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import epifrost as ef
-from epifrost.branching import OffspringLaw
 from epifrost.config import load_config
+from epifrost.graphs import _dynamic_scaled_u
 
+from scipy import integrate, stats
 from scipy.optimize import root
 
-from oracles import Q_MU2, scalar_extinction_poisson, scalar_tau_near_critical
+from oracles import Q_MU2, minimal_root, scalar_extinction_poisson, scalar_tau_near_critical
 
 
 def _constant_law(scaled, pi):
@@ -97,19 +100,6 @@ def test_extinction_exponential_mixture_closed_form():
     assert sol.q[0] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_extinction_monte_carlo_path():
-    # the same exponential law forced through the frozen-sample route
-    kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
-        b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
-    law = OffspringLaw(m=1, pi=np.array([1.0]), u_sampler=kernel.u_sampler,
-                       mu=kernel.mu, pgf=None)
-    sol = ef.extinction_probability(law, mc_samples=200_000,
-                                    rng=np.random.default_rng(4))
-    assert sol.mc_samples == 200_000
-    assert sol.q[0] == pytest.approx(0.5, abs=0.01)
-    assert sol.residual <= 1e-12
-
-
 def test_pgf_normalization_at_one():
     pi = np.array([0.3, 0.7])
     kernels = [
@@ -124,12 +114,6 @@ def test_pgf_normalization_at_one():
         law = ef.offspring_law_from_kernel(kernel, pi)
         for k in range(2):
             assert law.pgf(k, ones) == pytest.approx(1.0, abs=1e-12)
-    # Monte Carlo route: h(1) is an average of exp(0) = 1 exactly
-    scalar_kernel = ef.table_kernel([(np.array([[1.0], [3.0]]), np.array([0.5, 0.5]))])
-    mc_law = OffspringLaw(m=1, pi=np.array([1.0]), u_sampler=scalar_kernel.u_sampler,
-                          mu=scalar_kernel.mu, pgf=None)
-    frozen = mc_law.sample_u(0, np.random.default_rng(0), size=100)
-    assert np.mean(np.exp(frozen @ np.zeros(1))) == 1.0
 
 
 def test_offspring_mean_matches_threshold_matrix():
@@ -220,29 +204,6 @@ def test_extinction_near_critical_two_type():
     assert sol.error_bound <= 1e-2 * np.min(y)
 
 
-def test_extinction_monte_carlo_newton_matches_plain_iteration():
-    kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(
-        alpha=np.array([[8.0, 3.0], [3.0, 6.0]]), w=ef.ScalarDist.beta(2.0, 3.0)))
-    pi = np.array([0.3, 0.7])
-    law = OffspringLaw(m=2, pi=pi, u_sampler=kernel.u_sampler, mu=kernel.mu, pgf=None)
-    sol = ef.extinction_probability(law, mc_samples=20_000, rng=np.random.default_rng(9))
-    assert np.all(sol.q < 1.0)
-
-    # plain monotone iteration from 0 on the same frozen draws
-    rng = np.random.default_rng(9)
-    frozen = [law.sample_u(k, rng, size=20_000) for k in range(2)]
-    q = np.zeros(2)
-    for _ in range(100_000):
-        nxt = np.array([np.mean(np.exp(u @ ((q - 1.0) * pi))) for u in frozen])
-        done = np.max(np.abs(nxt - q)) <= 1e-15
-        q = nxt
-        if done:
-            break
-    assert np.max(np.abs(sol.q - q)) <= 1e-12
-    assert np.max(np.abs(sol.q - q)) <= sol.error_bound
-    assert sol.iterations < 20
-
-
 def test_extinction_accepts_newton_steps_within_rounding_of_the_root():
     # on this config F(c) - c at the Newton candidate is rounding noise of
     # either sign; refusing it left linear Picard steps (15 in all)
@@ -254,3 +215,47 @@ def test_extinction_accepts_newton_steps_within_rounding_of_the_root():
     # q of the strict-sign rule, to the last digit
     assert np.max(np.abs(sol.q - [0.8071238194374796, 0.5958197474862392])) <= sol.error_bound
     assert 0.0 <= sol.residual <= 1e-15
+
+
+def test_dynamic_graph_extinction_is_exact():
+    # the benchmark's dynamic-graph config, exponential lifetimes: h by the
+    # lifetimes' tanh-sinh rule against an independent root of h by quad
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "theory_dynamic_graph.json"
+    config = load_config(path)
+    pi = config.population.pi
+    sol = ef.extinction_probability(ef.offspring_law_from_kernel(config.kernel, pi))
+    assert sol.mc_samples == 0
+    assert sol.residual <= 1e-12
+
+    doc = json.loads(path.read_text())["kernel"]
+    spec = ef.DynamicGraphSpec(rho_plus=doc["rho_plus"], rho_minus=doc["rho_minus"],
+                               beta=doc["beta"], q=[ef.ScalarDist.from_config(q) for q in doc["q"]])
+    lifetimes = [stats.expon(scale=q["mean"]) for q in doc["q"]]
+
+    def h(s):
+        theta = (s - 1.0) * pi
+        return np.array([integrate.quad(
+            lambda x: np.exp(_dynamic_scaled_u(spec, i, np.array([x]))[0] @ theta)
+            * lifetimes[i].pdf(x), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for i in range(2)])
+
+    assert np.max(np.abs(sol.q - minimal_root(h, 2))) <= sol.error_bound
+
+
+def test_offspring_law_is_a_view_of_kernel_and_pi():
+    kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([[[2.0, 0.5], [1.0, 1.0]], [[0.0, 1.0], [2.0, 0.0]]]),
+        sojourn=[[ef.ScalarDist.exponential(1.0), ef.ScalarDist.gamma(2.0, 0.5)],
+                 [ef.ScalarDist.constant(1.0), ef.ScalarDist.exponential(0.5)]]))
+    pi = np.array([0.4, 0.6])
+    law = ef.offspring_law_from_kernel(kernel, pi)
+    assert [f.name for f in dataclasses.fields(law)] == ["kernel", "pi"]
+    assert law.m == 2 and law.mu is kernel.mu
+    np.testing.assert_array_equal(law.offspring_mean_matrix, kernel.mu * pi[None, :])
+    s = np.array([0.3, 0.8])
+    for k in range(2):
+        assert law.pgf(k, s) == kernel.u_mgf(k, (s - 1.0) * pi)
+        # the same draws as the kernel's own sampler, from the same stream
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        np.testing.assert_array_equal(law.sample_u(k, a, size=7), kernel.sample_u(k, b, size=7))
+        assert a.bit_generator.state == b.bit_generator.state

@@ -1,10 +1,11 @@
-import math
-
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 import epifrost as ef
+from epifrost.distributions import _tanh_sinh
+
+from oracles import beta_mgf_by_quadrature
 
 BUILT_IN_LAWS = [
     ef.ScalarDist.constant(1.5),
@@ -19,17 +20,10 @@ BUILT_IN_LAWS = [
 ]
 
 
-def _beta_mgf_by_quadrature(a, b, t):
-    # weight="alg" folds x^(a-1) (1-x)^(b-1) into the rule, endpoint singularities included
-    integral, _ = integrate.quad(lambda x: math.exp(t * x), 0.0, 1.0, weight="alg",
-                                 wvar=(a - 1.0, b - 1.0), epsabs=0.0, epsrel=2e-14, limit=200)
-    return integral / special.beta(a, b)
-
-
 @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5), (0.3, 4.0), (5.0, 0.7)])
 @pytest.mark.parametrize("t", [0.0, -1.0, -6.0, -30.0, -100.0])
 def test_beta_mgf_matches_quadrature(a, b, t):
-    assert ef.ScalarDist.beta(a, b).mgf(t) == pytest.approx(_beta_mgf_by_quadrature(a, b, t),
+    assert ef.ScalarDist.beta(a, b).mgf(t) == pytest.approx(beta_mgf_by_quadrature(a, b, t),
                                                             rel=1e-13)
 
 
@@ -37,7 +31,7 @@ def test_beta_mgf_matches_quadrature(a, b, t):
 @pytest.mark.parametrize("t", [-699.0, -701.0, -1000.0])
 def test_beta_mgf_on_both_sides_of_the_kummer_switch(a, b, t):
     # below t = -700 the positive-term form would overflow and scipy's own M(a, c, t) is used
-    assert ef.ScalarDist.beta(a, b).mgf(t) == pytest.approx(_beta_mgf_by_quadrature(a, b, t),
+    assert ef.ScalarDist.beta(a, b).mgf(t) == pytest.approx(beta_mgf_by_quadrature(a, b, t),
                                                             rel=1e-13)
 
 
@@ -53,3 +47,69 @@ def test_mgf_prime_is_the_derivative_of_mgf(law, t):
 def test_mgf_at_zero_gives_one_and_the_mean(law):
     assert law.mgf(0.0) == pytest.approx(1.0, rel=1e-14)
     assert law.mgf_prime(0.0) == pytest.approx(law.mean, rel=1e-14)
+
+
+# each continuous law with its scipy.stats twin (for quad's density)
+CONTINUOUS_LAWS = [
+    (ef.ScalarDist.exponential(1.0), stats.expon(scale=1.0)),
+    (ef.ScalarDist.gamma(0.5, 2.0), stats.gamma(0.5, scale=2.0)),
+    (ef.ScalarDist.gamma(2.5, 0.6), stats.gamma(2.5, scale=0.6)),
+    (ef.ScalarDist.beta(2.0, 3.0), stats.beta(2.0, 3.0)),
+    (ef.ScalarDist.beta(0.5, 0.5), stats.beta(0.5, 0.5)),
+    (ef.ScalarDist.uniform(0.2, 2.0), stats.uniform(0.2, 1.8)),
+]
+FINITE_LAWS = [
+    (ef.ScalarDist.constant(1.5), [1.5], [1.0]),
+    (ef.ScalarDist.bernoulli(0.3), [0.0, 1.0], [0.7, 0.3]),
+    (ef.ScalarDist.discrete([0.0, 1.0, 4.0], [0.2, 0.5, 0.3]), [0.0, 1.0, 4.0], [0.2, 0.5, 0.3]),
+]
+# a cubic, and the dynamic graph's fast-decay factor exp(-d Q) at d E[Q] = 50
+INTEGRANDS = {
+    "cubic": lambda x, mean: 1.0 + x - 0.3 * x ** 2 + 0.05 * x ** 3,
+    "fast-decay": lambda x, mean: np.exp(-50.0 * x / mean),
+}
+
+
+def _expect_by_quadrature(law, f):
+    lo, hi = law.support()
+    if isinstance(law.dist, stats.rv_continuous) and law.dist.name == "beta":
+        a, b = law.args
+        # weight="alg" folds x^(a-1) (1-x)^(b-1) into the rule, endpoint singularities included
+        integral, _ = integrate.quad(f, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0),
+                                     epsabs=0.0, epsrel=2e-14, limit=200)
+        return integral / special.beta(a, b)
+    # split at the mean so that a fast-decaying start is resolved on its own
+    return sum(integrate.quad(lambda x: f(x) * law.pdf(x), a, b, epsabs=1e-16, epsrel=1e-13,
+                              limit=200)[0] for a, b in ((lo, law.mean()), (law.mean(), hi)))
+
+
+@pytest.mark.parametrize("integrand", INTEGRANDS)
+@pytest.mark.parametrize("law, reference", CONTINUOUS_LAWS, ids=lambda x: getattr(x, "name", ""))
+def test_expect_matches_quadrature(law, reference, integrand):
+    def f(x):
+        return INTEGRANDS[integrand](x, law.mean)
+
+    seen = []
+    value = law.expect(lambda x: seen.append(x) or f(x))
+    assert value == pytest.approx(_expect_by_quadrature(reference, f), rel=1e-12, abs=1e-12)
+    # the rule of half the nodes (every other one, step doubled) agrees
+    nodes, weights = seen[0], _tanh_sinh()[3]
+    half = weights[::2] / weights[::2].sum() @ f(nodes[::2])
+    assert abs(value - half) <= 1e-13
+
+
+@pytest.mark.parametrize("law, values, probs", FINITE_LAWS, ids=lambda x: getattr(x, "name", ""))
+def test_expect_of_finite_laws_is_the_sum_over_atoms(law, values, probs):
+    for f in INTEGRANDS.values():
+        expected = sum(p * f(np.array([v]), 1.0)[0] for v, p in zip(values, probs))
+        assert law.expect(lambda x: f(x, 1.0)) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("law", BUILT_IN_LAWS, ids=lambda law: law.name)
+def test_expect_is_an_expectation(law):
+    # positive weights that sum to 1: E[1] = 1, the mean, and E[exp(tX)] = M(t)
+    assert law.expect(np.ones_like) == pytest.approx(1.0, rel=1e-15)
+    assert law.expect(lambda x: x) == pytest.approx(law.mean, rel=1e-13)
+    for t in (-0.5, -3.0, -40.0):
+        assert law.expect(lambda x: np.exp(t * x)) == pytest.approx(law.mgf(t), rel=1e-12)
+    assert _tanh_sinh()[3].min() > 0.0

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from scipy import integrate, stats
 import epifrost as ef
 from epifrost.graphs import _dynamic_scaled_u
 
-from oracles import MU_DYN_UNIT, dense_spectral_radius, dynamic_edge_mean_mc
+from oracles import (MU_DYN_UNIT, beta_mgf_by_quadrature, dense_spectral_radius,
+                     dynamic_edge_mean_mc, minimal_root)
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +117,28 @@ def test_mixed_bernoulli_fictitious_split_collapses():
 
 @pytest.mark.parametrize("graph", ["static", "mixed"])
 def test_beta_graph_extinction_is_closed_form(graph):
-    # the benchmark's Beta-law graph configs: the Kummer-function pgf against
-    # the frozen-sample Monte Carlo pgf, within 4 of the latter's standard errors
+    # the benchmark's Beta-law graph configs: the Kummer-function pgf's root
+    # against an independent root of h built by quadrature over the Beta law
     if graph == "static":
-        pi = np.array([0.5, 0.5])
+        pi, alpha = np.array([0.5, 0.5]), np.array([[6.0, 2.0], [2.0, 4.5]])
         kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(
-            alpha=np.array([[6.0, 2.0], [2.0, 4.5]]), w=ef.ScalarDist.beta(2.0, 3.0)))
+            alpha=alpha, w=ef.ScalarDist.beta(2.0, 3.0)))
+
+        def h(s):
+            return np.array([np.prod([beta_mgf_by_quadrature(2.0, 3.0, (s[j] - 1.0) * pi[j] * alpha[i, j])
+                                      for j in range(2)]) for i in range(2)])
     else:
-        pi = np.array([0.7, 0.3])
+        pi, theta = np.array([0.7, 0.3]), np.array([1.0, 2.5])
         kernel, _ = ef.mixed_bernoulli_kernel(ef.MixedGraphSpec(
-            theta=[1.0, 2.5], pi=pi, w=ef.ScalarDist.beta(2.0, 2.0)))
-    law = ef.offspring_law_from_kernel(kernel, pi)
-    exact = ef.extinction_probability(law)
+            theta=theta, pi=pi, w=ef.ScalarDist.beta(2.0, 2.0)))
+
+        def h(s):
+            return np.array([beta_mgf_by_quadrature(2.0, 2.0, theta[i] * (((s - 1.0) * pi) @ theta))
+                             for i in range(2)])
+    exact = ef.extinction_probability(ef.offspring_law_from_kernel(kernel, pi))
     assert exact.mc_samples == 0
     assert np.all(exact.q < 1.0) and exact.residual <= 1e-12
-
-    n = 100_000
-    sampled = ef.extinction_probability(replace(law, pgf=None), mc_samples=n,
-                                        rng=np.random.default_rng(17))
-    assert sampled.mc_samples == n
-
-    def h(s):
-        return np.array([law.pgf(k, s) for k in range(2)])
-
-    # SE of the sampled h at the root, carried to q through (I - h'(q))^-1
-    theta = (exact.q - 1.0) * pi
-    second = np.array([kernel.u_mgf(k, 2.0 * theta) for k in range(2)])
-    h_se = np.sqrt((second - h(exact.q) ** 2) / n)
-    step = 1e-6 * np.eye(2)
-    jac = np.column_stack([(h(exact.q + e) - h(exact.q - e)) / 2e-6 for e in step])
-    q_se = np.abs(np.linalg.inv(np.eye(2) - jac)) @ h_se
-    assert np.all(np.abs(sampled.q - exact.q) <= 4.0 * q_se)
+    assert np.max(np.abs(exact.q - minimal_root(h, 2))) <= exact.error_bound
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +204,18 @@ def test_dynamic_moments_are_exact():
     kernel = ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
         rho_plus=[[1.0]], rho_minus=[[1.0]], beta=[[1.0]],
         q=[ef.ScalarDist.exponential(1.0)]))
-    assert kernel.moment_summary is None
     assert kernel.mu[0, 0] == pytest.approx(2 / 3, rel=1e-15)
     assert kernel.lam[0, 0, 0] == pytest.approx(14 / 45, rel=1e-15)
     assert not kernel.deterministic
 
 
+# theta at which the generating function E[exp(theta . U_i)] is compared
+DYNAMIC_THETAS = np.array([[-0.3, -0.6], [-1.0, -0.1], [-2.5, -2.5]])
+
+
 def _dynamic_reference(spec, i, lifetime):
-    """E[U_i] and cov(U_i) by quadrature (or a sum over atoms) over the lifetime."""
+    """E[U_i], cov(U_i) and E[exp(theta . U_i)] at DYNAMIC_THETAS by
+    quadrature (or a sum over atoms) over the lifetime."""
     def u(q):
         return _dynamic_scaled_u(spec, i, np.array([q]))[0]
 
@@ -227,7 +223,8 @@ def _dynamic_reference(spec, i, lifetime):
         values, probs = lifetime
         rows = np.stack([u(q) for q in values])
         mean = probs @ rows
-        return mean, (rows - mean).T @ ((rows - mean) * probs[:, None])
+        return (mean, (rows - mean).T @ ((rows - mean) * probs[:, None]),
+                np.exp(DYNAMIC_THETAS @ rows.T) @ probs)
 
     def expect(f):
         lo, hi = lifetime.support()
@@ -240,7 +237,7 @@ def _dynamic_reference(spec, i, lifetime):
     mean = np.array([expect(lambda q, j=j: u(q)[j]) for j in range(m)])
     cov = np.array([[expect(lambda q, j=j, k=k: (u(q)[j] - mean[j]) * (u(q)[k] - mean[k]))
                      for k in range(m)] for j in range(m)])
-    return mean, cov
+    return mean, cov, np.array([expect(lambda q, t=t: math.exp(u(q) @ t)) for t in DYNAMIC_THETAS])
 
 
 DYNAMIC_RATES = dict(rho_plus=[[1.5, 0.8], [0.8, 2.0]], rho_minus=[[1.0, 0.5], [0.5, 2.0]],
@@ -263,9 +260,11 @@ def test_dynamic_moments_match_quadrature(law, lifetime, rates):
     spec = ef.DynamicGraphSpec(q=[law, law], **rates)
     kernel = ef.dynamic_bernoulli_kernel(spec)
     for i in range(2):
-        mean, cov = _dynamic_reference(spec, i, lifetime)
+        mean, cov, mgf = _dynamic_reference(spec, i, lifetime)
         np.testing.assert_allclose(kernel.mu[i], mean, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(kernel.lam[i], cov, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose([kernel.u_mgf(i, t) for t in DYNAMIC_THETAS], mgf,
+                                   rtol=1e-12, atol=0)
         assert np.linalg.eigvalsh(kernel.lam[i]).min() >= -1e-14 * kernel.lam[i].max()
 
 
@@ -307,20 +306,6 @@ def test_mover_multigroup_moments():
     for i in range(2):
         assert np.allclose(kernel.mu[i], b[i] @ means[i])
         assert np.allclose(kernel.lam[i], b[i] @ np.diag(variances[i]) @ b[i].T)
-
-
-def test_mover_joint_sampler_estimates_moments():
-    # perfectly correlated sojourns through a shared total time
-    def joint(i, rng, n):
-        total = rng.exponential(1.0, n)
-        return np.stack([0.7 * total, 0.3 * total], axis=1)
-
-    kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
-        b=np.array([np.eye(2), np.eye(2)]), i_sampler=joint, moment_samples=50_000))
-    assert kernel.moment_summary is not None
-    assert abs(kernel.mu[0, 0] - 0.7) <= 4 * kernel.moment_summary.mu_se[0, 0]
-    # cross covariance 0.7 * 0.3 * var(total) = 0.21
-    assert abs(kernel.lam[0, 0, 1] - 0.21) <= 4 * kernel.moment_summary.lam_se[0, 0, 1]
 
 
 # ---------------------------------------------------------------------------

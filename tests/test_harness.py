@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,38 @@ def test_population_pi_conflict_with_kernel(tmp_path):
     }
     with pytest.raises(ConfigError, match="conflicts"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("block, key", [
+    (None, "replicate"),  # a typo of "replicates": it used to run one replicate
+    (None, "extinction_mc_samples"),  # no longer a field: h is exact for every kernel
+    ("population", "allocaton"),
+    ("output", "fromat"),
+])
+def test_unknown_fields_rejected(tmp_path, capsys, block, key):
+    doc = _base_config(tmp_path)
+    (doc if block is None else doc[block])[key] = 5
+    with pytest.raises(ConfigError, match=f"unknown field '{key}'; valid fields are"):
+        parse_config(doc)
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
+    assert f"unknown field '{key}'" in capsys.readouterr().err
+
+
+def test_perfbench_configs_parse():
+    configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+    assert len(configs) == 10
+    for path in configs:
+        ef.load_config(path)
+
+
+def test_cli_dynamic_graph_without_rho_plus_is_config_error(tmp_path, capsys):
+    doc = _base_config(tmp_path)
+    doc["kernel"] = {"kind": "dynamic_graph", "rho_minus": [[1.0]], "beta": [[1.0]],
+                     "q": {"dist": "exponential", "mean": 1.0}}
+    with pytest.raises(ConfigError, match="missing required field 'rho_plus'"):
+        parse_config(doc)
+    assert cli.main(["solve", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "missing required field 'rho_plus'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
