@@ -22,8 +22,7 @@ for mu in (0.6, 0.9, 1.2, 1.5, 2.0, 3.0):
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=N, a=[1])
 
     solution = ef.solve_tau(kernel.mu, spec.pi, np.zeros(1))
-    law = ef.offspring_law_from_kernel(kernel, spec.pi)
-    extinction = ef.extinction_probability(law, a=spec.a)
+    extinction = ef.extinction_probability(kernel, spec.pi, a=spec.a)
 
     ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=int(mu * 1000))
     stats = ef.estimate_outbreak_statistics(ensemble)

@@ -12,6 +12,8 @@ outbreaks is compared against the predicted asymptotic variance, and a
 normality check (multivariate skewness/kurtosis) is reported.
 """
 
+import zlib
+
 import numpy as np
 
 import epifrost as ef
@@ -31,10 +33,9 @@ for name, kernel in models.items():
     solution = ef.solve_tau(kernel.mu, pi, np.zeros(1))
     summary = ef.asymptotic_covariance(kernel.mu, kernel.lam, pi,
                                        solution.tau, np.zeros(1))
-    law = ef.offspring_law_from_kernel(kernel, pi)
-    extinction = ef.extinction_probability(law, a=spec.a)
+    extinction = ef.extinction_probability(kernel, pi, a=spec.a)
 
-    ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=hash(name) % 2**31)
+    ensemble = ef.run_ensemble(spec, kernel, REPLICATES, seed=zlib.crc32(name.encode()))
     report = ef.gaussian_check(ensemble, solution.tau, N, pi)
 
     print(f"--- {name} ---")

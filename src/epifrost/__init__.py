@@ -8,12 +8,9 @@ correction), and random-graph model front-ends.
 
 from .branching import (
     ExtinctionSolution,
-    OffspringLaw,
     TotalProgeny,
     extinction_probability,
     major_outbreak_probability,
-    offspring_law_from_kernel,
-    sample_offspring,
     simulate_total_progeny,
 )
 from .clt import (

@@ -23,63 +23,12 @@ from .deterministic import at_most_critical, compute_R, monotone_newton
 from .kernel import InfectivityKernel
 
 __all__ = [
-    "OffspringLaw",
     "TotalProgeny",
     "ExtinctionSolution",
-    "offspring_law_from_kernel",
-    "sample_offspring",
     "simulate_total_progeny",
     "extinction_probability",
     "major_outbreak_probability",
 ]
-
-
-@dataclass(frozen=True)
-class OffspringLaw:
-    """Mixed-Poisson offspring law of the approximating branching process:
-    a view of an infectivity kernel and the type proportions pi.
-
-    ``pgf(k, s)`` evaluates h_k(s) through the kernel's exact generating
-    function.  ``mu`` is the matrix of scaled means E[U_{k,j}] (the
-    offspring mean matrix is mu @ diag(pi)).
-    """
-
-    kernel: InfectivityKernel
-    pi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
-
-    @property
-    def m(self) -> int:
-        return self.kernel.m
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.kernel.mu
-
-    def sample_u(self, parent_type: int, rng: np.random.Generator,
-                 size: Optional[int] = None) -> np.ndarray:
-        return self.kernel.sample_u(parent_type, rng, size)
-
-    def pgf(self, k: int, s: np.ndarray) -> float:
-        return self.kernel.u_mgf(k, (np.asarray(s, dtype=float) - 1.0) * self.pi)
-
-    @property
-    def offspring_mean_matrix(self) -> np.ndarray:
-        return self.mu * self.pi[None, :]
-
-
-def offspring_law_from_kernel(kernel: InfectivityKernel, pi: np.ndarray) -> OffspringLaw:
-    """Derive the branching offspring law from an infectivity kernel."""
-    return OffspringLaw(kernel=kernel, pi=pi)
-
-
-def sample_offspring(law: OffspringLaw, parent_type: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One family: draw U once, then per-type Poisson counts."""
-    u = law.sample_u(parent_type, rng)
-    return rng.poisson(law.pi * u)
 
 
 @dataclass(frozen=True)
@@ -99,20 +48,21 @@ class TotalProgeny:
         return int(self.counts.sum())
 
 
-def simulate_total_progeny(law: OffspringLaw, a: np.ndarray, cap: int,
-                           rng: np.random.Generator) -> TotalProgeny:
-    """Breadth-first simulation of total progeny from ancestors ``a``."""
+def simulate_total_progeny(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndarray,
+                           cap: int, rng: np.random.Generator) -> TotalProgeny:
+    """Breadth-first simulation of total progeny from ancestors ``a``: each
+    parent draws U once, then Poisson(pi_j U_j) children of each type j."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    a = np.asarray(a, dtype=np.int64)
-    active = a.copy()
-    total = np.zeros(law.m, dtype=np.int64)
+    pi = np.asarray(pi, dtype=float)
+    active = np.array(a, dtype=np.int64)
+    total = np.zeros(kernel.m, dtype=np.int64)
     while active.any():
-        new = np.zeros(law.m, dtype=np.int64)
+        new = np.zeros(kernel.m, dtype=np.int64)
         for k in np.nonzero(active)[0]:
             n_parents = int(active[k])
-            u = law.sample_u(int(k), rng, size=n_parents)  # (n_parents, m)
-            rates = u * law.pi[None, :]
+            u = kernel.sample_u(int(k), rng, size=n_parents)  # (n_parents, m)
+            rates = u * pi[None, :]
             new += rng.poisson(rates).sum(axis=0, dtype=np.int64)
         total += new
         if total.sum() > cap:
@@ -132,30 +82,33 @@ class ExtinctionSolution:
     error_bound: float = 0.0
 
 
-def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
+def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float = 1e-12,
                            max_iter: int = 1_000_000,
                            a: Optional[np.ndarray] = None) -> ExtinctionSolution:
     """Minimal root of q = h(q) by safeguarded Newton from q = 0
     (``deterministic.monotone_newton``); every step is monotone nondecreasing.
 
     The Jacobian is a backward difference: h is convex, so it never
-    overstates the slope.  Laws with ``deterministic.at_most_critical(R)``,
+    overstates the slope.  Kernels with ``deterministic.at_most_critical(R)``,
     where ``solve_tau`` gives tau = 0, short-circuit to q = 1 (exact for
     R <= 1 by standard branching theory).
     """
-    if at_most_critical(compute_R(law.mu, law.pi)):
-        sol = ExtinctionSolution(q=np.ones(law.m), iterations=0, residual=0.0)
+    m = kernel.m
+    pi = np.asarray(pi, dtype=float)
+    if at_most_critical(compute_R(kernel.mu, pi)):
+        sol = ExtinctionSolution(q=np.ones(m), iterations=0, residual=0.0)
         return _with_major_prob(sol, a)
 
     def h(s: np.ndarray) -> np.ndarray:
-        return np.array([law.pgf(k, s) for k in range(law.m)])
+        theta = (s - 1.0) * pi
+        return np.array([kernel.u_mgf(k, theta) for k in range(m)])
 
     def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hs = h(s)
-        back = s - np.sqrt(np.finfo(float).eps) * np.eye(law.m)  # row j: step back in s_j
+        back = s - np.sqrt(np.finfo(float).eps) * np.eye(m)  # row j: step back in s_j
         return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(back)], axis=1)
 
-    q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(law.m), 1, 1.0,
+    q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(m), 1, 1.0,
                                              tol, max_iter, "extinction-probability")
     sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it, residual=residual,
                              error_bound=bound)

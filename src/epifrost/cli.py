@@ -84,8 +84,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_extinction(args: argparse.Namespace) -> int:
     config = _load(args)
-    law = branching.offspring_law_from_kernel(config.kernel, config.population.pi)
-    sol = branching.extinction_probability(law, a=config.population.a)
+    sol = branching.extinction_probability(config.kernel, config.population.pi,
+                                           a=config.population.a)
     _emit({
         "q": sol.q,
         "major_outbreak_prob": sol.major_outbreak_prob,

@@ -52,8 +52,11 @@ TOP_LEVEL_FIELDS = ("population", "kernel", "replicates", "seed", "threshold_ove
                     "workers", "output", "checks")
 POPULATION_FIELDS = ("m", "pi", "N", "a", "zeta", "allocation")
 OUTPUT_FIELDS = ("path", "format")
-KERNEL_KINDS = ("constant", "custom_table", "static_graph", "mixed_bernoulli",
-                "dynamic_graph", "ball_clancy93", "ball_clancy95")
+# kernel kind -> its fields besides "kind"
+KERNEL_FIELDS = {"constant": ("mu",), "custom_table": ("rows",),
+                 "static_graph": ("alpha", "w", "w_mode"), "mixed_bernoulli": ("theta", "pi", "w"),
+                 "dynamic_graph": ("rho_plus", "rho_minus", "beta", "q"),
+                 "ball_clancy93": ("b", "sojourn"), "ball_clancy95": ("pi", "u")}
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,9 @@ def build_kernel(cfg: dict) -> tuple[InfectivityKernel, Optional[Allocation], Op
     if not isinstance(cfg, dict):
         raise ConfigError("kernel block must be an object")
     kind = _require(cfg, "kind", "kernel")
-    if kind not in KERNEL_KINDS:
-        raise ConfigError(f"kernel: unknown kind {kind!r}; valid kinds are {KERNEL_KINDS}")
+    if kind not in KERNEL_FIELDS:
+        raise ConfigError(f"kernel: unknown kind {kind!r}; valid kinds are {tuple(KERNEL_FIELDS)}")
+    _reject_unknown(cfg, ("kind",) + KERNEL_FIELDS[kind], f"kernel ({kind})")
     try:
         if kind == "constant":
             return constant_kernel(np.asarray(_require(cfg, "mu", "kernel"), dtype=float)), None, None

@@ -47,6 +47,11 @@ class ScalarDist:
     expect: Callable[[Callable[[np.ndarray], np.ndarray]], float] = field(repr=False)
     support_max: float = np.inf
 
+    def __post_init__(self):
+        if self.is_constant:  # a degenerate law (bernoulli(0), one atom) draws nothing
+            value = self.mean
+            object.__setattr__(self, "sample", lambda rng, size: np.full(size, value))
+
     @property
     def is_constant(self) -> bool:
         return self.var == 0.0
@@ -182,6 +187,10 @@ class ScalarDist:
         kind = cfg["dist"]
         if not isinstance(kind, str) or kind not in CONFIG_PARAMETERS:
             raise ValueError(f"unknown scalar distribution kind {kind!r}")
+        unknown = set(cfg) - {"dist", *CONFIG_PARAMETERS[kind]}
+        if unknown:
+            raise ValueError(f"scalar distribution {kind!r} has unknown parameter "
+                             f"{sorted(unknown)[0]!r}; valid parameters are {CONFIG_PARAMETERS[kind]}")
         try:
             args = [cfg[name] for name in CONFIG_PARAMETERS[kind]]
         except KeyError as exc:

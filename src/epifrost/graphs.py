@@ -85,11 +85,12 @@ class StaticGraphSpec:
 
 def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
     """Compile a static Bernoulli graph into a kernel: V_{i,j} = alpha_ij W / N."""
-    alpha = spec.alpha
-    m = alpha.shape[0]
-    w = spec.w
-    shared = spec.w_mode == "shared"
+    return _graph_kernel(spec.alpha, spec.w, shared=spec.w_mode == "shared")
 
+
+def _graph_kernel(alpha: np.ndarray, w: ScalarDist, shared: bool) -> InfectivityKernel:
+    """V_{i,j} = alpha_ij W_{i,j} / N, with one W per infective if ``shared``."""
+    m = alpha.shape[0]
     mu = alpha * w.mean
     lam = np.zeros((m, m, m))
     for i in range(m):
@@ -148,34 +149,14 @@ class MixedGraphSpec:
 
 def mixed_bernoulli_kernel(spec: MixedGraphSpec) -> tuple[InfectivityKernel, Allocation]:
     """Compile a mixed Bernoulli graph: V_{i,j} = theta_i theta_j W / N with a
-    single W per infective.
+    single W per infective, the static graph with alpha = theta theta^T and
+    shared W.
 
     Types are degree classes drawn independently per individual, so the
     population must use random multinomial allocation; the forced mode is
     returned alongside the kernel.
     """
-    theta = spec.theta
-    m = len(theta)
-    w = spec.w
-
-    mu = np.outer(theta, theta) * w.mean
-    lam = np.zeros((m, m, m))
-    for i in range(m):
-        lam[i] = theta[i] ** 2 * np.outer(theta, theta) * w.var
-
-    @one_or_batch
-    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return w.sample(rng, n)[:, None] * (theta[i] * theta)[None, :]
-
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        return u_sampler(i, rng, size) / N
-
-    def u_mgf(i: int, theta_arg: np.ndarray) -> float:
-        return w.mgf(float(theta[i] * (theta_arg @ theta)))
-
-    kernel = InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                               u_sampler=u_sampler, u_mgf=u_mgf, deterministic=w.is_constant,
-                               max_scaled=float(theta.max()) ** 2)  # theta_i theta_j / N <= 1
+    kernel = _graph_kernel(np.outer(spec.theta, spec.theta), spec.w, shared=True)
     return kernel, Allocation.RANDOM_MULTINOMIAL
 
 

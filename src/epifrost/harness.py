@@ -22,6 +22,7 @@ import numpy as np
 from . import branching, clt, deterministic
 from .config import ExperimentConfig
 from .errors import InsufficientDataError
+from .kernel import InfectivityKernel
 from .simulator import Ensemble, replicate_streams, run_ensemble
 
 __all__ = [
@@ -202,25 +203,30 @@ def _check_clt(ensemble: Ensemble, tau: np.ndarray,
     )
 
 
-def _check_branching_tv(ensemble: Ensemble, law: branching.OffspringLaw,
+def _check_branching_tv(ensemble: Ensemble, kernel: InfectivityKernel, pi: np.ndarray,
                         a: np.ndarray, seed: int, upto: int = 10,
-                        tol: float = 0.02) -> CheckResult:
+                        bias: float = 0.02) -> CheckResult:
     n = len(ensemble)
     total = ensemble.total
     epi_pmf = np.bincount(total[total <= upto], minlength=upto + 1) / n
     # one branching run per replicate, keyed by (seed + 1, r); only totals
     # <= upto are counted, so a run may stop once it passes upto
-    runs = (branching.simulate_total_progeny(law, a, upto, rng)
+    runs = (branching.simulate_total_progeny(kernel, pi, a, upto, rng)
             for rng in replicate_streams(seed + 1, n))
     gw_pmf = np.bincount([run.total for run in runs if not run.exceeded], minlength=upto + 1) / n
     tv = 0.5 * float(np.abs(epi_pmf - gw_pmf).sum())
+    # both pmfs are Monte Carlo estimates: the SE of tv from their per-bin
+    # binomial variances, so the limit is the allowed bias plus sampling noise
+    tv_se = 0.5 * float(np.sqrt(((epi_pmf * (1 - epi_pmf) + gw_pmf * (1 - gw_pmf)) / n).sum()))
+    tol = bias + 4.0 * tv_se
     return CheckResult(
         name="branching_tv",
         passed=bool(tv <= tol),
         theoretical={"progeny_pmf_0_to_10": gw_pmf},
         empirical={"final_size_pmf_0_to_10": epi_pmf, "tv_distance": tv},
         standard_error={"per_bin_se_bound": float(0.5 / np.sqrt(n))},
-        tolerance={"tv": tol, "rule": "half L1 distance on totals 0..10"},
+        tolerance={"tv": tol, "tv_se": tv_se,
+                   "rule": f"half L1 distance on totals 0..{upto} <= {bias} + 4*SE"},
     )
 
 
@@ -253,12 +259,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
     checks: list[CheckResult] = []
     if config.checks:
         solution = deterministic.solve_tau(kernel.mu, pop.pi, pop.zeta)
-        law = branching.offspring_law_from_kernel(kernel, pop.pi)
         for name in config.checks:
             if name == "lln":
                 checks.append(_check_lln(stats, solution.tau))
             elif name == "major_prob":
-                ext = branching.extinction_probability(law, a=pop.a)
+                ext = branching.extinction_probability(kernel, pop.pi, a=pop.a)
                 checks.append(_check_major_prob(stats, ext.major_outbreak_prob))
             elif name == "clt":
                 summary = clt.asymptotic_covariance(kernel.mu, kernel.lam, pop.pi,
@@ -266,7 +271,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
                                                     allocation=pop.allocation)
                 checks.append(_check_clt(ensemble, solution.tau, summary, pop.N, pop.pi))
             elif name == "branching_tv":
-                checks.append(_check_branching_tv(ensemble, law, pop.a, config.seed))
+                checks.append(_check_branching_tv(ensemble, kernel, pop.pi, pop.a,
+                                                  config.seed))
 
     report = ValidationReport(checks=checks)
     if records_path is not None:

@@ -96,8 +96,7 @@ def test_criterion_4_clt_constant_kernel(const_mu2_ensemble):
 def test_criterion_5_clt_with_infectivity_variance(gse_ensemble):
     spec, kernel, ensemble = gse_ensemble
     # scaled infectivity ~ Exp(mean 2): q = 1/2 by hand (root of 2q^2 - 3q + 1)
-    law = ef.offspring_law_from_kernel(kernel, spec.pi)
-    ext = ef.extinction_probability(law, a=spec.a)
+    ext = ef.extinction_probability(kernel, spec.pi, a=spec.a)
     assert ext.q[0] == pytest.approx(0.5, abs=1e-10)
     frac = np.mean(ensemble.major)
 
@@ -163,10 +162,9 @@ def test_criterion_8_branching_approximation():
             epi[total] += 1
     epi /= n
 
-    law = ef.offspring_law_from_kernel(kernel, spec.pi)
     gw = np.zeros(upto + 1)
     for r in range(n):
-        out = ef.simulate_total_progeny(law, spec.a, cap=10_000,
+        out = ef.simulate_total_progeny(kernel, spec.pi, spec.a, cap=10_000,
                                         rng=ef.replicate_rng(990_099, r))
         if not out.exceeded and out.total <= upto:
             gw[out.total] += 1
@@ -230,10 +228,10 @@ def test_criterion_9_property_suites():
         if np.any(nxt > tau + 1e-15):
             failures.append("tau iteration not monotone nonincreasing")
         tau = nxt
-    law = ef.offspring_law_from_kernel(ef.constant_kernel(mu), pi)
+    kernel = ef.constant_kernel(mu)
     q = np.zeros(2)
     for _ in range(200):
-        nxt = np.array([law.pgf(k, q) for k in range(2)])
+        nxt = np.array([kernel.u_mgf(k, (q - 1.0) * pi) for k in range(2)])
         if np.any(nxt < q - 1e-15):
             failures.append("extinction iteration not monotone nondecreasing")
         q = nxt

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -15,49 +14,46 @@ from scipy.optimize import root
 from oracles import Q_MU2, minimal_root, scalar_extinction_poisson, scalar_tau_near_critical
 
 
-def _constant_law(scaled, pi):
-    return ef.offspring_law_from_kernel(ef.constant_kernel(scaled), np.asarray(pi))
+def test_total_progeny_zero_law():
+    # no ancestor has a child, however many there are
+    kernel = ef.constant_kernel([[0.0]])
+    for a in ([1], [100]):
+        result = ef.simulate_total_progeny(kernel, [1.0], np.array(a), cap=100,
+                                           rng=np.random.default_rng(0))
+        assert not result.exceeded
+        assert result.total == 0
 
 
-def test_sample_offspring_zero_law():
-    law = _constant_law([[0.0]], [1.0])
-    rng = np.random.default_rng(0)
-    assert all(ef.sample_offspring(law, 0, rng)[0] == 0 for _ in range(100))
-
-
-def test_sample_offspring_poisson_zero_probability():
+def test_total_progeny_poisson_zero_probability():
     # constant U = 0.5, pi = 1: no offspring with probability e^{-0.5}
-    law = _constant_law([[0.5]], [1.0])
+    kernel = ef.constant_kernel([[0.5]])
     rng = np.random.default_rng(1)
-    draws = np.array([ef.sample_offspring(law, 0, rng)[0] for _ in range(40_000)])
+    draws = np.array([ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=1, rng=rng).total
+                      for _ in range(40_000)])
     p0 = (draws == 0).mean()
     se = np.sqrt(p0 * (1 - p0) / len(draws))
     assert abs(p0 - np.exp(-0.5)) < 4 * se
 
 
-def test_sample_offspring_zero_rate_component():
-    law = _constant_law([[2.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
+def test_total_progeny_zero_rate_component():
+    # a type-0 line has Poisson(0.5 * 1) type-0 children and never a type-1 child
+    kernel = ef.constant_kernel([[1.0, 0.0], [0.0, 0.0]])
     rng = np.random.default_rng(2)
-    draws = np.stack([ef.sample_offspring(law, 0, rng) for _ in range(2000)])
-    assert np.all(draws[:, 1] == 0)
-    assert abs(draws[:, 0].mean() - 1.0) < 0.1  # Poisson(0.5 * 2)
-
-
-def test_total_progeny_zero_law():
-    law = _constant_law([[0.0]], [1.0])
-    result = ef.simulate_total_progeny(law, np.array([1]), cap=100,
-                                       rng=np.random.default_rng(0))
-    assert not result.exceeded
-    assert result.total == 0
+    runs = [ef.simulate_total_progeny(kernel, [0.5, 0.5], np.array([1, 0]), cap=10_000, rng=rng)
+            for _ in range(2000)]
+    counts = np.stack([run.counts for run in runs])
+    assert not any(run.exceeded for run in runs)
+    assert np.all(counts[:, 1] == 0)
+    assert abs(counts[:, 0].mean() - 1.0) < 4 * counts[:, 0].std(ddof=1) / np.sqrt(len(runs))
 
 
 def test_total_progeny_exceeded_probability():
     # supercritical Poisson(2): escape probability 1 - q with q = exp(2(q-1))
-    law = _constant_law([[2.0]], [1.0])
+    kernel = ef.constant_kernel([[2.0]])
     runs = 10_000
     exceeded = 0
     for r in range(runs):
-        out = ef.simulate_total_progeny(law, np.array([1]), cap=10_000,
+        out = ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=10_000,
                                         rng=ef.replicate_rng(77, r))
         exceeded += out.exceeded
     assert abs(exceeded / runs - (1 - Q_MU2)) < 0.02
@@ -65,8 +61,8 @@ def test_total_progeny_exceeded_probability():
 
 def test_total_progeny_subcritical_mean():
     # E[Z] = m/(1-m) = 1 for offspring mean 0.5
-    law = _constant_law([[0.5]], [1.0])
-    totals = [ef.simulate_total_progeny(law, np.array([1]), cap=100_000,
+    kernel = ef.constant_kernel([[0.5]])
+    totals = [ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=100_000,
                                         rng=ef.replicate_rng(8, r)).total
               for r in range(40_000)]
     totals = np.array(totals, dtype=float)
@@ -76,13 +72,13 @@ def test_total_progeny_subcritical_mean():
 
 def test_extinction_subcritical_is_one():
     for scaled in ([[0.5]], [[1.0]]):
-        sol = ef.extinction_probability(_constant_law(scaled, [1.0]))
+        sol = ef.extinction_probability(ef.constant_kernel(scaled), [1.0])
         assert np.all(sol.q == 1.0)
         assert sol.iterations == 0
 
 
 def test_extinction_scalar_poisson2():
-    sol = ef.extinction_probability(_constant_law([[2.0]], [1.0]))
+    sol = ef.extinction_probability(ef.constant_kernel([[2.0]]), [1.0])
     assert scalar_extinction_poisson(2.0) == pytest.approx(Q_MU2, abs=1e-12)
     assert sol.q[0] == pytest.approx(Q_MU2, abs=1e-10)
     assert sol.residual <= 1e-12
@@ -93,10 +89,9 @@ def test_extinction_exponential_mixture_closed_form():
     # U ~ Exp(mean 2): h(s) = 1/(1 + 2(1-s)), so q solves 2q^2 - 3q + 1 = 0
     kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
         b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
-    law = ef.offspring_law_from_kernel(kernel, np.array([1.0]))
-    assert law.pgf is not None
-    assert law.pgf(0, np.array([0.25])) == pytest.approx(1 / (3 - 2 * 0.25), abs=1e-12)
-    sol = ef.extinction_probability(law)
+    # h(s) = E[exp((s - 1) U)]
+    assert kernel.u_mgf(0, np.array([0.25 - 1.0])) == pytest.approx(1 / (3 - 2 * 0.25), abs=1e-12)
+    sol = ef.extinction_probability(kernel, np.array([1.0]))
     assert sol.q[0] == pytest.approx(0.5, abs=1e-10)
 
 
@@ -111,9 +106,8 @@ def test_pgf_normalization_at_one():
     ]
     ones = np.ones(2)
     for kernel in kernels:
-        law = ef.offspring_law_from_kernel(kernel, pi)
         for k in range(2):
-            assert law.pgf(k, ones) == pytest.approx(1.0, abs=1e-12)
+            assert kernel.u_mgf(k, (ones - 1.0) * pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_offspring_mean_matches_threshold_matrix():
@@ -121,14 +115,13 @@ def test_offspring_mean_matches_threshold_matrix():
     kernel = ef.mixed_bernoulli_kernel(ef.MixedGraphSpec(
         theta=[1.0, 2.0], pi=[0.5, 0.5], w=ef.ScalarDist.uniform(0.0, 1.0)))[0]
     pi = np.array([0.5, 0.5])
-    law = ef.offspring_law_from_kernel(kernel, pi)
     rng = np.random.default_rng(12)
     n = 100_000
     for k in range(2):
-        counts = rng.poisson(law.sample_u(k, rng, size=n) * pi[None, :])
+        counts = rng.poisson(kernel.sample_u(k, rng, size=n) * pi[None, :])
         mean = counts.mean(axis=0)
         se = counts.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(mean - law.offspring_mean_matrix[k]) <= 4 * se)
+        assert np.all(np.abs(mean - kernel.mu[k] * pi) <= 4 * se)
 
 
 def test_major_outbreak_probability_examples():
@@ -141,15 +134,14 @@ def test_major_outbreak_probability_examples():
 
 
 def test_extinction_solution_carries_major_prob():
-    sol = ef.extinction_probability(_constant_law([[2.0]], [1.0]), a=np.array([2]))
+    sol = ef.extinction_probability(ef.constant_kernel([[2.0]]), [1.0], a=np.array([2]))
     assert sol.major_outbreak_prob == pytest.approx(1 - Q_MU2 ** 2, abs=1e-9)
 
 
 def test_major_fraction_consistent_with_extinction(const_mu2_ensemble):
     # simulated major-outbreak fraction vs 1 - q, within 3 binomial SEs
     spec, kernel, ensemble = const_mu2_ensemble
-    law = ef.offspring_law_from_kernel(kernel, spec.pi)
-    p_theory = ef.extinction_probability(law, a=spec.a).major_outbreak_prob
+    p_theory = ef.extinction_probability(kernel, spec.pi, a=spec.a).major_outbreak_prob
     frac = np.mean(ensemble.major)
     se = np.sqrt(p_theory * (1 - p_theory) / len(ensemble))
     assert abs(frac - p_theory) <= 3 * se
@@ -159,14 +151,14 @@ def test_extinction_iteration_budget_error():
     from epifrost.errors import ConvergenceError
 
     with pytest.raises(ConvergenceError) as exc_info:
-        ef.extinction_probability(_constant_law([[2.0]], [1.0]), max_iter=2)
+        ef.extinction_probability(ef.constant_kernel([[2.0]]), [1.0], max_iter=2)
     assert exc_info.value.last_iterate.shape == (1,)
     assert exc_info.value.residual > 0
 
 
 @pytest.mark.parametrize("excess", [1e-2, 1e-4, 1e-6])
 def test_extinction_near_critical_scalar(excess):
-    sol = ef.extinction_probability(_constant_law([[1.0 + excess]], [1.0]))
+    sol = ef.extinction_probability(ef.constant_kernel([[1.0 + excess]]), [1.0])
     # 1 - q solves the attack-rate equation for a constant kernel
     ref = 1.0 - scalar_tau_near_critical(1.0 + excess)
     assert sol.iterations <= 50
@@ -179,21 +171,21 @@ def test_extinction_inside_critical_band_matches_solve_tau():
     # so the extinction solver must agree: q = 1, no major outbreaks
     mu = np.array([[1.0 + 5e-10]])
     assert ef.solve_tau(mu, np.array([1.0]), np.zeros(1)).tau[0] == 0.0
-    sol = ef.extinction_probability(_constant_law(mu, [1.0]), a=np.array([1]))
+    sol = ef.extinction_probability(ef.constant_kernel(mu), [1.0], a=np.array([1]))
     assert sol.q[0] == 1.0
     assert sol.major_outbreak_prob == 0.0
     assert sol.iterations == 0
 
 
 def test_extinction_error_bound_is_a_plain_float():
-    assert type(ef.extinction_probability(_constant_law([[2.0]], [1.0])).error_bound) is float
+    assert type(ef.extinction_probability(ef.constant_kernel([[2.0]]), [1.0]).error_bound) is float
 
 
 def test_extinction_near_critical_two_type():
     base = np.array([[1.0, 2.0], [0.5, 1.5]])
     pi = np.array([0.4, 0.6])
     mu = base * (1.0 + 1e-5) / ef.compute_R(base, pi)
-    sol = ef.extinction_probability(_constant_law(mu, pi))
+    sol = ef.extinction_probability(ef.constant_kernel(mu), pi)
     assert sol.iterations <= 50
     # Poisson offspring: y = 1 - q solves y = 1 - exp(-(mu * pi) @ y), which
     # expm1 evaluates without the cancellation of h(q) near q = 1
@@ -209,8 +201,7 @@ def test_extinction_accepts_newton_steps_within_rounding_of_the_root():
     # either sign; refusing it left linear Picard steps (15 in all)
     configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
     config = load_config(configs / "theory_mixed_bernoulli.json")
-    law = ef.offspring_law_from_kernel(config.kernel, config.population.pi)
-    sol = ef.extinction_probability(law)
+    sol = ef.extinction_probability(config.kernel, config.population.pi)
     assert sol.iterations <= 8
     # q of the strict-sign rule, to the last digit
     assert np.max(np.abs(sol.q - [0.8071238194374796, 0.5958197474862392])) <= sol.error_bound
@@ -223,7 +214,7 @@ def test_dynamic_graph_extinction_is_exact():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "theory_dynamic_graph.json"
     config = load_config(path)
     pi = config.population.pi
-    sol = ef.extinction_probability(ef.offspring_law_from_kernel(config.kernel, pi))
+    sol = ef.extinction_probability(config.kernel, pi)
     assert sol.mc_samples == 0
     assert sol.residual <= 1e-12
 
@@ -240,22 +231,3 @@ def test_dynamic_graph_extinction_is_exact():
             for i in range(2)])
 
     assert np.max(np.abs(sol.q - minimal_root(h, 2))) <= sol.error_bound
-
-
-def test_offspring_law_is_a_view_of_kernel_and_pi():
-    kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
-        b=np.array([[[2.0, 0.5], [1.0, 1.0]], [[0.0, 1.0], [2.0, 0.0]]]),
-        sojourn=[[ef.ScalarDist.exponential(1.0), ef.ScalarDist.gamma(2.0, 0.5)],
-                 [ef.ScalarDist.constant(1.0), ef.ScalarDist.exponential(0.5)]]))
-    pi = np.array([0.4, 0.6])
-    law = ef.offspring_law_from_kernel(kernel, pi)
-    assert [f.name for f in dataclasses.fields(law)] == ["kernel", "pi"]
-    assert law.m == 2 and law.mu is kernel.mu
-    np.testing.assert_array_equal(law.offspring_mean_matrix, kernel.mu * pi[None, :])
-    s = np.array([0.3, 0.8])
-    for k in range(2):
-        assert law.pgf(k, s) == kernel.u_mgf(k, (s - 1.0) * pi)
-        # the same draws as the kernel's own sampler, from the same stream
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        np.testing.assert_array_equal(law.sample_u(k, a, size=7), kernel.sample_u(k, b, size=7))
-        assert a.bit_generator.state == b.bit_generator.state

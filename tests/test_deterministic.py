@@ -143,7 +143,7 @@ def test_constant_kernel_extinction_matches_attack_rate():
     kernel = ef.constant_kernel([[2.0]])
     pi = np.array([1.0])
     sol = ef.solve_tau(kernel.mu, pi, np.zeros(1))
-    ext = ef.extinction_probability(ef.offspring_law_from_kernel(kernel, pi))
+    ext = ef.extinction_probability(kernel, pi)
     assert abs((1 - ext.q[0]) - sol.tau[0]) <= 1e-9
     assert ext.q[0] == pytest.approx(Q_MU2, abs=1e-10)
 

@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 import epifrost as ef
 from epifrost.graphs import _dynamic_scaled_u
+from epifrost.harness import to_jsonable
 
 from oracles import (MU_DYN_UNIT, beta_mgf_by_quadrature, dense_spectral_radius,
                      dynamic_edge_mean_mc, minimal_root)
@@ -29,6 +30,18 @@ def test_static_zero_w_is_zero_kernel():
     kernel = ef.static_bernoulli_kernel(spec)
     assert np.all(kernel.mu == 0.0)
     assert np.all(kernel.sample(0, 100, np.random.default_rng(0)) == 0.0)
+
+
+@pytest.mark.parametrize("w", [ef.ScalarDist.bernoulli(1.0), ef.ScalarDist.bernoulli(0.0),
+                               ef.ScalarDist.discrete([0.4], [1.0])])
+def test_static_degenerate_w_draws_nothing(w):
+    # V is almost surely constant, so sampling it leaves the stream untouched
+    kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(alpha=np.full((2, 2), 1.5), w=w))
+    rng = np.random.Generator(np.random.Philox(7))
+    before = to_jsonable(rng.bit_generator.state)
+    assert np.all(kernel.sample(0, 100, rng) == 1.5 * w.mean / 100)
+    assert np.all(kernel.sample(1, 100, rng, size=5) == 1.5 * w.mean / 100)
+    assert to_jsonable(rng.bit_generator.state) == before
 
 
 def test_static_bernoulli_w_moments():
@@ -74,8 +87,7 @@ def test_mixed_bernoulli_moments_and_threshold():
 def test_mixed_bernoulli_zero_w_goes_extinct():
     kernel, _ = ef.mixed_bernoulli_kernel(ef.MixedGraphSpec(
         theta=[1.0, 2.0], pi=[0.5, 0.5], w=ef.ScalarDist.constant(0.0)))
-    law = ef.offspring_law_from_kernel(kernel, np.array([0.5, 0.5]))
-    assert np.all(ef.extinction_probability(law).q == 1.0)
+    assert np.all(ef.extinction_probability(kernel, np.array([0.5, 0.5])).q == 1.0)
 
 
 def test_mixed_bernoulli_threshold_identity_randomized():
@@ -135,7 +147,7 @@ def test_beta_graph_extinction_is_closed_form(graph):
         def h(s):
             return np.array([beta_mgf_by_quadrature(2.0, 2.0, theta[i] * (((s - 1.0) * pi) @ theta))
                              for i in range(2)])
-    exact = ef.extinction_probability(ef.offspring_law_from_kernel(kernel, pi))
+    exact = ef.extinction_probability(kernel, pi)
     assert exact.mc_samples == 0
     assert np.all(exact.q < 1.0) and exact.residual <= 1e-12
     assert np.max(np.abs(exact.q - minimal_root(h, 2))) <= exact.error_bound
@@ -284,8 +296,7 @@ def test_mover_exponential_sojourn_is_gse():
         b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
     assert kernel.mu[0, 0] == pytest.approx(2.0)
     assert kernel.lam[0, 0, 0] == pytest.approx(4.0)
-    law = ef.offspring_law_from_kernel(kernel, np.array([1.0]))
-    assert ef.extinction_probability(law).q[0] == pytest.approx(0.5, abs=1e-10)
+    assert ef.extinction_probability(kernel, np.array([1.0])).q[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_mover_unit_sojourn_is_constant_kernel():
@@ -319,8 +330,7 @@ def test_random_type_single_type_reduces_to_base():
     assert allocation is ef.Allocation.RANDOM_MULTINOMIAL
     assert kernel.mu[0, 0] == pytest.approx(2.0)
     assert kernel.lam[0, 0, 0] == pytest.approx(4.0)
-    law = ef.offspring_law_from_kernel(kernel, np.array([1.0]))
-    assert ef.extinction_probability(law).q[0] == pytest.approx(0.5, abs=1e-10)
+    assert ef.extinction_probability(kernel, np.array([1.0])).q[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_random_type_identical_types_collapse():

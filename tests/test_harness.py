@@ -109,6 +109,21 @@ def test_unknown_fields_rejected(tmp_path, capsys, block, key):
     assert f"unknown field '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("w_extra, kernel_extra, message", [
+    ({}, {"w_mod": "shared"}, "unknown field 'w_mod'; valid fields are"),  # loaded as independent
+    ({"meen": 0.4}, {}, "unknown parameter 'meen'; valid parameters are"),
+])
+def test_unknown_kernel_and_scalar_law_fields_rejected(tmp_path, capsys, w_extra, kernel_extra,
+                                                       message):
+    doc = _base_config(tmp_path, kernel={"kind": "static_graph", "alpha": [[2.0]],
+                                         "w": {"dist": "beta", "a": 2.0, "b": 3.0, **w_extra},
+                                         **kernel_extra})
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_perfbench_configs_parse():
     configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
     assert len(configs) == 10
@@ -153,6 +168,20 @@ def test_report_contains_every_enabled_check_once(tmp_path):
         assert check.theoretical and check.empirical and check.standard_error is not None
     payload = json.loads(report.to_json())
     assert {c["name"] for c in payload["checks"]} == set(names)
+
+
+def test_branching_tv_allows_for_sampling_noise_and_detects_a_wrong_law():
+    # the benchmark's Reed-Frost validation at seed 4, where a fixed limit of
+    # 0.02 failed on noise alone; a mu = 1.8 law is 0.07 away in TV on 0..10
+    config = parse_config(json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                      / "configs" / "rf_validate.json").read_text()))
+    pop = config.population
+    ensemble = ef.run_ensemble(pop, config.kernel, config.replicates, seed=4)
+    right = harness._check_branching_tv(ensemble, config.kernel, pop.pi, pop.a, seed=4)
+    wrong = harness._check_branching_tv(ensemble, ef.constant_kernel([[1.8]]), pop.pi, pop.a, seed=4)
+    assert right.empirical["tv_distance"] > 0.02 and right.passed
+    assert not wrong.passed
+    assert right.tolerance["tv"] == pytest.approx(0.02 + 4 * right.tolerance["tv_se"])
 
 
 def test_failing_check_detected(tmp_path):
@@ -209,6 +238,16 @@ GOLDEN_CONFIGS = {
                     "kernel": {"kind": "ball_clancy95", "pi": [0.6, 0.4],
                                "u": [{"dist": "exponential", "mean": 1.8},
                                      {"dist": "gamma", "shape": 2.0, "scale": 0.9}]}},
+    "static_graph": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+                     "kernel": {"kind": "static_graph", "alpha": [[6.0, 2.0], [2.0, 4.5]],
+                                "w": {"dist": "beta", "a": 2.0, "b": 3.0},
+                                "w_mode": "independent"}},
+    "mixed_bernoulli": {"population": {"m": 2, "N": 10_000, "a": [1, 0]},
+                        "kernel": {"kind": "mixed_bernoulli", "theta": [1.0, 2.5], "pi": [0.7, 0.3],
+                                   "w": {"dist": "beta", "a": 2.0, "b": 2.0}}},
+    # m > 1 deterministic kernel, both types seeded: the hoisted escape terms
+    "constant_two_type": {"population": {"m": 2, "pi": [0.6, 0.4], "N": 10_000, "a": [1, 1]},
+                          "kernel": {"kind": "constant", "mu": [[2.0, 1.0], [0.8, 1.5]]}},
 }
 
 
@@ -217,6 +256,9 @@ GOLDEN_CONFIGS = {
     ("reed_frost", 300, "jsonl", "375fee3ea436ccdd1b7afb1c23ffe50057ea23139f1a207b26edf2ca60010a65"),
     ("mover", 50, "csv", "9276dface756a25b81afcffdf5ad1ae99706e15a7dfc589aab43630f20f6954f"),
     ("random_type", 300, "csv", "d6022fcc3b1a5163005432626364938de978f03627fe6a1e607aa8e9a5d9d740"),
+    ("static_graph", 100, "csv", "73ef8b18ef6f8dc738cd4fd58e3c967278d3cad81b6159b2a9a79fb2c1001695"),
+    ("mixed_bernoulli", 100, "csv", "c09115c75aecf7add92477d5509df4f9772fa09c11a66c2b09fd7889a4827557"),
+    ("constant_two_type", 300, "csv", "8977a19a64d6296007dbe062abd9e1db8d171d55aa3e03be9ae27798fdf57ad3"),
 ])
 def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     # pins the random stream and the records layout: a change to either,
