@@ -15,13 +15,22 @@ from oracles import Q_MU2, minimal_root, scalar_extinction_poisson, scalar_tau_n
 
 
 def test_total_progeny_zero_law():
-    # no ancestor has a child, however many there are
     kernel = ef.constant_kernel([[0.0]])
-    for a in ([1], [100]):
-        result = ef.simulate_total_progeny(kernel, [1.0], np.array(a), cap=100,
-                                           rng=np.random.default_rng(0))
-        assert not result.exceeded
-        assert result.total == 0
+    result = ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=100,
+                                       rng=np.random.default_rng(0))
+    assert not result.exceeded
+    assert result.total == 0
+
+
+def test_total_progeny_zero_law_repeated_draws():
+    # no ancestor has a child: 100 independent lines, and one line of 100 ancestors
+    kernel = ef.constant_kernel([[0.0]])
+    rng = np.random.default_rng(0)
+    assert all(ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=1, rng=rng).total == 0
+               for _ in range(100))
+    result = ef.simulate_total_progeny(kernel, [1.0], np.array([100]), cap=100, rng=rng)
+    assert not result.exceeded
+    assert result.total == 0
 
 
 def test_total_progeny_poisson_zero_probability():
