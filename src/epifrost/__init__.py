@@ -11,6 +11,7 @@ from .branching import (
     TotalProgeny,
     extinction_probability,
     major_outbreak_probability,
+    simulate_progeny_lines,
     simulate_total_progeny,
 )
 from .clt import (

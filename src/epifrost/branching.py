@@ -10,6 +10,10 @@ the kernel's exact generating function of U_k at (s - 1) pi.  The
 extinction probability q is the minimal root of q = h(q) in [0, 1]^m, and
 with a_i initial ancestors of type i a major outbreak happens with
 probability 1 - prod_i q_i^{a_i}.
+
+Total progeny runs n lines at once, generation-synchronously: given its
+parents' U, a line's type-j children are one Poisson(pi_j * sum U_j) draw, and
+a generation draws at most n * max(cap, sum a) values of U.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .kernel import InfectivityKernel
 __all__ = [
     "TotalProgeny",
     "ExtinctionSolution",
+    "simulate_progeny_lines",
     "simulate_total_progeny",
     "extinction_probability",
     "major_outbreak_probability",
@@ -48,27 +53,39 @@ class TotalProgeny:
         return int(self.counts.sum())
 
 
-def simulate_total_progeny(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndarray,
-                           cap: int, rng: np.random.Generator) -> TotalProgeny:
-    """Breadth-first simulation of total progeny from ancestors ``a``: each
-    parent draws U once, then Poisson(pi_j U_j) children of each type j."""
+def simulate_progeny_lines(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndarray, cap: int,
+                           n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m) births (ancestors excluded) of ``n`` lines from ancestors ``a``, and (n,)
+    flags for lines stopped because their births passed ``cap``.  The parents' summed U
+    is ``active @ mu`` for a deterministic kernel, else per-type draws summed per line."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     pi = np.asarray(pi, dtype=float)
-    active = np.array(a, dtype=np.int64)
-    total = np.zeros(kernel.m, dtype=np.int64)
-    while active.any():
-        new = np.zeros(kernel.m, dtype=np.int64)
-        for k in np.nonzero(active)[0]:
-            n_parents = int(active[k])
-            u = kernel.sample_u(int(k), rng, size=n_parents)  # (n_parents, m)
-            rates = u * pi[None, :]
-            new += rng.poisson(rates).sum(axis=0, dtype=np.int64)
-        total += new
-        if total.sum() > cap:
-            return TotalProgeny(counts=total, exceeded=True)
-        active = new
-    return TotalProgeny(counts=total, exceeded=False)
+    counts = np.zeros((n, kernel.m), dtype=np.int64)
+    live = np.arange(n)
+    active = np.tile(np.asarray(a, dtype=np.int64), (n, 1))
+    while live.size:
+        if kernel.deterministic:
+            load = active @ kernel.mu
+        else:
+            load = np.zeros(active.shape)
+            for k in np.nonzero(active.any(axis=0))[0]:
+                lines = np.nonzero(active[:, k])[0]
+                sizes = active[lines, k]
+                u = kernel.sample_u(int(k), rng, size=int(sizes.sum()))
+                load[lines] += np.add.reduceat(u, np.cumsum(sizes) - sizes, axis=0)
+        active = rng.poisson(load * pi)
+        counts[live] += active
+        keep = (counts[live].sum(axis=1) <= cap) & active.any(axis=1)
+        live, active = live[keep], active[keep]
+    return counts, counts.sum(axis=1) > cap
+
+
+def simulate_total_progeny(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndarray,
+                           cap: int, rng: np.random.Generator) -> TotalProgeny:
+    """One line of ``simulate_progeny_lines``."""
+    counts, exceeded = simulate_progeny_lines(kernel, pi, a, cap, 1, rng)
+    return TotalProgeny(counts=counts[0], exceeded=bool(exceeded[0]))
 
 
 @dataclass(frozen=True)

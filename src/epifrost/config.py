@@ -57,6 +57,7 @@ KERNEL_FIELDS = {"constant": ("mu",), "custom_table": ("rows",),
                  "static_graph": ("alpha", "w", "w_mode"), "mixed_bernoulli": ("theta", "pi", "w"),
                  "dynamic_graph": ("rho_plus", "rho_minus", "beta", "q"),
                  "ball_clancy93": ("b", "sojourn"), "ball_clancy95": ("pi", "u")}
+TABLE_ROW_FIELDS = ("values", "probs")
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,11 @@ def build_kernel(cfg: dict) -> tuple[InfectivityKernel, Optional[Allocation], Op
         if kind == "constant":
             return constant_kernel(np.asarray(_require(cfg, "mu", "kernel"), dtype=float)), None, None
         if kind == "custom_table":
-            rows = [(np.asarray(_require(row, "values", "kernel.rows"), dtype=float),
-                     np.asarray(_require(row, "probs", "kernel.rows"), dtype=float))
-                    for row in _require(cfg, "rows", "kernel")]
+            rows = []
+            for row in _require(cfg, "rows", "kernel"):
+                _reject_unknown(row, TABLE_ROW_FIELDS, "kernel.rows")
+                rows.append((np.asarray(_require(row, "values", "kernel.rows"), dtype=float),
+                             np.asarray(_require(row, "probs", "kernel.rows"), dtype=float)))
             return table_kernel(rows), None, None
         if kind == "static_graph":
             spec = StaticGraphSpec(

@@ -23,7 +23,7 @@ from . import branching, clt, deterministic
 from .config import ExperimentConfig
 from .errors import InsufficientDataError
 from .kernel import InfectivityKernel
-from .simulator import Ensemble, replicate_streams, run_ensemble
+from .simulator import Ensemble, replicate_rng, run_ensemble
 
 __all__ = [
     "OutbreakStatistics",
@@ -209,11 +209,11 @@ def _check_branching_tv(ensemble: Ensemble, kernel: InfectivityKernel, pi: np.nd
     n = len(ensemble)
     total = ensemble.total
     epi_pmf = np.bincount(total[total <= upto], minlength=upto + 1) / n
-    # one branching run per replicate, keyed by (seed + 1, r); only totals
-    # <= upto are counted, so a run may stop once it passes upto
-    runs = (branching.simulate_total_progeny(kernel, pi, a, upto, rng)
-            for rng in replicate_streams(seed + 1, n))
-    gw_pmf = np.bincount([run.total for run in runs if not run.exceeded], minlength=upto + 1) / n
+    # n branching lines from one stream; only totals <= upto are counted, so
+    # a line may stop once it passes upto
+    counts, exceeded = branching.simulate_progeny_lines(kernel, pi, a, upto, n,
+                                                        replicate_rng(seed + 1, 0))
+    gw_pmf = np.bincount(counts[~exceeded].sum(axis=1), minlength=upto + 1) / n
     tv = 0.5 * float(np.abs(epi_pmf - gw_pmf).sum())
     # both pmfs are Monte Carlo estimates: the SE of tv from their per-bin
     # binomial variances, so the limit is the allowed bias plus sampling noise

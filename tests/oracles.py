@@ -3,11 +3,12 @@
 Everything here is deliberately implemented without touching the package's
 own solvers: scalar fixed points go through brentq, spectral radii through
 dense eigendecompositions, small final-size distributions through exact
-chain enumeration, kernel moments through Monte Carlo over the kernel's
-own sampler, the dynamic-graph mean through a trajectory-level
-simulation of the partnership process, and the final-size counting process
-through the literal per-individual indicator construction (one contact coin
-per infective-susceptible pair, drawn from the kernel's own sampler).
+chain enumeration, branching total progeny through Dwass's identity, kernel
+moments through Monte Carlo over the kernel's own sampler, the dynamic-graph
+mean through a trajectory-level simulation of the partnership process, and
+the final-size counting process through the literal per-individual indicator
+construction (one contact coin per infective-susceptible pair, drawn from the
+kernel's own sampler).
 """
 
 from __future__ import annotations
@@ -109,6 +110,26 @@ def minimal_root(h, m: int) -> np.ndarray:
 
 def dense_spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=float)))))
+
+
+def total_progeny_pmf(offspring_pmf: Sequence[float], upto: int) -> np.ndarray:
+    """P(B = b) for b = 0..upto, where B is the number of births (ancestor
+    excluded) of a one-ancestor Galton-Watson line with the given offspring pmf.
+
+    Dwass's hitting-time identity (J. Appl. Prob. 6, 1969): the total size
+    T = B + 1 has P(T = t) = P(S_t = t - 1) / t, where S_t is the sum of t
+    offspring counts.  Convolution powers truncated at upto are exact there,
+    since every count is nonnegative.
+    """
+    p = np.zeros(upto + 1)
+    head = np.asarray(offspring_pmf, dtype=float)[:upto + 1]
+    p[:len(head)] = head
+    pmf = np.empty(upto + 1)
+    power = p  # pmf of S_{b+1} on 0..upto
+    for b in range(upto + 1):
+        pmf[b] = power[b] / (b + 1)
+        power = np.convolve(power, p)[:upto + 1]
+    return pmf
 
 
 def reed_frost_pmf(n_susceptible: int, n_infective: int, v: float) -> np.ndarray:

@@ -9,9 +9,11 @@ from epifrost.config import load_config
 from epifrost.graphs import _dynamic_scaled_u
 
 from scipy import integrate, stats
+from scipy.stats import chisquare, poisson
 from scipy.optimize import root
 
-from oracles import Q_MU2, minimal_root, scalar_extinction_poisson, scalar_tau_near_critical
+from oracles import (Q_MU2, minimal_root, scalar_extinction_poisson, scalar_tau_near_critical,
+                     total_progeny_pmf)
 
 
 def test_total_progeny_zero_law():
@@ -77,6 +79,67 @@ def test_total_progeny_subcritical_mean():
     totals = np.array(totals, dtype=float)
     se = totals.std(ddof=1) / np.sqrt(len(totals))
     assert abs(totals.mean() - 1.0) < 4 * se
+
+
+UPTO = 10
+# (kernel, offspring pmf on 0..UPTO): Poisson(1.5), and a two-atom U (the
+# segment-sum path) with the same mean, a mixed Poisson
+DWASS_CASES = {
+    "constant": (ef.constant_kernel([[1.5]]), poisson.pmf(np.arange(UPTO + 1), 1.5)),
+    "two_atom": (ef.table_kernel([(np.array([[0.5], [2.5]]), np.array([0.5, 0.5]))]),
+                 0.5 * poisson.pmf(np.arange(UPTO + 1), 0.5)
+                 + 0.5 * poisson.pmf(np.arange(UPTO + 1), 2.5)),
+}
+
+
+def _chi_square_against_dwass(totals, exceeded, offspring_pmf):
+    # bins 0..UPTO plus one for every line whose births passed the cap (UPTO)
+    assert np.all(exceeded == (totals > UPTO))
+    observed = np.bincount(np.minimum(totals, UPTO + 1), minlength=UPTO + 2)
+    pmf = total_progeny_pmf(offspring_pmf, UPTO)
+    expected = len(totals) * np.append(pmf, 1.0 - pmf.sum())
+    return chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize("case", sorted(DWASS_CASES))
+def test_progeny_lines_match_dwass_pmf(case):
+    kernel, offspring_pmf = DWASS_CASES[case]
+    counts, exceeded = ef.simulate_progeny_lines(kernel, [1.0], np.array([1]), UPTO, 100_000,
+                                                 np.random.default_rng(31))
+    assert counts.shape == (100_000, 1)
+    assert _chi_square_against_dwass(counts[:, 0], exceeded, offspring_pmf) > 1e-3
+
+
+def test_single_line_view_matches_dwass_pmf():
+    kernel, offspring_pmf = DWASS_CASES["constant"]
+    rng = np.random.default_rng(32)
+    runs = [ef.simulate_total_progeny(kernel, [1.0], np.array([1]), UPTO, rng)
+            for _ in range(20_000)]
+    totals = np.array([run.total for run in runs])
+    exceeded = np.array([run.exceeded for run in runs])
+    assert _chi_square_against_dwass(totals, exceeded, offspring_pmf) > 1e-3
+
+
+def test_multitype_mean_progeny_matches_next_generation_matrix():
+    # subcritical two-type U with two atoms per row: E[births] = a (I - M)^-1 - a
+    # with M[k, j] = mu[k, j] pi_j, for the batched lines and the one-line view
+    kernel = ef.table_kernel([
+        (np.array([[0.2, 0.9], [1.0, 0.1]]), np.array([0.5, 0.5])),
+        (np.array([[0.0, 1.2], [0.8, 0.0]]), np.array([0.5, 0.5])),
+    ])
+    pi = np.array([0.4, 0.6])
+    a = np.array([2, 1])
+    M = kernel.mu * pi[None, :]
+    expected = a @ np.linalg.inv(np.eye(2) - M) - a
+    counts, exceeded = ef.simulate_progeny_lines(kernel, pi, a, 10**6, 40_000,
+                                                 np.random.default_rng(33))
+    rng = np.random.default_rng(34)
+    runs = [ef.simulate_total_progeny(kernel, pi, a, 10**6, rng) for _ in range(5_000)]
+    single = np.stack([run.counts for run in runs])
+    assert not exceeded.any() and not any(run.exceeded for run in runs)
+    for sample in (counts, single):
+        se = sample.std(axis=0, ddof=1) / np.sqrt(len(sample))
+        assert np.all(np.abs(sample.mean(axis=0) - expected) <= 4 * se)
 
 
 def test_extinction_subcritical_is_one():

@@ -14,6 +14,9 @@ from epifrost.config import parse_config
 from epifrost.errors import ConfigError
 
 
+RF_VALIDATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "rf_validate.json"
+
+
 def _base_config(tmp_path, **overrides):
     doc = {
         "population": {"m": 1, "pi": [1.0], "N": 500, "a": [1]},
@@ -124,6 +127,17 @@ def test_unknown_kernel_and_scalar_law_fields_rejected(tmp_path, capsys, w_extra
     assert message in capsys.readouterr().err
 
 
+def test_unknown_custom_table_row_field_rejected(tmp_path, capsys):
+    # the "prob" typo used to load, silently ignored (mu [[2.0]])
+    row = {"values": [[1.0], [3.0]], "probs": [0.5, 0.5], "prob": [0.9, 0.1]}
+    doc = _base_config(tmp_path, kernel={"kind": "custom_table", "rows": [row]})
+    message = "kernel.rows: unknown field 'prob'; valid fields are"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_perfbench_configs_parse():
     configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
     assert len(configs) == 10
@@ -171,17 +185,30 @@ def test_report_contains_every_enabled_check_once(tmp_path):
 
 
 def test_branching_tv_allows_for_sampling_noise_and_detects_a_wrong_law():
-    # the benchmark's Reed-Frost validation at seed 4, where a fixed limit of
-    # 0.02 failed on noise alone; a mu = 1.8 law is 0.07 away in TV on 0..10
-    config = parse_config(json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                                      / "configs" / "rf_validate.json").read_text()))
+    # the benchmark's Reed-Frost validation at seed 9, the first seed where a
+    # fixed limit of 0.02 fails on noise alone (TV 0.0209 on the all-lines
+    # branching stream); a mu = 1.8 law is 0.07 away in TV on 0..10
+    config = parse_config(json.loads(RF_VALIDATE.read_text()))
     pop = config.population
-    ensemble = ef.run_ensemble(pop, config.kernel, config.replicates, seed=4)
-    right = harness._check_branching_tv(ensemble, config.kernel, pop.pi, pop.a, seed=4)
-    wrong = harness._check_branching_tv(ensemble, ef.constant_kernel([[1.8]]), pop.pi, pop.a, seed=4)
+    ensemble = ef.run_ensemble(pop, config.kernel, config.replicates, seed=9)
+    right = harness._check_branching_tv(ensemble, config.kernel, pop.pi, pop.a, seed=9)
+    wrong = harness._check_branching_tv(ensemble, ef.constant_kernel([[1.8]]), pop.pi, pop.a, seed=9)
     assert right.empirical["tv_distance"] > 0.02 and right.passed
     assert not wrong.passed
     assert right.tolerance["tv"] == pytest.approx(0.02 + 4 * right.tolerance["tv_se"])
+
+
+def test_rf_validate_report_matches_golden_sha256(tmp_path, capsys):
+    # pins the branching_tv stream (all lines from replicate_rng(seed + 1, 0))
+    # next to the ensemble's records, which the branching stream leaves alone
+    out = tmp_path / "records.csv"
+    assert cli.main(["validate", "--config", str(RF_VALIDATE), "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3933ae2752b7d7c8265e8efb831af502979e32b7986c5eb6be809966453a006d")
+    report = Path(str(out) + ".report.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "a67774a040f831e7d48517520de842e35a2334f754c201669faf0b01d73f2a5a")
 
 
 def test_failing_check_detected(tmp_path):
