@@ -2,7 +2,10 @@
 
 Kernel specifications need a handful of nonnegative scalar laws (contact
 probabilities W, infectious lifetimes Q, group sojourn times I).  Each law
-exposes sampling, exact first and second moments, and its exact moment
+exposes sampling, one draw from the law of the sum of n i.i.d. copies
+(``sample_sum``: a Gamma, binomial or multinomial draw where the sum's law
+is closed, n draws added up for uniform and beta laws), exact first and
+second moments, and its exact moment
 generating function M(t) = E[exp(tX)] and derivative M'(t) = E[X exp(tX)]
 at nonpositive arguments: the extinction solver needs M, the dynamic-graph
 moments need both.  Beta laws (and uniform ones, a shifted and scaled
@@ -33,6 +36,7 @@ __all__ = ["ScalarDist"]
 class ScalarDist:
     """A nonnegative scalar random variable with known moments.
 
+    ``sample_sum(rng, n)`` is one draw of X_1 + ... + X_n for i.i.d. copies.
     ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
     and accept any t <= 0.  ``expect(f)`` = E[f(X)] for an f that maps a 1-d
     array of values to a same-length array (or (n, ...) stack).
@@ -42,6 +46,7 @@ class ScalarDist:
     mean: float
     var: float
     sample: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
+    sample_sum: Callable[[np.random.Generator, int], float] = field(repr=False)
     mgf: Callable[[float], float] = field(repr=False)
     mgf_prime: Callable[[float], float] = field(repr=False)
     expect: Callable[[Callable[[np.ndarray], np.ndarray]], float] = field(repr=False)
@@ -51,6 +56,7 @@ class ScalarDist:
         if self.is_constant:  # a degenerate law (bernoulli(0), one atom) draws nothing
             value = self.mean
             object.__setattr__(self, "sample", lambda rng, size: np.full(size, value))
+            object.__setattr__(self, "sample_sum", lambda rng, n: n * value)
 
     @property
     def is_constant(self) -> bool:
@@ -66,6 +72,7 @@ class ScalarDist:
             mean=v,
             var=0.0,
             sample=lambda rng, size: np.full(size, v),
+            sample_sum=lambda rng, n: n * v,
             mgf=lambda t: float(np.exp(t * v)),
             mgf_prime=lambda t: float(v * np.exp(t * v)),
             expect=_atoms([v], [1.0]),
@@ -82,6 +89,7 @@ class ScalarDist:
             mean=m,
             var=m * m,
             sample=lambda rng, size: rng.exponential(m, size),
+            sample_sum=lambda rng, n: rng.gamma(n, m),
             mgf=lambda t: 1.0 / (1.0 - m * t),  # finite for all t < 1/m
             mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
             # -m log(1 - u) = m log(1 + e^z) for u = expit(z)
@@ -98,6 +106,7 @@ class ScalarDist:
             mean=k * s,
             var=k * s * s,
             sample=lambda rng, size: rng.gamma(k, s, size),
+            sample_sum=lambda rng, n: rng.gamma(n * k, s),
             mgf=lambda t: float((1.0 - s * t) ** (-k)),
             mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
             expect=_quantile_rule(lambda z, u, v: s * np.where(
@@ -114,6 +123,7 @@ class ScalarDist:
             mean=pp,
             var=pp * (1 - pp),
             sample=lambda rng, size: (rng.random(size) < pp).astype(float),
+            sample_sum=lambda rng, n: float(rng.binomial(n, pp)),
             mgf=lambda t: float(1 - pp + pp * np.exp(t)),
             mgf_prime=lambda t: float(pp * np.exp(t)),
             expect=_atoms([0.0, 1.0], [1.0 - pp, pp]),
@@ -131,6 +141,7 @@ class ScalarDist:
             mean=(a + b) / 2,
             var=w ** 2 / 12,
             sample=lambda rng, size: rng.uniform(a, b, size),
+            sample_sum=lambda rng, n: float(rng.uniform(a, b, n).sum()),  # no closed form
             mgf=lambda t: math.exp(t * a) * _kummer(1.0, 2.0, t * w),
             mgf_prime=lambda t: math.exp(t * a) * (a * _kummer(1.0, 2.0, t * w)
                                                    + w / 2 * _kummer(2.0, 3.0, t * w)),
@@ -151,6 +162,7 @@ class ScalarDist:
             mean=mean,
             var=var,
             sample=lambda rng, size: rng.beta(aa, bb, size),
+            sample_sum=lambda rng, n: float(rng.beta(aa, bb, n).sum()),  # no closed form
             mgf=lambda t: _kummer(aa, aa + bb, t),
             mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
             expect=_quantile_rule(lambda z, u, v: np.where(
@@ -173,6 +185,7 @@ class ScalarDist:
             mean=mean,
             var=var,
             sample=lambda rng, size: rng.choice(vals, size=size, p=ps),
+            sample_sum=lambda rng, n: float(rng.multinomial(n, ps) @ vals),
             mgf=lambda t: float(np.exp(t * vals) @ ps),
             mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
             expect=_atoms(vals, ps),

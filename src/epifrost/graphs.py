@@ -309,7 +309,9 @@ class BallClancy93Spec:
 
 
 def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
-    """Compile the mover model: V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j)."""
+    """Compile the mover model: V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j).
+
+    ``u_sum`` draws n infectives' summed sojourn per group from that sum's law."""
     b = spec.b
     m = b.shape[0]
     tables = spec.sojourn
@@ -324,7 +326,7 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
         return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1) @ b[i].T
 
     def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return b[i] @ [tables[i][j].sample(rng, n).sum() for j in range(m)]
+        return b[i] @ [tables[i][j].sample_sum(rng, n) for j in range(m)]
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, size) / N)
@@ -350,7 +352,8 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
 
     Since an individual's type is assigned at random from pi irrespective of
     its infector, this maps onto random multinomial allocation; the forced
-    mode is returned alongside the kernel.
+    mode is returned alongside the kernel.  ``u_sum`` for n type-i infectives
+    is one draw of the law of the sum of n copies of u_i.
     """
     pi = np.asarray(pi, dtype=float)
     m = len(pi)
@@ -369,7 +372,7 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
         return np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
 
     def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(m, base[i].sample(rng, n).sum())
+        return np.full(m, base[i].sample_sum(rng, n))
 
     def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, size) / N)

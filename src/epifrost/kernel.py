@@ -147,8 +147,8 @@ SamplerFn = Callable[[int, int, np.random.Generator, Optional[int]], np.ndarray]
 USamplerFn = Callable[[int, np.random.Generator, Optional[int]], np.ndarray]
 # mgf(infector_type, theta) -> E[exp(theta . U_i)] for theta <= 0
 UMgfFn = Callable[[int, np.ndarray], float]
-# u_sum(infector_type, rng, n) -> (m,) sum of n i.i.d. draws of U_i; only for
-# kernels with V = 1 - exp(-U/N) exactly, drawing the variates sampler would
+# u_sum(infector_type, rng, n) -> (m,) one draw from the law of the sum of n
+# i.i.d. copies of U_i; only for kernels with V = 1 - exp(-U/N) exactly
 USumFn = Callable[[int, np.random.Generator, int], np.ndarray]
 
 
@@ -218,7 +218,8 @@ class InfectivityKernel:
                    rng: np.random.Generator) -> np.ndarray:
         """(m,) sum of log(1 - V) over n i.i.d. draws for one infector type: the
         log-probability that a susceptible escapes all n infectives.  Kernels
-        with ``u_sum`` return -sum(U)/N from the same draws."""
+        with ``u_sum`` return -sum(U)/N, the sum drawn from its own law (so
+        not from the draws ``sample`` would take)."""
         if self.u_sum is not None:
             return -self.u_sum(infector_type, rng, n) / N
         with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection

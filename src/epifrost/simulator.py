@@ -118,8 +118,10 @@ def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
         return FinalSizeRecord(t_inf=np.array([s0 - s], dtype=np.int64),
                                generations=generations, population=pop)
 
-    susceptible = pop.n_susceptible.astype(np.int64)
-    active = pop.n_infective.astype(np.int64)
+    # per-type counts as Python ints, one scalar binomial per type in type order:
+    # the draws of one vector binomial call, at a fraction of its fixed cost
+    susceptible = pop.n_susceptible.tolist()
+    active = pop.n_infective.tolist()
     fixed_log_escape = None
     if kernel.deterministic:
         # V is a fixed vector per type; hoist the per-infective escape terms
@@ -127,25 +129,24 @@ def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
             fixed_log_escape = np.stack([np.log1p(-kernel.sample(i, N, rng))
                                          for i in range(m)])
 
-    while active.any():
-        if fixed_log_escape is not None:
-            idx = np.nonzero(active)[0]  # skip zero rows: 0 * -inf is nan
-            log_escape = active[idx] @ fixed_log_escape[idx]
+    infectors = [i for i in range(m) if active[i]]
+    while infectors:
+        if fixed_log_escape is not None:  # zero rows skipped: 0 * -inf is nan
+            log_escape = np.array([active[i] for i in infectors]) @ fixed_log_escape[infectors]
         else:
-            log_escape = sum(kernel.log_escape(int(i), int(active[i]), N, rng)
-                             for i in np.nonzero(active)[0])
-        p_infect = -np.expm1(log_escape)
-        new = rng.binomial(susceptible, p_infect)
-        if not new.any():
+            log_escape = sum(kernel.log_escape(i, active[i], N, rng) for i in infectors)
+        p_infect = (-np.expm1(log_escape)).tolist()
+        active = [int(rng.binomial(s, p)) for s, p in zip(susceptible, p_infect)]
+        infectors = [i for i in range(m) if active[i]]
+        if not infectors:
             break
-        susceptible -= new
-        active = new
+        susceptible = [s - new for s, new in zip(susceptible, active)]
         generations += 1
         if generations > generation_cap:
             raise RuntimeError("generation count exceeded the population size; simulator bug")
 
-    return FinalSizeRecord(t_inf=pop.n_susceptible - susceptible, generations=generations,
-                           population=pop)
+    return FinalSizeRecord(t_inf=pop.n_susceptible - np.array(susceptible, dtype=np.int64),
+                           generations=generations, population=pop)
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:

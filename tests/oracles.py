@@ -158,6 +158,34 @@ def reed_frost_pmf(n_susceptible: int, n_infective: int, v: float) -> np.ndarray
     return pmf
 
 
+def exponential_hazard_pmf(kernel: InfectivityKernel, n_susceptible: int, n_infective: int,
+                           N: int) -> np.ndarray:
+    """Exact single-type final-size pmf for a kernel with V = 1 - exp(-U/N).
+
+    Enumerates the chain over (susceptibles S, current infectives n): given
+    the n infectives' summed U, new cases are Binomial(S, 1 - exp(-sum U/N)),
+    so expanding (1 - e^-x)^k binomially gives
+    P(k | S, n) = C(S, k) sum_j C(k, j) (-1)^j M(-(S - k + j)/N)^n
+    with M(t) = E[exp(t U)] from the kernel's own generating function.
+    Entry t of the result is P(final size = t).
+    """
+    mgf = lambda t: kernel.u_mgf(0, np.array([t]))
+    pmf = np.zeros(n_susceptible + 1)
+    states = {(n_susceptible, n_infective): 1.0}
+    while states:
+        nxt: dict[tuple[int, int], float] = {}
+        for (s, n), p in states.items():
+            if n == 0:
+                pmf[n_susceptible - s] += p
+                continue
+            for k in range(s + 1):
+                p_k = math.comb(s, k) * sum(math.comb(k, j) * (-1) ** j * mgf(-(s - k + j) / N) ** n
+                                            for j in range(k + 1))
+                nxt[(s - k, k)] = nxt.get((s - k, k), 0.0) + p * p_k
+        states = nxt
+    return pmf
+
+
 def dynamic_edge_mean_mc(rho_plus: float, rho_minus: float, beta: float,
                          q_sampler, N: int, samples: int,
                          rng: np.random.Generator) -> tuple[float, float]:

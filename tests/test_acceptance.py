@@ -150,21 +150,19 @@ def test_criterion_7_random_allocation_correction():
 
 
 def test_criterion_8_branching_approximation():
-    # total-size pmf on {0..10} against total branching progeny, 1e5 each
+    # total-size pmf on {0..10} against total branching progeny, 1e5 each;
+    # row r of the ensemble is the run on replicate_rng(880_088, r)
     n = 100_000
     upto = 10
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10_000, a=[1])
     kernel = ef.constant_kernel([[1.5]])
-    epi = np.zeros(upto + 1)
-    for r in range(n):
-        total = ef.run_final_size(spec, kernel, ef.replicate_rng(880_088, r)).total
-        if total <= upto:
-            epi[total] += 1
-    epi /= n
+    totals = ef.run_ensemble(spec, kernel, n, seed=880_088).total
+    epi = np.bincount(totals[totals <= upto], minlength=upto + 1) / n
 
     gw = np.zeros(upto + 1)
     for r in range(n):
-        out = ef.simulate_total_progeny(kernel, spec.pi, spec.a, cap=10_000,
+        # a line with at most upto births draws the same under any cap >= upto
+        out = ef.simulate_total_progeny(kernel, spec.pi, spec.a, cap=upto,
                                         rng=ef.replicate_rng(990_099, r))
         if not out.exceeded and out.total <= upto:
             gw[out.total] += 1

@@ -113,3 +113,75 @@ def test_expect_is_an_expectation(law):
     for t in (-0.5, -3.0, -40.0):
         assert law.expect(lambda x: np.exp(t * x)) == pytest.approx(law.mgf(t), rel=1e-12)
     assert _tanh_sinh()[3].min() > 0.0
+
+
+SUM_SIZES = [1, 7, 1000]
+
+
+def _sums(law, n, seed, draws=2000):
+    rng = ef.replicate_rng(seed, n)
+    return np.array([law.sample_sum(rng, n) for _ in range(draws)])
+
+
+def _pooled(counts, expected, least=20.0):
+    """Merge neighbouring support points until each bin expects at least ``least``."""
+    bins, c, e = [], 0.0, 0.0
+    for ci, ei in zip(counts, expected):
+        c, e = c + ci, e + ei
+        if e >= least:
+            bins.append((c, e))
+            c = e = 0.0
+    bins[-1] = (bins[-1][0] + c, bins[-1][1] + e)
+    return np.array(bins).T
+
+
+def _sum_pmf(atoms, n):
+    """pmf of the sum of n i.i.d. copies of an integer law, by convolution powers."""
+    pmf = np.ones(1)
+    for _ in range(n):
+        pmf = np.convolve(pmf, atoms)
+    return pmf
+
+
+@pytest.mark.parametrize("n", SUM_SIZES)
+@pytest.mark.parametrize("law, shape, scale", [(ef.ScalarDist.exponential(2.0), 1.0, 2.0),
+                                               (ef.ScalarDist.gamma(2.5, 0.8), 2.5, 0.8)],
+                         ids=["exponential", "gamma"])
+def test_sample_sum_of_gamma_laws_is_gamma(law, shape, scale, n):
+    # the sum of n Gamma(k, theta) is Gamma(n k, theta)
+    sums = _sums(law, n, seed=31)
+    assert stats.kstest(sums, lambda x: special.gammainc(n * shape, x / scale)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", SUM_SIZES)
+@pytest.mark.parametrize("law, atoms", [(ef.ScalarDist.bernoulli(0.3), [0.7, 0.3]),
+                                        (ef.ScalarDist.discrete([0.0, 1.0, 4.0], [0.2, 0.5, 0.3]),
+                                         [0.2, 0.5, 0.0, 0.0, 0.3])],
+                         ids=["bernoulli", "discrete"])
+def test_sample_sum_of_finite_laws_matches_the_exact_pmf(law, atoms, n):
+    sums = _sums(law, n, seed=32)
+    pmf = _sum_pmf(atoms, n)
+    assert np.array_equal(sums, np.rint(sums)) and sums.max() < len(pmf)
+    counts, expected = _pooled(np.bincount(sums.astype(int), minlength=len(pmf)), pmf * len(sums))
+    assert stats.chisquare(counts, f_exp=expected * len(sums) / expected.sum()).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", SUM_SIZES)
+@pytest.mark.parametrize("law", [ef.ScalarDist.constant(1.5), ef.ScalarDist.bernoulli(0.0),
+                                 ef.ScalarDist.bernoulli(1.0), ef.ScalarDist.discrete([2.5], [1.0]),
+                                 ef.ScalarDist.discrete([0.0, 3.0], [0.0, 1.0])],
+                         ids=lambda law: law.name)
+def test_sample_sum_of_a_degenerate_law_draws_nothing(law, n):
+    rng, untouched = ef.replicate_rng(33, 0), ef.replicate_rng(33, 0)
+    assert law.sample_sum(rng, n) == n * law.mean
+    assert np.array_equal(rng.bit_generator.random_raw(8), untouched.bit_generator.random_raw(8))
+
+
+@pytest.mark.parametrize("n", SUM_SIZES)
+@pytest.mark.parametrize("law", [ef.ScalarDist.uniform(0.0, 1.0), ef.ScalarDist.uniform(0.5, 2.0),
+                                 ef.ScalarDist.beta(2.0, 3.0), ef.ScalarDist.beta(0.5, 0.5)],
+                         ids=lambda law: law.name)
+def test_sample_sum_without_a_closed_form_adds_the_draws(law, n):
+    rng, reference = ef.replicate_rng(34, n), ef.replicate_rng(34, n)
+    for _ in range(3):
+        assert law.sample_sum(rng, n) == law.sample(reference, n).sum()

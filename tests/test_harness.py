@@ -281,8 +281,8 @@ GOLDEN_CONFIGS = {
 @pytest.mark.parametrize("name, replicates, fmt, sha", [
     ("reed_frost", 300, "csv", "4b482e633398d75f9c3748f7b6078f942cb948164956183da1ec939cbb45bcdf"),
     ("reed_frost", 300, "jsonl", "375fee3ea436ccdd1b7afb1c23ffe50057ea23139f1a207b26edf2ca60010a65"),
-    ("mover", 50, "csv", "9276dface756a25b81afcffdf5ad1ae99706e15a7dfc589aab43630f20f6954f"),
-    ("random_type", 300, "csv", "d6022fcc3b1a5163005432626364938de978f03627fe6a1e607aa8e9a5d9d740"),
+    ("mover", 50, "csv", "3ed43dbed0db2fb92d21b7e1a60cb5632811ee50bd187d365dab47789c8be792"),
+    ("random_type", 300, "csv", "6807d8f79c7392aed8ad04a056e886ba85689551fc47381ada180a346c594b45"),
     ("static_graph", 100, "csv", "73ef8b18ef6f8dc738cd4fd58e3c967278d3cad81b6159b2a9a79fb2c1001695"),
     ("mixed_bernoulli", 100, "csv", "c09115c75aecf7add92477d5509df4f9772fa09c11a66c2b09fd7889a4827557"),
     ("constant_two_type", 300, "csv", "8977a19a64d6296007dbe062abd9e1db8d171d55aa3e03be9ae27798fdf57ad3"),

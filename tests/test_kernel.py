@@ -219,14 +219,14 @@ def test_scaled_values_must_fit_population():
 @pytest.mark.parametrize("n", [1, 7, 1000])
 @pytest.mark.parametrize("N", [100, 20_000])
 def test_log_escape_sums_the_same_draws(exponential_hazard_kernels, name, n, N):
-    # -sum(U)/N from u_sum against the per-draw sum of log(1 - V): same value,
-    # and the same number of draws taken from the stream
+    # log_escape is -u_sum/N: the one draw of the summed U that u_sum takes on
+    # the same stream, and no other draw
     _, kernel = exponential_hazard_kernels[name]
     assert kernel.u_sum is not None
     for i in range(kernel.m):
-        summed_rng, per_draw_rng = np.random.default_rng(17), np.random.default_rng(17)
-        summed = kernel.log_escape(i, n, N, summed_rng)
-        per_draw = np.log1p(-kernel.sample(i, N, per_draw_rng, size=n)).sum(axis=0)
-        assert summed.shape == (kernel.m,)
-        np.testing.assert_allclose(summed, per_draw, rtol=1e-12, atol=0)
-        assert summed_rng.bit_generator.state == per_draw_rng.bit_generator.state
+        escape_rng, sum_rng = np.random.default_rng(17), np.random.default_rng(17)
+        escape = kernel.log_escape(i, n, N, escape_rng)
+        assert escape.shape == (kernel.m,)
+        assert np.array_equal(escape, -kernel.u_sum(i, sum_rng, n) / N)
+        assert np.array_equal(escape_rng.bit_generator.random_raw(8),
+                              sum_rng.bit_generator.random_raw(8))

@@ -13,6 +13,7 @@ from oracles import (
     TAU_MU2,
     counting_indicators,
     evaluate_counting_process,
+    exponential_hazard_pmf,
     reed_frost_pmf,
     scalar_tau,
 )
@@ -74,17 +75,47 @@ def test_rerun_with_same_seed_is_bit_identical():
 
 @pytest.mark.parametrize("name", ["mover", "mover_joint", "random_type"])
 def test_summed_u_ensemble_equals_per_draw_ensemble(exponential_hazard_kernels, name):
-    # the per-generation sum of U keeps the random stream: records match the
-    # per-infective log1p path exactly
+    # equal in law: one draw of the summed U per (type, group) against the
+    # per-infective log1p path, chi-square on total-size bins (pooled deciles)
     spec, kernel = exponential_hazard_kernels[name]
-    per_draw = dataclasses.replace(kernel, u_sum=None)
-    for seed in (0, 3, 11):
-        summed = ef.run_ensemble(spec, kernel, 200, seed=seed)
-        reference = ef.run_ensemble(spec, per_draw, 200, seed=seed)
-        assert summed.major.any()
-        assert np.array_equal(summed.t_inf, reference.t_inf)
-        assert np.array_equal(summed.generations, reference.generations)
-        assert np.array_equal(summed.n_susceptible, reference.n_susceptible)
+    spec = dataclasses.replace(spec, N=300)
+    summed = ef.run_ensemble(spec, kernel, 4000, seed=71).total
+    per_draw = ef.run_ensemble(spec, dataclasses.replace(kernel, u_sum=None), 4000, seed=72).total
+    assert (summed >= ef.default_threshold(spec.N)).any()
+    edges = np.unique(np.quantile(np.concatenate([summed, per_draw]), np.linspace(0, 1, 11)[1:-1]))
+    table = np.stack([np.bincount(np.searchsorted(edges, x), minlength=len(edges) + 1)
+                      for x in (summed, per_draw)])
+    assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
+
+
+def test_exponential_hazard_final_size_matches_enumeration():
+    # GSE with b = 2 at N = 6 against the exact chain, on the summed path and
+    # on the per-infective path
+    spec = ef.PopulationSpec(m=1, pi=[1.0], N=6, a=[1])
+    kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([[[2.0]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]]))
+    pmf = exponential_hazard_pmf(kernel, 6, 1, 6)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pmf[0] == pytest.approx(1 / 3, abs=1e-12)  # E[exp(-U)] for U ~ Exp(mean 2)
+    for path, seed in ((kernel, 606), (dataclasses.replace(kernel, u_sum=None), 607)):
+        counts = np.bincount(ef.run_ensemble(spec, path, 40_000, seed=seed).total, minlength=7)
+        assert stats.chisquare(counts, f_exp=pmf * counts.sum()).pvalue > 1e-3
+
+
+def test_scalar_binomials_draw_what_one_vector_call_draws():
+    # the generation loop draws one binomial per type; numpy's vector call runs
+    # the same routine per element, so both take the same variates in order
+    s = np.array([0, 7, 40, 10_000, 3, 500, 12, 0, 25, 2_000])
+    p = np.array([0.3, 0.0, 1.0, 0.8, 0.5, 0.02, 0.999, 1.0, 0.6, 0.1])
+    for seed in range(10):
+        vector_rng, scalar_rng = ef.replicate_rng(seed, 0), ef.replicate_rng(seed, 0)
+        for _ in range(5):  # repeats reuse numpy's cached binomial set-up
+            vector = vector_rng.binomial(s, p)
+            scalar = [int(scalar_rng.binomial(int(n), float(q))) for n, q in zip(s, p)]
+            assert vector.tolist() == scalar
+        # and both stop at the same place in the stream
+        assert np.array_equal(vector_rng.bit_generator.random_raw(8),
+                              scalar_rng.bit_generator.random_raw(8))
 
 
 def test_certain_infection_on_the_sampled_path():
