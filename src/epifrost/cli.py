@@ -154,10 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--replicates", type=int, default=None,
-                       help="override the config replicate count")
-        p.add_argument("--out", type=str, default=None, help="override the records path")
+        if name in ("simulate", "validate"):  # the theory commands run no ensemble
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--replicates", type=int, default=None,
+                           help="override the config replicate count")
+            p.add_argument("--out", type=str, default=None, help="override the records path")
         p.set_defaults(func=fn)
     return parser
 

@@ -37,6 +37,9 @@ __all__ = [
     "gaussian_check",
 ]
 
+DET_TOL = 1e-12  # |det U| at or below this is singular: R is near 1
+MIN_MAJOR = 500  # fewest major-outbreak records the Gaussian check runs on
+
 
 @dataclass(frozen=True)
 class AsymptoticSummary:
@@ -62,8 +65,7 @@ def compute_xi(sigma: np.ndarray, tau: np.ndarray, zeta: np.ndarray,
     return (xi + xi.T) / 2.0
 
 
-def compute_u(sigma: np.ndarray, mu: np.ndarray, pi: np.ndarray,
-              det_tol: float = 1e-12) -> np.ndarray:
+def compute_u(sigma: np.ndarray, mu: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The matrix transporting counting-process fluctuations to final-size
     coordinates: u_ij = delta_ij - sqrt(pi_i pi_j) mu_ij sigma_j.
 
@@ -78,7 +80,7 @@ def compute_u(sigma: np.ndarray, mu: np.ndarray, pi: np.ndarray,
     m = len(pi)
     u = np.eye(m) - sqrt_pi[:, None] * sqrt_pi[None, :] * mu * sigma[None, :]
     det = float(np.linalg.det(u))
-    if abs(det) <= det_tol:
+    if abs(det) <= DET_TOL:
         raise SingularMatrixError(
             "final-size transport matrix is numerically singular (threshold parameter near 1?)",
             det,
@@ -158,7 +160,7 @@ class GaussianCheckReport:
 
 
 def gaussian_check(ensemble: Ensemble, tau: np.ndarray, n_population: int,
-                   pi: np.ndarray, min_major: int = 500) -> GaussianCheckReport:
+                   pi: np.ndarray) -> GaussianCheckReport:
     """Compare the empirical law of the scaled major-outbreak final size with
     its Gaussian limit.
 
@@ -171,8 +173,8 @@ def gaussian_check(ensemble: Ensemble, tau: np.ndarray, n_population: int,
     tau = np.asarray(tau, dtype=float)
     major = ensemble.major
     n = int(major.sum())
-    if n < min_major:
-        raise InsufficientDataError(f"need at least {min_major} major-outbreak records, got {n}")
+    if n < MIN_MAJOR:
+        raise InsufficientDataError(f"need at least {MIN_MAJOR} major-outbreak records, got {n}")
     scale = np.sqrt(n_population * pi)
     t_bar = ensemble.t_inf[major] / (n_population * pi)[None, :]
     y = (t_bar - tau[None, :]) * scale[None, :]

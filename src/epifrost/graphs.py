@@ -1,6 +1,7 @@
 """Random-graph and mobility front-ends compiled into infectivity kernels.
 
-Each builder maps a structured model onto the generic kernel contract:
+Each builder maps a structured model onto the generic kernel contract, the
+law of the scaled infectivity U, with V = U/N unless the model says otherwise:
 
   * static Bernoulli graph: edge between a type-i and type-j vertex with
     probability alpha_ij / N, contact probability W along each edge, so
@@ -17,11 +18,11 @@ Each builder maps a structured model onto the generic kernel contract:
     units in group j and contacts group-k individuals at rate b[i][k,j]/N
     while there, so V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j);
   * random-type model: an individual picks its infective type at random
-    from pi on infection, independent of the infector.
+    from pi on infection, independent of the infector; V = 1 - exp(-U/N).
 
 The graph itself is never materialized: edge independence lets the graph
-and epidemic be constructed in unison, which is exactly what the kernel
-sampler encodes.  Prescribed-degree and scale-free graphs are out of scope
+and epidemic be constructed in unison, which is exactly what the kernel's
+draws of U encode.  Prescribed-degree and scale-free graphs are out of scope
 (they break edge independence).
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .deterministic import check_irreducibility
 from .distributions import ScalarDist
-from .kernel import Allocation, InfectivityKernel, one_or_batch
+from .kernel import Allocation, InfectivityKernel
 
 __all__ = [
     "StaticGraphSpec",
@@ -92,21 +93,13 @@ def _graph_kernel(alpha: np.ndarray, w: ScalarDist, shared: bool) -> Infectivity
     """V_{i,j} = alpha_ij W_{i,j} / N, with one W per infective if ``shared``."""
     m = alpha.shape[0]
     mu = alpha * w.mean
-    lam = np.zeros((m, m, m))
-    for i in range(m):
-        if shared:
-            lam[i] = np.outer(alpha[i], alpha[i]) * w.var
-        else:
-            lam[i] = np.diag(alpha[i] ** 2) * w.var
+    outer = np.einsum("ij,ik->ijk", alpha, alpha)  # cov(U_i) / var(W) for a shared W
+    lam = (outer if shared else outer * np.eye(m)) * w.var
 
-    @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         if shared:
             return w.sample(rng, n)[:, None] * alpha[i][None, :]
         return w.sample(rng, (n, m)) * alpha[i][None, :]
-
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        return u_sampler(i, rng, size) / N
 
     if shared:
         def u_mgf(i: int, theta: np.ndarray) -> float:
@@ -115,8 +108,7 @@ def _graph_kernel(alpha: np.ndarray, w: ScalarDist, shared: bool) -> Infectivity
         def u_mgf(i: int, theta: np.ndarray) -> float:
             return float(np.prod([w.mgf(float(t * a)) for t, a in zip(theta, alpha[i])]))
 
-    return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf, deterministic=w.is_constant,
+    return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
                              max_scaled=float(alpha.max()))  # edge probability alpha / N <= 1
 
 
@@ -193,21 +185,24 @@ class DynamicGraphSpec:
             raise ValueError(f"need one lifetime law per type, got {len(self.q)} for m={m}")
 
 
-def _dynamic_scaled_u(spec: DynamicGraphSpec, i: int, q_values: np.ndarray) -> np.ndarray:
+def _dynamic_scaled_u(spec: DynamicGraphSpec, i: int, q_values: np.ndarray,
+                      N: Optional[int] = None) -> np.ndarray:
     """Scaled per-partner infection weight, rows of types j, given lifetimes q.
 
-    First term: initially acquainted partners (equilibrium edge probability
-    scales as rho_plus / (N rho_minus)); second term: partnerships formed
-    during the infectious period.  Returns shape (len(q_values), m).
+    First term: initially acquainted partners, weighted by N times the
+    equilibrium edge probability rho_plus / (rho_plus + N rho_minus), or by
+    its limit rho_plus / rho_minus for ``N=None``; second term: partnerships
+    formed during the infectious period.  Returns shape (len(q_values), m).
     """
     rp = spec.rho_plus[i]
     rm = spec.rho_minus[i]
     beta = spec.beta[i]
     decay = beta + rm
     frac = np.divide(beta, decay, out=np.zeros_like(beta), where=decay > 0)
-    q = q_values[:, None]
+    q = np.asarray(q_values, dtype=float)[:, None]
     ramp = -np.expm1(-decay[None, :] * q)
-    initial = (rp / rm)[None, :] * frac[None, :] * ramp
+    acquainted = rp / rm if N is None else N * rp / (rp + N * rm)
+    initial = acquainted[None, :] * frac[None, :] * ramp
     secondary = rp[None, :] * frac[None, :] * (q - ramp / decay[None, :])
     return initial + secondary
 
@@ -218,31 +213,20 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     Each infective of type i draws its lifetime Q_i once; the row of
     infection probabilities is then the deterministic function of Q_i
     derived from the equilibrium partnership process (components dependent
-    through the shared lifetime), with the population scale entering at
-    sampling time.  With d = beta + rho_minus, c = rho_plus beta / d and
-    g = beta / (rho_minus d) the scaled weight is u_j(q) = c_j (q + g_j (1 -
-    e^{-d_j q})), so the moments are exact in the lifetime's generating
-    function M (``_dynamic_moments``).  The generating function of U is
+    through the shared lifetime), ``_dynamic_scaled_u`` at N over N.  With
+    d = beta + rho_minus, c = rho_plus beta / d and g = beta / (rho_minus d)
+    the limit weight is u_j(q) = c_j (q + g_j (1 - e^{-d_j q})), so the
+    moments are exact in the lifetime's generating function M
+    (``_dynamic_moments``).  The generating function of U is
     E[exp(theta . u(Q_i))], taken by the lifetime's ``expect``.
     """
     m = spec.rho_plus.shape[0]
 
-    @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _dynamic_scaled_u(spec, i, np.asarray(spec.q[i].sample(rng, n), dtype=float))
+        return _dynamic_scaled_u(spec, i, spec.q[i].sample(rng, n))
 
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        n = 1 if size is None else size
-        q = np.asarray(spec.q[i].sample(rng, n), dtype=float)
-        rp, rm, beta = spec.rho_plus[i], spec.rho_minus[i], spec.beta[i]
-        alpha_eq = rp / (rp + N * rm)
-        decay = beta + rm
-        frac = np.divide(beta, decay, out=np.zeros_like(beta), where=decay > 0)
-        ramp = -np.expm1(-decay[None, :] * q[:, None])
-        v = (alpha_eq * frac)[None, :] * ramp
-        v += (rp * frac / N)[None, :] * (q[:, None] - ramp / decay[None, :])
-        v = np.clip(v, 0.0, 1.0)
-        return v[0] if size is None else v
+    def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.clip(_dynamic_scaled_u(spec, i, spec.q[i].sample(rng, n), N) / N, 0.0, 1.0)
 
     moments = [_dynamic_moments(spec, i) for i in range(m)]
     mu = np.stack([mean for mean, _ in moments])
@@ -251,9 +235,8 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(spec.q[i].expect(lambda q: np.exp(_dynamic_scaled_u(spec, i, q) @ theta)))
 
-    return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=all(d.is_constant for d in spec.q))
+    return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
+                             sampler=sampler)
 
 
 def _dynamic_moments(spec: DynamicGraphSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,23 +304,21 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
     mu = np.einsum("ikj,ij->ik", b, means)
     lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
 
-    @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1) @ b[i].T
 
     def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return b[i] @ [tables[i][j].sample_sum(rng, n) for j in range(m)]
 
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        return -np.expm1(-u_sampler(i, rng, size) / N)
+    def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return -np.expm1(-u_sampler(i, rng, n) / N)
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         args = b[i].T @ theta  # component l: sum_k theta_k b[i][k, l]
         return float(np.prod([tables[i][l].mgf(float(args[l])) for l in range(m)]))
 
-    return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf, u_sum=u_sum,
-                             deterministic=all(d.is_constant for row in tables for d in row))
+    return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
+                             sampler=sampler, u_sum=u_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +348,18 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
     mu = means[:, None] * np.ones((m, m))
     lam = variances[:, None, None] * np.ones((m, m, m))
 
-    @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
 
     def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(m, base[i].sample_sum(rng, n))
 
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        return -np.expm1(-u_sampler(i, rng, size) / N)
+    def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
+        return -np.expm1(-u_sampler(i, rng, n) / N)
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return base[i].mgf(float(theta.sum()))
 
-    kernel = InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                               u_sampler=u_sampler, u_mgf=u_mgf, u_sum=u_sum,
-                               deterministic=all(d.is_constant for d in base))
+    kernel = InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
+                               sampler=sampler, u_sum=u_sum)
     return kernel, Allocation.RANDOM_MULTINOMIAL

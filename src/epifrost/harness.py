@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 RECORDS_FORMAT_VERSION = 1
+TV_UPTO = 10  # branching_tv compares the pmfs of totals 0..TV_UPTO
+TV_BIAS = 0.02  # and allows their half L1 distance this bias beyond 4 SE
 
 
 @dataclass(frozen=True)
@@ -204,21 +206,20 @@ def _check_clt(ensemble: Ensemble, tau: np.ndarray,
 
 
 def _check_branching_tv(ensemble: Ensemble, kernel: InfectivityKernel, pi: np.ndarray,
-                        a: np.ndarray, seed: int, upto: int = 10,
-                        bias: float = 0.02) -> CheckResult:
+                        a: np.ndarray, seed: int) -> CheckResult:
     n = len(ensemble)
     total = ensemble.total
-    epi_pmf = np.bincount(total[total <= upto], minlength=upto + 1) / n
-    # n branching lines from one stream; only totals <= upto are counted, so
-    # a line may stop once it passes upto
-    counts, exceeded = branching.simulate_progeny_lines(kernel, pi, a, upto, n,
+    epi_pmf = np.bincount(total[total <= TV_UPTO], minlength=TV_UPTO + 1) / n
+    # n branching lines from one stream; only totals <= TV_UPTO are counted, so
+    # a line may stop once it passes TV_UPTO
+    counts, exceeded = branching.simulate_progeny_lines(kernel, pi, a, TV_UPTO, n,
                                                         replicate_rng(seed + 1, 0))
-    gw_pmf = np.bincount(counts[~exceeded].sum(axis=1), minlength=upto + 1) / n
+    gw_pmf = np.bincount(counts[~exceeded].sum(axis=1), minlength=TV_UPTO + 1) / n
     tv = 0.5 * float(np.abs(epi_pmf - gw_pmf).sum())
     # both pmfs are Monte Carlo estimates: the SE of tv from their per-bin
     # binomial variances, so the limit is the allowed bias plus sampling noise
     tv_se = 0.5 * float(np.sqrt(((epi_pmf * (1 - epi_pmf) + gw_pmf * (1 - gw_pmf)) / n).sum()))
-    tol = bias + 4.0 * tv_se
+    tol = TV_BIAS + 4.0 * tv_se
     return CheckResult(
         name="branching_tv",
         passed=bool(tv <= tol),
@@ -226,7 +227,7 @@ def _check_branching_tv(ensemble: Ensemble, kernel: InfectivityKernel, pi: np.nd
         empirical={"final_size_pmf_0_to_10": epi_pmf, "tv_distance": tv},
         standard_error={"per_bin_se_bound": float(0.5 / np.sqrt(n))},
         tolerance={"tv": tol, "tv_se": tv_se,
-                   "rule": f"half L1 distance on totals 0..{upto} <= {bias} + 4*SE"},
+                   "rule": f"half L1 distance on totals 0..{TV_UPTO} <= {TV_BIAS} + 4*SE"},
     )
 
 

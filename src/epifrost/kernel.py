@@ -12,7 +12,8 @@ declare their scaled moment structure:
 
 and the scaled limit law U_i = lim N * V_i consumed by the branching
 module (E[U_{i,k}] = mu[i, k]; a type-k child count is Poisson(pi_k *
-U_{i,k})).
+U_{i,k})).  A kernel states the law of U once; V = U/N unless it also
+gives its own finite-N sampler, and a kernel with lam = 0 is deterministic.
 
 Kernels are immutable; every sampling call takes an explicit
 numpy Generator, so concurrent use with disjoint streams is safe.
@@ -141,10 +142,10 @@ def resolve_population(spec: PopulationSpec, rng: Optional[np.random.Generator] 
 # Infectivity kernels
 # ---------------------------------------------------------------------------
 
-# sampler(infector_type, N, rng, size) -> (m,) or (size, m) array of V values
-SamplerFn = Callable[[int, int, np.random.Generator, Optional[int]], np.ndarray]
-# u_sampler(infector_type, rng, size) -> (m,) or (size, m) array of scaled limits
-USamplerFn = Callable[[int, np.random.Generator, Optional[int]], np.ndarray]
+# sampler(infector_type, N, rng, n) -> (n, m) array of V values
+SamplerFn = Callable[[int, int, np.random.Generator, int], np.ndarray]
+# u_sampler(infector_type, rng, n) -> (n, m) array of scaled limits
+USamplerFn = Callable[[int, np.random.Generator, int], np.ndarray]
 # mgf(infector_type, theta) -> E[exp(theta . U_i)] for theta <= 0
 UMgfFn = Callable[[int, np.ndarray], float]
 # u_sum(infector_type, rng, n) -> (m,) one draw from the law of the sum of n
@@ -152,23 +153,15 @@ UMgfFn = Callable[[int, np.ndarray], float]
 USumFn = Callable[[int, np.random.Generator, int], np.ndarray]
 
 
-def one_or_batch(draw: Callable[[int, np.random.Generator, int], np.ndarray]) -> USamplerFn:
-    """Lift ``draw(i, rng, n) -> (n, m)`` to the u_sampler contract, where
-    ``size=None`` asks for a single (m,) draw."""
-    def u_sampler(i: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        out = draw(i, rng, 1 if size is None else size)
-        return out[0] if size is None else out
-    return u_sampler
-
-
 @dataclass(frozen=True)
 class InfectivityKernel:
-    """Per-type infectivity law plus its scaled moments and the generating
-    function ``u_mgf(i, theta)`` = E[exp(theta . U_i)] for theta <= 0.
+    """Per-type law of U (``u_sampler``) plus its scaled moments and the
+    generating function ``u_mgf(i, theta)`` = E[exp(theta . U_i)] for theta <= 0.
 
-    ``deterministic`` marks kernels whose V is a fixed vector given the
-    infector type and N (no randomness); the simulator exploits this to
-    avoid per-infective sampling.  ``max_scaled`` is the largest scaled
+    V is U/N unless ``sampler`` draws it at finite N.  ``deterministic`` is
+    derived: lam = 0 makes U, and so V, a fixed vector given the infector
+    type and N, and the simulator and the branching lines then skip
+    per-infective sampling.  ``max_scaled`` is the largest scaled
     probability the kernel is built from: N * V, or N times an edge
     probability for the graph kernels, or inf where there is no bound (V < 1
     by construction); ``sample`` refuses N below a finite bound.
@@ -177,12 +170,12 @@ class InfectivityKernel:
     m: int
     mu: np.ndarray  # (m, m)
     lam: np.ndarray  # (m, m, m); lam[i] is the covariance matrix of U_i
-    sampler: SamplerFn = field(repr=False)
     u_sampler: USamplerFn = field(repr=False)
     u_mgf: UMgfFn = field(repr=False)
+    sampler: Optional[SamplerFn] = field(default=None, repr=False)
     u_sum: Optional[USumFn] = field(default=None, repr=False)
-    deterministic: bool = False
     max_scaled: float = math.inf
+    deterministic: bool = field(init=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -200,19 +193,29 @@ class InfectivityKernel:
                 raise ValueError(f"lam[{i}] must be positive semidefinite")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "deterministic", not lam.any())
+
+    def _rows(self, draw: Callable[..., np.ndarray], infector_type: int,
+              size: Optional[int], *args) -> np.ndarray:
+        """The (n, m) batch ``draw(infector_type, *args, n)``; ``size=None`` is its (m,) row."""
+        if not 0 <= infector_type < self.m:
+            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
+        if size is None:
+            return draw(infector_type, *args, 1)[0]
+        return draw(infector_type, *args, size)
 
     def sample(self, infector_type: int, N: int, rng: np.random.Generator,
                size: Optional[int] = None) -> np.ndarray:
         """Draw V for one infector type at scale N: one (m,) vector, or a
         (size, m) batch of i.i.d. draws (components within a draw may depend
         on each other through shared latent variables such as a lifetime)."""
-        if not 0 <= infector_type < self.m:
-            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
         if N < 1:
             raise ValueError(f"population scale must be >= 1, got {N}")
         if N < self.max_scaled < math.inf:
             raise ValueError(f"scaled infectivity {self.max_scaled} exceeds population scale {N}")
-        return np.asarray(self.sampler(infector_type, N, rng, size), dtype=float)
+        if self.sampler is None:
+            return self._rows(self.u_sampler, infector_type, size, rng) / N
+        return self._rows(self.sampler, infector_type, size, N, rng)
 
     def log_escape(self, infector_type: int, n: int, N: int,
                    rng: np.random.Generator) -> np.ndarray:
@@ -227,9 +230,8 @@ class InfectivityKernel:
 
     def sample_u(self, infector_type: int, rng: np.random.Generator,
                  size: Optional[int] = None) -> np.ndarray:
-        if not 0 <= infector_type < self.m:
-            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
-        return self.u_sampler(infector_type, rng, size)
+        """Draw U for one infector type: one (m,) vector, or a (size, m) batch."""
+        return self._rows(self.u_sampler, infector_type, size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +240,7 @@ class InfectivityKernel:
 
 
 def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
-    """Kernel with deterministic infectivity V_{i,k} = scaled[i,k] / N.
+    """Kernel with fixed infectivity U_{i,k} = scaled[i,k], so V = scaled / N.
 
     ``scaled`` is the m x m matrix of scaled means; it equals mu exactly and
     the covariance structure is identically zero.
@@ -248,22 +250,14 @@ def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
     if scaled.shape != (m, m) or np.any(scaled < 0):
         raise ValueError("scaled infectivity must be a nonnegative square matrix")
 
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        row = scaled[i] / N
-        if size is None:
-            return row.copy()
-        return np.broadcast_to(row, (size, m)).copy()
-
-    @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.broadcast_to(scaled[i], (n, m)).copy()
+        return scaled[i:i + 1].repeat(n, 0)
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(np.exp(theta @ scaled[i]))
 
-    return InfectivityKernel(m=m, mu=scaled.copy(), lam=np.zeros((m, m, m)),
-                             sampler=sampler, u_sampler=u_sampler, u_mgf=u_mgf,
-                             deterministic=True, max_scaled=float(scaled.max(initial=0.0)))
+    return InfectivityKernel(m=m, mu=scaled.copy(), lam=np.zeros((m, m, m)), u_sampler=u_sampler,
+                             u_mgf=u_mgf, max_scaled=float(scaled.max(initial=0.0)))
 
 
 def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel:
@@ -294,20 +288,13 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
         centered = values[i] - mu[i]
         lam[i] = (centered * probs[i][:, None]).T @ centered
 
-    deterministic = all(v.shape[0] == 1 for v in values)
-
-    def sampler(i: int, N: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-        return u_sampler(i, rng, size) / N
-
-    @one_or_batch
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         if values[i].shape[0] == 1:  # fixed vector: draws nothing from rng
-            return np.broadcast_to(values[i][0], (n, m)).copy()
+            return values[i].repeat(n, axis=0)
         return values[i][rng.choice(values[i].shape[0], size=n, p=probs[i])]
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(np.exp(values[i] @ theta) @ probs[i])
 
-    return InfectivityKernel(m=m, mu=mu, lam=lam, sampler=sampler,
-                             u_sampler=u_sampler, u_mgf=u_mgf, deterministic=deterministic,
+    return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
                              max_scaled=max(float(v.max(initial=0.0)) for v in values))

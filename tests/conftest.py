@@ -13,9 +13,11 @@ def const_mu2_ensemble():
     """
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10_000, a=[1])
     kernel = ef.constant_kernel([[2.0]])
-    # the final size carries O(N^-1/2) skewness (about -0.1 here), which sits
-    # near the Mardia skewness test's detection edge at ~8000 major records;
-    # this seed leaves that check a comfortable margin (p ~ 0.28)
+    # the final size carries O(N^-1/2) skewness (about -0.1 here), which the
+    # Mardia skewness test detects at ~8000 major records: over seeds 0..39
+    # at these sizes criterion 4 fails on 18 (skewness p <= 1e-3 on each),
+    # and seed 2's skewness p (~0.28) is the largest of the 40; a gate whose
+    # null holds at finite N is ROADMAP open item 1
     ensemble = ef.run_ensemble(spec, kernel, replicates=10_000, seed=2)
     return spec, kernel, ensemble
 

@@ -39,9 +39,9 @@ def test_criterion_1_exact_small_population_distribution():
     assert expected == pytest.approx([0.25, 0.25, 0.5], abs=1e-12)
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=2, a=[1])
     kernel = ef.constant_kernel([[1.0]])  # V = 0.5 at N = 2
-    counts = np.zeros(3)
-    for r in range(100_000):
-        counts[ef.run_final_size(spec, kernel, ef.replicate_rng(424_242, r)).total] += 1
+    # row r is run_final_size on replicate_rng(424_242, r)
+    counts = np.bincount(ef.run_ensemble(spec, kernel, 100_000, seed=424_242).total,
+                         minlength=3)
     _, p = stats.chisquare(counts, f_exp=expected * counts.sum())
     elapsed = time.time() - start
     _report("criterion 1 (exact small-N pmf)",
@@ -151,7 +151,8 @@ def test_criterion_7_random_allocation_correction():
 
 def test_criterion_8_branching_approximation():
     # total-size pmf on {0..10} against total branching progeny, 1e5 each;
-    # row r of the ensemble is the run on replicate_rng(880_088, r)
+    # row r of the ensemble is the run on replicate_rng(880_088, r), and the
+    # branching lines share the one stream replicate_rng(990_099, 0)
     n = 100_000
     upto = 10
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10_000, a=[1])
@@ -159,14 +160,10 @@ def test_criterion_8_branching_approximation():
     totals = ef.run_ensemble(spec, kernel, n, seed=880_088).total
     epi = np.bincount(totals[totals <= upto], minlength=upto + 1) / n
 
-    gw = np.zeros(upto + 1)
-    for r in range(n):
-        # a line with at most upto births draws the same under any cap >= upto
-        out = ef.simulate_total_progeny(kernel, spec.pi, spec.a, cap=upto,
-                                        rng=ef.replicate_rng(990_099, r))
-        if not out.exceeded and out.total <= upto:
-            gw[out.total] += 1
-    gw /= n
+    # a line stops once its births pass upto: only totals <= upto are counted
+    counts, exceeded = ef.simulate_progeny_lines(kernel, spec.pi, spec.a, upto, n,
+                                                 ef.replicate_rng(990_099, 0))
+    gw = np.bincount(counts[~exceeded].sum(axis=1), minlength=upto + 1) / n
 
     tv = 0.5 * float(np.abs(epi - gw).sum())
     _report("criterion 8 (branching total-progeny approximation)",

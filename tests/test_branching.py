@@ -28,8 +28,8 @@ def test_total_progeny_zero_law_repeated_draws():
     # no ancestor has a child: 100 independent lines, and one line of 100 ancestors
     kernel = ef.constant_kernel([[0.0]])
     rng = np.random.default_rng(0)
-    assert all(ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=1, rng=rng).total == 0
-               for _ in range(100))
+    counts, exceeded = ef.simulate_progeny_lines(kernel, [1.0], np.array([1]), 1, 100, rng)
+    assert not exceeded.any() and not counts.any()
     result = ef.simulate_total_progeny(kernel, [1.0], np.array([100]), cap=100, rng=rng)
     assert not result.exceeded
     assert result.total == 0
@@ -38,9 +38,9 @@ def test_total_progeny_zero_law_repeated_draws():
 def test_total_progeny_poisson_zero_probability():
     # constant U = 0.5, pi = 1: no offspring with probability e^{-0.5}
     kernel = ef.constant_kernel([[0.5]])
-    rng = np.random.default_rng(1)
-    draws = np.array([ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=1, rng=rng).total
-                      for _ in range(40_000)])
+    counts, _ = ef.simulate_progeny_lines(kernel, [1.0], np.array([1]), 1, 40_000,
+                                          np.random.default_rng(1))
+    draws = counts.sum(axis=1)
     p0 = (draws == 0).mean()
     se = np.sqrt(p0 * (1 - p0) / len(draws))
     assert abs(p0 - np.exp(-0.5)) < 4 * se
@@ -49,34 +49,27 @@ def test_total_progeny_poisson_zero_probability():
 def test_total_progeny_zero_rate_component():
     # a type-0 line has Poisson(0.5 * 1) type-0 children and never a type-1 child
     kernel = ef.constant_kernel([[1.0, 0.0], [0.0, 0.0]])
-    rng = np.random.default_rng(2)
-    runs = [ef.simulate_total_progeny(kernel, [0.5, 0.5], np.array([1, 0]), cap=10_000, rng=rng)
-            for _ in range(2000)]
-    counts = np.stack([run.counts for run in runs])
-    assert not any(run.exceeded for run in runs)
+    counts, exceeded = ef.simulate_progeny_lines(kernel, [0.5, 0.5], np.array([1, 0]), 10_000,
+                                                 2000, np.random.default_rng(2))
+    assert not exceeded.any()
     assert np.all(counts[:, 1] == 0)
-    assert abs(counts[:, 0].mean() - 1.0) < 4 * counts[:, 0].std(ddof=1) / np.sqrt(len(runs))
+    assert abs(counts[:, 0].mean() - 1.0) < 4 * counts[:, 0].std(ddof=1) / np.sqrt(len(counts))
 
 
 def test_total_progeny_exceeded_probability():
     # supercritical Poisson(2): escape probability 1 - q with q = exp(2(q-1))
     kernel = ef.constant_kernel([[2.0]])
-    runs = 10_000
-    exceeded = 0
-    for r in range(runs):
-        out = ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=10_000,
-                                        rng=ef.replicate_rng(77, r))
-        exceeded += out.exceeded
-    assert abs(exceeded / runs - (1 - Q_MU2)) < 0.02
+    _, exceeded = ef.simulate_progeny_lines(kernel, [1.0], np.array([1]), 10_000, 10_000,
+                                            ef.replicate_rng(77, 0))
+    assert abs(exceeded.mean() - (1 - Q_MU2)) < 0.02
 
 
 def test_total_progeny_subcritical_mean():
     # E[Z] = m/(1-m) = 1 for offspring mean 0.5
     kernel = ef.constant_kernel([[0.5]])
-    totals = [ef.simulate_total_progeny(kernel, [1.0], np.array([1]), cap=100_000,
-                                        rng=ef.replicate_rng(8, r)).total
-              for r in range(40_000)]
-    totals = np.array(totals, dtype=float)
+    counts, _ = ef.simulate_progeny_lines(kernel, [1.0], np.array([1]), 100_000, 40_000,
+                                          ef.replicate_rng(8, 0))
+    totals = counts.sum(axis=1).astype(float)
     se = totals.std(ddof=1) / np.sqrt(len(totals))
     assert abs(totals.mean() - 1.0) < 4 * se
 

@@ -362,6 +362,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "extinction", "clt", "graph"])
+@pytest.mark.parametrize("option", ["--seed", "--replicates", "--out"])
+def test_theory_commands_reject_ensemble_options(tmp_path, capsys, command, option):
+    # a theory command runs no ensemble, so an ensemble option is a usage error
+    path = _write_config(tmp_path, _base_config(tmp_path))
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([command, "--config", path, option, "1"])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
 def test_cli_infectivity_above_population_scale_is_config_error(tmp_path, capsys):
     doc = _base_config(tmp_path, kernel={"kind": "constant", "mu": [[200.0]]})
     doc["population"]["N"] = 100

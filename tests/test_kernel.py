@@ -209,6 +209,12 @@ def test_kernel_rejects_bad_moment_structure():
                              sampler=sampler, u_sampler=u_sampler, u_mgf=u_mgf)
 
 
+def test_deterministic_is_derived_from_lam():
+    # zero covariance makes U a fixed vector, however the table lists it
+    assert ef.table_kernel([(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))]).deterministic
+    assert not ef.table_kernel([(np.array([[1.0], [3.0]]), np.array([0.5, 0.5]))]).deterministic
+
+
 def test_scaled_values_must_fit_population():
     kernel = ef.constant_kernel([[2.0]])
     with pytest.raises(ValueError):
