@@ -119,18 +119,19 @@ def test_scalar_binomials_draw_what_one_vector_call_draws():
 
 
 def test_certain_infection_on_the_sampled_path():
-    # V_{0,0} = 1 (scaled value equal to N) on every draw, while V_{0,1} is
-    # random, so the kernel is sampled: log(1 - V) = -inf infects every
-    # type-0 susceptible in the first generation, silently
+    # V_{0,0} = 1 (scaled value equal to N) on either drawn row, so log(1 - V)
+    # = -inf infects every type-0 susceptible in the first generation,
+    # silently; type 1 is never infected but its random rows keep lam != 0,
+    # so the kernel is sampled
     spec = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=50, a=[1, 0])
-    kernel = ef.table_kernel([(np.array([[50.0, 0.0], [50.0, 10.0]]), np.array([0.5, 0.5])),
-                              (np.array([[0.0, 10.0]]), np.array([1.0]))])
+    kernel = ef.table_kernel([(np.array([[50.0, 0.0], [50.0, 0.0]]), np.array([0.5, 0.5])),
+                              (np.array([[0.0, 10.0], [0.0, 20.0]]), np.array([0.5, 0.5]))])
     assert not kernel.deterministic and kernel.u_sum is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         record = ef.run_final_size(spec, kernel, ef.replicate_rng(5, 0))
-    assert record.t_inf[0] == 25
-    assert record.generations >= 1
+    assert record.t_inf.tolist() == [25, 0]
+    assert record.generations == 1
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 - 1])
