@@ -211,7 +211,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     replicates = int(doc.get("replicates", 1))
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    if doc.get("workers", 1) != 1:  # replicates run one after another
+    if doc.get("workers", 1) != 1:  # replicates run in one thread
         raise ConfigError(f"workers must be 1, got {doc['workers']!r}")
 
     threshold = doc.get("threshold_override")

@@ -2,10 +2,11 @@
 
 Kernel specifications need a handful of nonnegative scalar laws (contact
 probabilities W, infectious lifetimes Q, group sojourn times I).  Each law
-exposes sampling, one draw from the law of the sum of n i.i.d. copies
-(``sample_sum``: a Gamma, binomial or multinomial draw where the sum's law
-is closed, n draws added up for uniform and beta laws), exact first and
-second moments, and its exact moment
+exposes sampling, draws from the law of the sum of n i.i.d. copies for
+every entry n of a count array in one call (``sample_sum``: a Gamma,
+binomial or multinomial draw per entry where the sum's law is closed; for
+uniform and beta laws, counts.sum() draws added up per entry), exact first
+and second moments, and its exact moment
 generating function M(t) = E[exp(tX)] and derivative M'(t) = E[X exp(tX)]
 at nonpositive arguments: the extinction solver needs M, the dynamic-graph
 moments need both.  Beta laws (and uniform ones, a shifted and scaled
@@ -36,7 +37,9 @@ __all__ = ["ScalarDist"]
 class ScalarDist:
     """A nonnegative scalar random variable with known moments.
 
-    ``sample_sum(rng, n)`` is one draw of X_1 + ... + X_n for i.i.d. copies.
+    ``sample_sum(rng, counts)`` draws X_1 + ... + X_n for i.i.d. copies, one
+    for each entry n of ``counts``, in one numpy call and in entry order (an
+    array of the same shape; a zero count gives 0 and draws nothing).
     ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
     and accept any t <= 0.  ``expect(f)`` = E[f(X)] for an f that maps a 1-d
     array of values to a same-length array (or (n, ...) stack).
@@ -46,7 +49,7 @@ class ScalarDist:
     mean: float
     var: float
     sample: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
-    sample_sum: Callable[[np.random.Generator, int], float] = field(repr=False)
+    sample_sum: Callable[[np.random.Generator, np.ndarray], np.ndarray] = field(repr=False)
     mgf: Callable[[float], float] = field(repr=False)
     mgf_prime: Callable[[float], float] = field(repr=False)
     expect: Callable[[Callable[[np.ndarray], np.ndarray]], float] = field(repr=False)
@@ -89,7 +92,7 @@ class ScalarDist:
             mean=m,
             var=m * m,
             sample=lambda rng, size: rng.exponential(m, size),
-            sample_sum=lambda rng, n: rng.gamma(n, m),
+            sample_sum=lambda rng, n: rng.standard_gamma(n) * m,  # = rng.gamma(n, m)
             mgf=lambda t: 1.0 / (1.0 - m * t),  # finite for all t < 1/m
             mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
             # -m log(1 - u) = m log(1 + e^z) for u = expit(z)
@@ -106,7 +109,7 @@ class ScalarDist:
             mean=k * s,
             var=k * s * s,
             sample=lambda rng, size: rng.gamma(k, s, size),
-            sample_sum=lambda rng, n: rng.gamma(n * k, s),
+            sample_sum=lambda rng, n: rng.standard_gamma(n * k) * s,  # = rng.gamma(n * k, s)
             mgf=lambda t: float((1.0 - s * t) ** (-k)),
             mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
             expect=_quantile_rule(lambda z, u, v: s * np.where(
@@ -123,7 +126,7 @@ class ScalarDist:
             mean=pp,
             var=pp * (1 - pp),
             sample=lambda rng, size: (rng.random(size) < pp).astype(float),
-            sample_sum=lambda rng, n: float(rng.binomial(n, pp)),
+            sample_sum=lambda rng, n: 1.0 * rng.binomial(n, pp),
             mgf=lambda t: float(1 - pp + pp * np.exp(t)),
             mgf_prime=lambda t: float(pp * np.exp(t)),
             expect=_atoms([0.0, 1.0], [1.0 - pp, pp]),
@@ -141,7 +144,7 @@ class ScalarDist:
             mean=(a + b) / 2,
             var=w ** 2 / 12,
             sample=lambda rng, size: rng.uniform(a, b, size),
-            sample_sum=lambda rng, n: float(rng.uniform(a, b, n).sum()),  # no closed form
+            sample_sum=_added(lambda rng, size: rng.uniform(a, b, size)),  # no closed form
             mgf=lambda t: math.exp(t * a) * _kummer(1.0, 2.0, t * w),
             mgf_prime=lambda t: math.exp(t * a) * (a * _kummer(1.0, 2.0, t * w)
                                                    + w / 2 * _kummer(2.0, 3.0, t * w)),
@@ -162,7 +165,7 @@ class ScalarDist:
             mean=mean,
             var=var,
             sample=lambda rng, size: rng.beta(aa, bb, size),
-            sample_sum=lambda rng, n: float(rng.beta(aa, bb, n).sum()),  # no closed form
+            sample_sum=_added(lambda rng, size: rng.beta(aa, bb, size)),  # no closed form
             mgf=lambda t: _kummer(aa, aa + bb, t),
             mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
             expect=_quantile_rule(lambda z, u, v: np.where(
@@ -185,7 +188,7 @@ class ScalarDist:
             mean=mean,
             var=var,
             sample=lambda rng, size: rng.choice(vals, size=size, p=ps),
-            sample_sum=lambda rng, n: float(rng.multinomial(n, ps) @ vals),
+            sample_sum=lambda rng, n: (rng.multinomial(n, ps) * vals).sum(axis=-1),
             mgf=lambda t: float(np.exp(t * vals) @ ps),
             mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
             expect=_atoms(vals, ps),
@@ -209,6 +212,16 @@ class ScalarDist:
         except KeyError as exc:
             raise ValueError(f"scalar distribution {kind!r} is missing parameter {exc}") from exc
         return getattr(ScalarDist, kind)(*args)
+
+
+def _added(sample: Callable[[np.random.Generator, int], np.ndarray]) -> Callable:
+    """``sample_sum`` for a law whose sums have no closed form: counts.sum()
+    draws in one call, each entry's run of them added up as ``ndarray.sum`` does."""
+    def sample_sum(rng: np.random.Generator, counts) -> np.ndarray:
+        counts = np.asarray(counts)
+        runs = np.split(sample(rng, int(counts.sum())), np.cumsum(counts.ravel())[:-1])
+        return np.array([run.sum() for run in runs]).reshape(counts.shape)
+    return sample_sum
 
 
 def _atoms(values, probs) -> Callable:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .deterministic import check_irreducibility
 from .distributions import ScalarDist
-from .kernel import Allocation, InfectivityKernel
+from .kernel import Allocation, FreshFn, InfectivityKernel
 
 __all__ = [
     "StaticGraphSpec",
@@ -294,7 +294,8 @@ class BallClancy93Spec:
 def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
     """Compile the mover model: V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j).
 
-    ``u_sum`` draws n infectives' summed sojourn per group from that sum's law."""
+    ``u_sum`` draws each line's summed sojourn of its infectives per group from
+    that sum's law, one vector call per group."""
     b = spec.b
     m = b.shape[0]
     tables = spec.sojourn
@@ -307,8 +308,13 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1) @ b[i].T
 
-    def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return b[i] @ [tables[i][j].sample_sum(rng, n) for j in range(m)]
+    def u_sum(i: int, fresh: FreshFn, counts: np.ndarray) -> np.ndarray:
+        # sum_j I_j b[i][:, j] term by term: a row does not depend on the other rows
+        # (a matmul's rounding can depend on how many rows it has)
+        u = np.zeros((len(counts), m))
+        for j in range(m):
+            u += tables[i][j].sample_sum(fresh(), counts)[:, None] * b[i][:, j]
+        return u
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)
@@ -333,8 +339,9 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
 
     Since an individual's type is assigned at random from pi irrespective of
     its infector, this maps onto random multinomial allocation; the forced
-    mode is returned alongside the kernel.  ``u_sum`` for n type-i infectives
-    is one draw of the law of the sum of n copies of u_i.
+    mode is returned alongside the kernel.  ``u_sum`` for counts[l] type-i
+    infectives on line l is one draw of the law of the sum of counts[l]
+    copies of u_i, all lines in one vector call.
     """
     pi = np.asarray(pi, dtype=float)
     m = len(pi)
@@ -351,8 +358,8 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
 
-    def u_sum(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(m, base[i].sample_sum(rng, n))
+    def u_sum(i: int, fresh: FreshFn, counts: np.ndarray) -> np.ndarray:
+        return np.repeat(base[i].sample_sum(fresh(), counts)[:, None], m, axis=1)
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)

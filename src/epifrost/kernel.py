@@ -16,7 +16,8 @@ U_{i,k})).  A kernel states the law of U once; V = U/N unless it also
 gives its own finite-N sampler, and a kernel with lam = 0 is deterministic.
 
 Kernels are immutable; every sampling call takes an explicit
-numpy Generator, so concurrent use with disjoint streams is safe.
+numpy Generator (or, for the batched escape terms, a function that hands out
+one per vector draw), so concurrent use with disjoint streams is safe.
 
 Type indices are 0-based throughout the Python API.
 """
@@ -148,9 +149,12 @@ SamplerFn = Callable[[int, int, np.random.Generator, int], np.ndarray]
 USamplerFn = Callable[[int, np.random.Generator, int], np.ndarray]
 # mgf(infector_type, theta) -> E[exp(theta . U_i)] for theta <= 0
 UMgfFn = Callable[[int, np.ndarray], float]
-# u_sum(infector_type, rng, n) -> (m,) one draw from the law of the sum of n
-# i.i.d. copies of U_i; only for kernels with V = 1 - exp(-U/N) exactly
-USumFn = Callable[[int, np.random.Generator, int], np.ndarray]
+# fresh() -> the generator for the next vector draw call
+FreshFn = Callable[[], np.random.Generator]
+# u_sum(infector_type, fresh, counts) -> (len(counts), m): row l one draw from
+# the law of the sum of counts[l] i.i.d. copies of U_i, each numpy call on a
+# generator of its own from fresh(); only for kernels with V = 1 - exp(-U/N)
+USumFn = Callable[[int, FreshFn, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,12 @@ class InfectivityKernel:
 
     V is U/N unless ``sampler`` draws it at finite N.  ``deterministic`` is
     derived: lam = 0 makes U, and so V, a fixed vector given the infector
-    type and N, and the simulator and the branching lines then skip
-    per-infective sampling.  ``max_scaled`` is the largest scaled
-    probability the kernel is built from: N * V, or N times an edge
-    probability for the graph kernels, or inf where there is no bound (V < 1
-    by construction); ``sample`` refuses N below a finite bound.
+    type and N; ``sample`` then draws nothing from its generator, and the
+    simulator and the branching lines skip per-infective sampling.
+    ``max_scaled`` is the largest scaled probability the kernel is built
+    from: N * V, or N times an edge probability for the graph kernels, or inf
+    where there is no bound (V < 1 by construction); ``sample`` refuses N
+    below a finite bound.
     """
 
     m: int
@@ -217,16 +222,36 @@ class InfectivityKernel:
             return self._rows(self.u_sampler, infector_type, size, rng) / N
         return self._rows(self.sampler, infector_type, size, N, rng)
 
-    def log_escape(self, infector_type: int, n: int, N: int,
-                   rng: np.random.Generator) -> np.ndarray:
-        """(m,) sum of log(1 - V) over n i.i.d. draws for one infector type: the
-        log-probability that a susceptible escapes all n infectives.  Kernels
-        with ``u_sum`` return -sum(U)/N, the sum drawn from its own law (so
-        not from the draws ``sample`` would take)."""
+    def log_escape(self, infector_type: int, counts: np.ndarray, N: int,
+                   fresh: FreshFn) -> np.ndarray:
+        """(len(counts), m): row l is the sum of log(1 - V) over counts[l] i.i.d.
+        draws for one infector type, the log-probability that a susceptible
+        escapes all of them (0 for a zero count).  Each vector draw call takes
+        its generator from ``fresh()`` and draws line by line, in line order:
+
+        * deterministic kernels draw nothing: counts * log(1 - V);
+        * kernels with ``u_sum`` return -sum(U)/N, the sum drawn from its own
+          law (so not from the draws ``sample`` would take);
+        * any other kernel draws counts.sum() values of V in one ``sample``
+          call and adds up each line's run of them.
+        """
+        counts = np.asarray(counts)
+        if self.deterministic:
+            with np.errstate(divide="ignore", invalid="ignore"):  # V = 1 gives -inf
+                out = counts[:, None] * np.log1p(-self.sample(infector_type, N, fresh()))
+            out[counts == 0] = 0.0  # not 0 * -inf = nan
+            return out
         if self.u_sum is not None:
-            return -self.u_sum(infector_type, rng, n) / N
-        with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
-            return np.log1p(-self.sample(infector_type, N, rng, size=n)).sum(axis=0)
+            return -self.u_sum(infector_type, fresh, counts) / N
+        rng = fresh()
+        out = np.zeros((len(counts), self.m))
+        lines = np.flatnonzero(counts)
+        if lines.size:
+            sizes = counts[lines]
+            with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
+                draws = np.log1p(-self.sample(infector_type, N, rng, size=int(sizes.sum())))
+            out[lines] = np.add.reduceat(draws, np.cumsum(sizes) - sizes, axis=0)
+        return out
 
     def sample_u(self, infector_type: int, rng: np.random.Generator,
                  size: Optional[int] = None) -> np.ndarray:
@@ -288,9 +313,13 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
         centered = values[i] - mu[i]
         lam[i] = (centered * probs[i][:, None]).T @ centered
 
+    # a type whose rows of positive probability are one vector draws nothing
+    support = [vals[ps > 0] for vals, ps in zip(values, probs)]
+    fixed = [drawn[:1] if (drawn == drawn[0]).all() else None for drawn in support]
+
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        if values[i].shape[0] == 1:  # fixed vector: draws nothing from rng
-            return values[i].repeat(n, axis=0)
+        if fixed[i] is not None:
+            return fixed[i].repeat(n, axis=0)
         return values[i][rng.choice(values[i].shape[0], size=n, p=probs[i])]
 
     def u_mgf(i: int, theta: np.ndarray) -> float:

@@ -10,14 +10,22 @@ cost of m binomials per generation instead of one per infective.  The
 literal indicator construction lives with the test suite's oracles
 (``tests/oracles.py``), where property tests compare against it.
 
-Each replicate owns a counter-based Philox stream keyed by (base seed,
-replicate index).  An ensemble runs its replicates one after another in one
-thread, re-keying a single generator per replicate, and comes back as one
-``Ensemble`` of per-replicate arrays.
+A generation depends on the last one only through the active counts, so an
+ensemble runs all of its replicates (lines) together: per generation, one
+batched escape term per type (``InfectivityKernel.log_escape``) and one
+vector binomial over the live lines.  Vector call c of an ensemble draws
+from a Philox generator with the key of ``replicate_rng(seed, 0)`` and
+counter (0, 0, c, 0), line by line, and the sequence of calls depends on
+neither the replicate count nor the outcomes, so row r depends only on the
+seed and rows 0..r.  A deterministic one-type kernel (the classic
+Reed-Frost chain) instead runs its replicates one after another, replicate
+r on the stream of ``replicate_rng(seed, r)``.  Either way an ensemble comes
+back as one ``Ensemble`` of per-replicate arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import expm1, log1p
@@ -25,7 +33,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .kernel import Allocation, InfectivityKernel, PopulationSpec, ResolvedPopulation, resolve_population
+from .kernel import (Allocation, FreshFn, InfectivityKernel, PopulationSpec, ResolvedPopulation,
+                     resolve_population)
 
 __all__ = [
     "Ensemble",
@@ -36,6 +45,7 @@ __all__ = [
     "replicate_rng",
     "replicate_streams",
     "stream_keys",
+    "substreams",
 ]
 
 
@@ -91,62 +101,76 @@ def default_threshold(n_susceptible: int) -> int:
 
 def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
                    rng: np.random.Generator) -> FinalSizeRecord:
-    """Run one epidemic to extinction and return its final size record."""
+    """Run one epidemic to extinction and return its final size record.
+
+    A deterministic one-type kernel takes the scalar path below; any other
+    kernel runs as one line of the generation-synchronous engine, with every
+    vector draw from ``rng``: the population split, then per generation each
+    type's escape term in type order and the binomials.
+    """
     if kernel.m != spec.m:
         raise ValueError(f"kernel has {kernel.m} types but population has {spec.m}")
+    if not (kernel.deterministic and spec.m == 1):
+        t_inf, generations, n_susceptible = _run_lines(spec, kernel, 1, lambda: rng)
+        return FinalSizeRecord(t_inf=t_inf[0], generations=int(generations[0]),
+                               population=ResolvedPopulation(n_susceptible[0], spec.a))
+
+    # scalar path: one escape exponent and one binomial per generation
     pop = resolve_population(spec, rng)
-    m, N = spec.m, spec.N
+    N = spec.N
     generations = 0
     # cannot be exceeded; guards an infinite loop caused by a bug
     generation_cap = N + int(pop.n_infective.sum()) + 1
-
-    if kernel.deterministic and m == 1:
-        # scalar fast path: one escape exponent and one binomial per generation
-        v = float(kernel.sample(0, N, rng)[0])
-        unit = log1p(-v) if v < 1.0 else -math.inf
-        s0 = s = int(pop.n_susceptible[0])
-        n_active = int(pop.n_infective[0])
-        while n_active > 0:
-            new = int(rng.binomial(s, -expm1(n_active * unit)))
-            if new == 0:
-                break
-            s -= new
-            n_active = new
-            generations += 1
-            if generations > generation_cap:
-                raise RuntimeError("generation count exceeded the population size; simulator bug")
-        return FinalSizeRecord(t_inf=np.array([s0 - s], dtype=np.int64),
-                               generations=generations, population=pop)
-
-    # per-type counts as Python ints, one scalar binomial per type in type order:
-    # the draws of one vector binomial call, at a fraction of its fixed cost
-    susceptible = pop.n_susceptible.tolist()
-    active = pop.n_infective.tolist()
-    fixed_log_escape = None
-    if kernel.deterministic:
-        # V is a fixed vector per type; hoist the per-infective escape terms
-        with np.errstate(divide="ignore"):
-            fixed_log_escape = np.stack([np.log1p(-kernel.sample(i, N, rng))
-                                         for i in range(m)])
-
-    infectors = [i for i in range(m) if active[i]]
-    while infectors:
-        if fixed_log_escape is not None:  # zero rows skipped: 0 * -inf is nan
-            log_escape = np.array([active[i] for i in infectors]) @ fixed_log_escape[infectors]
-        else:
-            log_escape = sum(kernel.log_escape(i, active[i], N, rng) for i in infectors)
-        p_infect = (-np.expm1(log_escape)).tolist()
-        active = [int(rng.binomial(s, p)) for s, p in zip(susceptible, p_infect)]
-        infectors = [i for i in range(m) if active[i]]
-        if not infectors:
+    v = float(kernel.sample(0, N, rng)[0])
+    unit = log1p(-v) if v < 1.0 else -math.inf
+    s0 = s = int(pop.n_susceptible[0])
+    n_active = int(pop.n_infective[0])
+    while n_active > 0:
+        new = int(rng.binomial(s, -expm1(n_active * unit)))
+        if new == 0:
             break
-        susceptible = [s - new for s, new in zip(susceptible, active)]
+        s -= new
+        n_active = new
         generations += 1
         if generations > generation_cap:
             raise RuntimeError("generation count exceeded the population size; simulator bug")
-
-    return FinalSizeRecord(t_inf=pop.n_susceptible - np.array(susceptible, dtype=np.int64),
+    return FinalSizeRecord(t_inf=np.array([s0 - s], dtype=np.int64),
                            generations=generations, population=pop)
+
+
+def _run_lines(spec: PopulationSpec, kernel: InfectivityKernel, n: int,
+               fresh: FreshFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t_inf, generations, n_susceptible) of ``n`` epidemics (lines) run
+    generation by generation, all live lines at once.
+
+    ``fresh()`` gives the generator for each vector draw call.  The calls
+    come in an order that depends on neither ``n`` nor the outcomes: the
+    population split (random allocation only), then per generation every
+    type's escape term, active or not, and one binomial over the live lines.
+    Each call draws line by line, so line r depends only on lines 0..r.
+    """
+    m, N = spec.m, spec.N
+    if spec.allocation is Allocation.DETERMINISTIC:
+        n_susceptible = np.broadcast_to(resolve_population(spec).n_susceptible, (n, m))
+    else:
+        n_susceptible = fresh().multinomial(N, spec.pi, size=n)
+    remaining = n_susceptible.copy()
+    generations = np.zeros(n, dtype=np.int64)
+    live = np.arange(n if spec.a.any() else 0)
+    active = np.broadcast_to(spec.a, (live.size, m))
+    # cannot be exceeded; guards an infinite loop caused by a bug
+    generation, generation_cap = 0, N + int(spec.a.sum()) + 1
+    while live.size:
+        log_escape = sum(kernel.log_escape(i, active[:, i], N, fresh) for i in range(m))
+        new = fresh().binomial(remaining[live], -np.expm1(log_escape))
+        generation += 1
+        if generation > generation_cap:
+            raise RuntimeError("generation count exceeded the population size; simulator bug")
+        remaining[live] -= new
+        spreading = new.any(axis=1)
+        live, active = live[spreading], new[spreading]
+        generations[live] = generation
+    return n_susceptible - remaining, generations, n_susceptible
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -214,23 +238,56 @@ def replicate_streams(seed: int, replicates: int) -> Iterator[np.random.Generato
             yield rng
 
 
+def substreams(seed: int) -> FreshFn:
+    """``fresh`` for an ensemble's vector draw calls: call c re-keys one Philox
+    generator to the key of ``replicate_rng(seed, 0)``, counter (0, 0, c, 0)
+    and an empty buffer, and returns it.  The returned generator is valid
+    only until the next call."""
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    counter = np.zeros(4, dtype=np.uint64)
+    key = stream_keys(seed, 0, 1)[0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    calls = itertools.count()
+
+    def fresh() -> np.random.Generator:
+        counter[2] = next(calls)
+        bitgen.state = state
+        return rng
+
+    return fresh
+
+
 def run_ensemble(spec: PopulationSpec, kernel: InfectivityKernel, replicates: int,
                  seed: int, workers: int = 1,
                  threshold: Optional[int] = None) -> Ensemble:
-    """Run an ensemble of independent replicates, one after another.
+    """Run an ensemble of independent replicates.
 
-    Replicate r uses the stream of ``replicate_rng(seed, r)``.  ``workers``
-    must be 1.  The major/minor threshold defaults to
-    ``default_threshold(spec.N)``: both allocations resolve exactly N
+    A deterministic one-type kernel runs replicate r on the stream of
+    ``replicate_rng(seed, r)``, one replicate after another.  Any other
+    kernel runs every replicate at once in the generation-synchronous engine
+    on the vector-call streams of ``substreams(seed)``; row r then depends
+    only on the seed and rows 0..r, so a shorter ensemble is a prefix of a
+    longer one.  ``workers`` must be 1.  The major/minor threshold defaults
+    to ``default_threshold(spec.N)``: both allocations resolve exactly N
     susceptibles.
     """
     if not 1 <= replicates <= MAX_REPLICATES:
         raise ValueError(f"need 1 to 2^32 replicates, got {replicates}")
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
+    if kernel.m != spec.m:
+        raise ValueError(f"kernel has {kernel.m} types but population has {spec.m}")
     threshold = default_threshold(spec.N) if threshold is None else threshold
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+
+    if not (kernel.deterministic and spec.m == 1):
+        t_inf, generations, n_susceptible = _run_lines(spec, kernel, replicates, substreams(seed))
+        return Ensemble(seed=seed, threshold=threshold, t_inf=t_inf, generations=generations,
+                        n_susceptible=n_susceptible)
 
     records = [run_final_size(spec, kernel, rng) for rng in replicate_streams(seed, replicates)]
     t_inf = np.stack([rec.t_inf for rec in records])

@@ -185,3 +185,43 @@ def test_sample_sum_without_a_closed_form_adds_the_draws(law, n):
     rng, reference = ef.replicate_rng(34, n), ef.replicate_rng(34, n)
     for _ in range(3):
         assert law.sample_sum(rng, n) == law.sample(reference, n).sum()
+
+
+COUNTS = np.array([0, 3, 0, 7, 1, 0])
+
+
+@pytest.mark.parametrize("law", [ef.ScalarDist.exponential(2.0), ef.ScalarDist.gamma(2.5, 0.8),
+                                 ef.ScalarDist.bernoulli(0.3),
+                                 ef.ScalarDist.discrete([0.0, 1.0, 4.0], [0.2, 0.5, 0.3])],
+                         ids=lambda law: law.name)
+def test_sample_sum_of_a_count_array_draws_entry_by_entry(law):
+    # one vector call takes, entry by entry, the draws of one call per count,
+    # and a zero count gives 0 and draws nothing
+    rng, reference = ef.replicate_rng(35, 0), ef.replicate_rng(35, 0)
+    for _ in range(3):
+        sums = law.sample_sum(rng, COUNTS)
+        assert sums.shape == COUNTS.shape
+        assert np.array_equal(sums, [law.sample_sum(reference, n) for n in COUNTS.tolist()])
+        assert not sums[COUNTS == 0].any()
+    assert np.array_equal(rng.bit_generator.random_raw(8), reference.bit_generator.random_raw(8))
+
+
+@pytest.mark.parametrize("law", [ef.ScalarDist.uniform(0.5, 2.0), ef.ScalarDist.beta(2.0, 3.0)],
+                         ids=lambda law: law.name)
+def test_sample_sum_of_a_count_array_adds_each_entrys_run_of_draws(law):
+    rng, reference = ef.replicate_rng(36, 0), ef.replicate_rng(36, 0)
+    for counts in (COUNTS, np.array([1000, 0, 999])):
+        draws = law.sample(reference, int(counts.sum()))
+        ends = np.cumsum(counts)
+        assert np.array_equal(law.sample_sum(rng, counts),
+                              [draws[end - n:end].sum() for n, end in zip(counts, ends)])
+    assert np.array_equal(rng.bit_generator.random_raw(8), reference.bit_generator.random_raw(8))
+
+
+@pytest.mark.parametrize("law", [ef.ScalarDist.constant(1.5), ef.ScalarDist.bernoulli(1.0),
+                                 ef.ScalarDist.discrete([0.0, 3.0], [0.0, 1.0])],
+                         ids=lambda law: law.name)
+def test_sample_sum_of_a_count_array_of_a_degenerate_law_draws_nothing(law):
+    rng, untouched = ef.replicate_rng(33, 0), ef.replicate_rng(33, 0)
+    assert np.array_equal(law.sample_sum(rng, COUNTS), COUNTS * law.mean)
+    assert np.array_equal(rng.bit_generator.random_raw(8), untouched.bit_generator.random_raw(8))

@@ -272,7 +272,7 @@ GOLDEN_CONFIGS = {
     "mixed_bernoulli": {"population": {"m": 2, "N": 10_000, "a": [1, 0]},
                         "kernel": {"kind": "mixed_bernoulli", "theta": [1.0, 2.5], "pi": [0.7, 0.3],
                                    "w": {"dist": "beta", "a": 2.0, "b": 2.0}}},
-    # m > 1 deterministic kernel, both types seeded: the hoisted escape terms
+    # m > 1 deterministic kernel, both types seeded: escape terms without draws
     "constant_two_type": {"population": {"m": 2, "pi": [0.6, 0.4], "N": 10_000, "a": [1, 1]},
                           "kernel": {"kind": "constant", "mu": [[2.0, 1.0], [0.8, 1.5]]}},
 }
@@ -281,11 +281,11 @@ GOLDEN_CONFIGS = {
 @pytest.mark.parametrize("name, replicates, fmt, sha", [
     ("reed_frost", 300, "csv", "4b482e633398d75f9c3748f7b6078f942cb948164956183da1ec939cbb45bcdf"),
     ("reed_frost", 300, "jsonl", "375fee3ea436ccdd1b7afb1c23ffe50057ea23139f1a207b26edf2ca60010a65"),
-    ("mover", 50, "csv", "3ed43dbed0db2fb92d21b7e1a60cb5632811ee50bd187d365dab47789c8be792"),
-    ("random_type", 300, "csv", "6807d8f79c7392aed8ad04a056e886ba85689551fc47381ada180a346c594b45"),
-    ("static_graph", 100, "csv", "73ef8b18ef6f8dc738cd4fd58e3c967278d3cad81b6159b2a9a79fb2c1001695"),
-    ("mixed_bernoulli", 100, "csv", "c09115c75aecf7add92477d5509df4f9772fa09c11a66c2b09fd7889a4827557"),
-    ("constant_two_type", 300, "csv", "8977a19a64d6296007dbe062abd9e1db8d171d55aa3e03be9ae27798fdf57ad3"),
+    ("mover", 50, "csv", "50e0bd93439276f0421a0c26f4ae57f6409ddb1e5d6d3898c901017f66bae74a"),
+    ("random_type", 300, "csv", "8772eabc4802926d9183d4683fcd23f66993ccff65534a8aa2fd5d408baf0141"),
+    ("static_graph", 100, "csv", "d77789b8a04032d25b2009dad6a9cbc7f6e8c75dae16b8c619a13ac319896bf1"),
+    ("mixed_bernoulli", 100, "csv", "2800821979717f2a6f9c6cc9791cbfb8c857b60bb50fb392b834b9762dfca99f"),
+    ("constant_two_type", 300, "csv", "2a9c31fbd8af812180de2b11d8454943b531498cebfe115388c60bb27cf84066"),
 ])
 def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     # pins the random stream and the records layout: a change to either,
@@ -297,21 +297,52 @@ def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+# one config per kernel kind a config can name
+KIND_CONFIGS = {
+    "constant": GOLDEN_CONFIGS["constant_two_type"],
+    "custom_table": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+                     "kernel": {"kind": "custom_table", "rows": [
+                         {"values": [[1.5, 0.5], [3.0, 0.2]], "probs": [0.5, 0.5]},
+                         {"values": [[0.4, 1.0], [0.8, 2.5]], "probs": [0.3, 0.7]}]}},
+    "static_graph": GOLDEN_CONFIGS["static_graph"],
+    "mixed_bernoulli": GOLDEN_CONFIGS["mixed_bernoulli"],
+    "dynamic_graph": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+                      "kernel": {"kind": "dynamic_graph", "rho_plus": [[1.5, 0.8], [0.8, 2.0]],
+                                 "rho_minus": [[1.0, 1.0], [1.0, 1.0]],
+                                 "beta": [[1.5, 1.0], [1.0, 1.5]],
+                                 "q": [{"dist": "exponential", "mean": 1.0},
+                                       {"dist": "exponential", "mean": 1.5}]}},
+    "ball_clancy93": GOLDEN_CONFIGS["mover"],
+    "ball_clancy95": GOLDEN_CONFIGS["random_type"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+def test_shorter_ensemble_is_a_prefix_of_a_longer_one(kind):
+    # row r depends only on the seed and rows 0..r
+    config = parse_config(dict(KIND_CONFIGS[kind], replicates=300, seed=3))
+    assert config.kernel_kind == kind
+    short = ef.run_ensemble(config.population, config.kernel, 37, seed=5)
+    full = ef.run_ensemble(config.population, config.kernel, 300, seed=5)
+    assert (full.total >= full.threshold).any() and full.total.min() < full.threshold
+    assert np.array_equal(short.t_inf, full.t_inf[:37])
+    assert np.array_equal(short.generations, full.generations[:37])
+    assert np.array_equal(short.n_susceptible, full.n_susceptible[:37])
+
+
 def test_ensemble_statistics_match_per_replicate_loop():
-    # the columnar statistics against a loop over single runs on the same
-    # (seed, r) streams, under random allocation where every row has its own split
+    # the columnar statistics against a loop over the ensemble's own rows,
+    # under random allocation where every row has its own split
     config = parse_config(dict(GOLDEN_CONFIGS["mover"], replicates=60, seed=8))
     pop, kernel = config.population, config.kernel
     ensemble = ef.run_ensemble(pop, kernel, 60, seed=8, threshold=300)
-    records = [ef.run_final_size(pop, kernel, ef.replicate_rng(8, r)) for r in range(60)]
-    assert np.array_equal(ensemble.t_inf, [rec.t_inf for rec in records])
-    assert np.array_equal(ensemble.n_susceptible, [rec.population.n_susceptible for rec in records])
-    major = [rec for rec in records if rec.total >= 300]
-    fractions = np.stack([rec.t_inf / rec.population.n_susceptible for rec in major])
-    histogram = {}
-    for rec in records:
-        if rec.total < 300:
-            histogram[rec.total] = histogram.get(rec.total, 0) + 1
+    rows = list(zip(ensemble.t_inf, ensemble.n_susceptible))
+    assert all(n_susceptible.sum() == pop.N for _, n_susceptible in rows)
+    assert len({tuple(n_susceptible) for _, n_susceptible in rows}) > 1
+    major = [(t_inf, n_susceptible) for t_inf, n_susceptible in rows if t_inf.sum() >= 300]
+    fractions = np.stack([t_inf / n_susceptible for t_inf, n_susceptible in major])
+    minor = [int(t_inf.sum()) for t_inf, _ in rows if t_inf.sum() < 300]
+    histogram = {total: minor.count(total) for total in minor}
 
     stats = ef.estimate_outbreak_statistics(ensemble)
     assert 1 < stats.n_major == len(major) < 60

@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -225,14 +226,66 @@ def test_scaled_values_must_fit_population():
 @pytest.mark.parametrize("n", [1, 7, 1000])
 @pytest.mark.parametrize("N", [100, 20_000])
 def test_log_escape_sums_the_same_draws(exponential_hazard_kernels, name, n, N):
-    # log_escape is -u_sum/N: the one draw of the summed U that u_sum takes on
-    # the same stream, and no other draw
+    # log_escape is -u_sum/N: the draws of the summed U that u_sum takes on
+    # the same stream, and no other draw; a line without infectives gives 0
     _, kernel = exponential_hazard_kernels[name]
     assert kernel.u_sum is not None
+    counts = np.array([0, n, 0, 3])
     for i in range(kernel.m):
         escape_rng, sum_rng = np.random.default_rng(17), np.random.default_rng(17)
-        escape = kernel.log_escape(i, n, N, escape_rng)
-        assert escape.shape == (kernel.m,)
-        assert np.array_equal(escape, -kernel.u_sum(i, sum_rng, n) / N)
+        escape = kernel.log_escape(i, counts, N, lambda: escape_rng)
+        assert escape.shape == (len(counts), kernel.m)
+        assert np.array_equal(escape, -kernel.u_sum(i, lambda: sum_rng, counts) / N)
+        assert not escape[counts == 0].any() and (escape[counts > 0] < 0).all()
         assert np.array_equal(escape_rng.bit_generator.random_raw(8),
                               sum_rng.bit_generator.random_raw(8))
+
+
+def _deterministic_kernels():
+    """A zero-covariance instance of every kernel builder, keyed by config kind."""
+    const = ef.ScalarDist.constant
+    alpha = np.array([[2.0, 1.0], [1.0, 3.0]])
+    return {
+        "constant": ef.constant_kernel([[1.5, 0.5], [0.2, 2.0]]),
+        # identical rows, and a row of probability 0
+        "custom_table": ef.table_kernel([
+            (np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([0.5, 0.5])),
+            (np.array([[0.3, 2.0], [9.0, 9.0]]), np.array([1.0, 0.0]))]),
+        "static_graph": ef.static_bernoulli_kernel(ef.StaticGraphSpec(alpha=alpha, w=const(0.5))),
+        "static_graph_shared": ef.static_bernoulli_kernel(
+            ef.StaticGraphSpec(alpha=alpha, w=const(0.5), w_mode="shared")),
+        "mixed_bernoulli": ef.mixed_bernoulli_kernel(
+            ef.MixedGraphSpec(theta=[1.0, 2.0], pi=[0.5, 0.5], w=const(1.0)))[0],
+        "dynamic_graph": ef.dynamic_bernoulli_kernel(ef.DynamicGraphSpec(
+            rho_plus=[[1.5, 0.8], [0.8, 2.0]], rho_minus=np.ones((2, 2)),
+            beta=[[1.5, 1.0], [1.0, 1.5]], q=[const(1.0), const(1.5)])),
+        "ball_clancy93": ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+            b=np.array([[[2.0, 0.1], [0.1, 2.0]]] * 2),
+            sojourn=[[const(1.0), const(0.25)], [const(0.25), const(1.0)]])),
+        "ball_clancy95": ef.ball_clancy95_model([const(1.8), const(1.2)], pi=[0.6, 0.4])[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_deterministic_kernels()))
+def test_deterministic_kernels_draw_nothing(name):
+    # lam = 0 makes V a fixed vector: one draw, a batch and a batched escape
+    # term all leave the generator where it was
+    kernel = _deterministic_kernels()[name]
+    assert kernel.deterministic
+    for i in range(kernel.m):
+        rng, untouched = ef.replicate_rng(12, 0), ef.replicate_rng(12, 0)
+        v = kernel.sample(i, 100, rng)
+        assert np.array_equal(kernel.sample(i, 100, rng, size=3), np.tile(v, (3, 1)))
+        escape = kernel.log_escape(i, np.array([0, 2]), 100, lambda: rng)
+        assert np.array_equal(escape, [np.zeros(kernel.m), 2 * np.log1p(-v)])
+        assert np.array_equal(rng.bit_generator.random_raw(8), untouched.bit_generator.random_raw(8))
+
+
+def test_certain_infection_escape_term_has_no_nan():
+    # V_{0,0} = 1 on a deterministic two-type kernel: a line without type-0
+    # infectives gets 0 from type 0, not 0 * log(0) = nan
+    kernel = ef.constant_kernel([[50.0, 5.0], [5.0, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        escape = kernel.log_escape(0, np.array([0, 2, 0]), 50, lambda: ef.replicate_rng(0, 0))
+    assert escape.tolist() == [[0.0, 0.0], [-np.inf, 2 * np.log1p(-0.1)], [0.0, 0.0]]

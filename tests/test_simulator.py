@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 import epifrost as ef
-from epifrost.simulator import KEY_BLOCK, MAX_REPLICATES, replicate_streams, stream_keys
+from epifrost.simulator import (KEY_BLOCK, MAX_REPLICATES, replicate_streams, stream_keys,
+                                substreams)
 
 from oracles import (
     R_NU_HALF_N50,
@@ -132,6 +133,33 @@ def test_certain_infection_on_the_sampled_path():
         record = ef.run_final_size(spec, kernel, ef.replicate_rng(5, 0))
     assert record.t_inf.tolist() == [25, 0]
     assert record.generations == 1
+
+
+def test_certain_infection_on_the_deterministic_batched_path():
+    # V_{0,0} = 1 on a deterministic two-type kernel, type 1 seeded: lines
+    # without type-0 infectives must get escape term 0 from type 0 (not
+    # 0 * -inf = nan), and one type-0 infective infects every remaining
+    # type-0 susceptible in the next generation
+    spec = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=50, a=[0, 1])
+    kernel = ef.constant_kernel([[50.0, 5.0], [5.0, 5.0]])
+    assert kernel.deterministic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ensemble = ef.run_ensemble(spec, kernel, 400, seed=6)
+    type0 = ensemble.t_inf[:, 0]
+    assert np.isin(type0, [0, 25]).all() and 0 < (type0 == 25).sum() < 400
+
+
+def test_substream_calls_are_counter_offsets_of_replicate_zero():
+    # call c re-keys to replicate_rng(seed, 0)'s key at counter (0, 0, c, 0)
+    fresh = substreams(2**40 + 3)
+    reference = ef.replicate_rng(2**40 + 3, 0)
+    assert np.array_equal(fresh().random(5), reference.random(5))
+    for c in (1, 2):
+        bitgen = np.random.Philox(key=reference.bit_generator.state["state"]["key"],
+                                  counter=[0, 0, c, 0])
+        assert np.array_equal(fresh().binomial(100, 0.3, size=9),
+                              np.random.Generator(bitgen).binomial(100, 0.3, size=9))
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 - 1])
