@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -138,6 +139,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epifrost",

@@ -1,24 +1,27 @@
 """Random-graph and mobility front-ends compiled into infectivity kernels.
 
 Each builder maps a structured model onto the generic kernel contract, the
-law of the scaled infectivity U, with V = U/N unless the model says otherwise:
+law of the scaled infectivity U, with V = U/N unless the model says otherwise.
+Four kinds share one linear law, U_i = sum_j X_ij b_i[:, j] with independent
+scalar X_ij (``_linear_kernel``): the static graph, the mixed graph and, with
+V = 1 - exp(-U/N), the mover and random-type models.
 
   * static Bernoulli graph: edge between a type-i and type-j vertex with
     probability alpha_ij / N, contact probability W along each edge, so
-    V_{i,j} = alpha_ij W_{i,j} / N;
+    V_{i,j} = alpha_ij W_{i,j} / N: b_i = alpha_i with one W per infective,
+    b_i = diag(alpha_i) with one W per edge;
   * mixed Bernoulli graph: per-individual connectivity D with finite
     support theta and P(D = theta_j) = pi_j, acquaintance probability
-    proportional to D_k D_l, one contact coin W per infective, so
-    V_{i,j} = theta_i theta_j W / N and types must be allocated at random;
+    proportional to D_k D_l, one W per infective: the shared-W static
+    graph with alpha = theta theta^T, types allocated at random;
   * dynamic Bernoulli graph: partnerships form at rate rho_plus/N and
     dissolve at rate rho_minus, contacts fire at rate beta while partnered
     and infectious (lifetime Q_i), yielding the closed-form per-partner
     infection probability ``_dynamic_scaled_u`` below;
-  * mover model: an infective originating in group i spends I^i_j time
-    units in group j and contacts group-k individuals at rate b[i][k,j]/N
-    while there, so V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j);
+  * mover model: an infective from group i spends I^i_j time units in group
+    j and contacts group-k individuals at rate b[i][k,j]/N there: X_ij = I^i_j;
   * random-type model: an individual picks its infective type at random
-    from pi on infection, independent of the infector; V = 1 - exp(-U/N).
+    from pi on infection, independent of the infector; b_i is all ones.
 
 The graph itself is never materialized: edge independence lets the graph
 and epidemic be constructed in unison, which is exactly what the kernel's
@@ -28,7 +31,8 @@ draws of U encode.  Prescribed-degree and scale-free graphs are out of scope
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,26 +94,16 @@ def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
 
 
 def _graph_kernel(alpha: np.ndarray, w: ScalarDist, shared: bool) -> InfectivityKernel:
-    """V_{i,j} = alpha_ij W_{i,j} / N, with one W per infective if ``shared``."""
+    """V_{i,j} = alpha_ij W_{i,j} / N (alpha / N <= 1): the linear law with one W per
+    infective if ``shared``, else with b_i = diag(alpha_i) and one W per edge."""
     m = alpha.shape[0]
-    mu = alpha * w.mean
-    outer = np.einsum("ij,ik->ijk", alpha, alpha)  # cov(U_i) / var(W) for a shared W
-    lam = (outer if shared else outer * np.eye(m)) * w.var
-
-    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        if shared:
-            return w.sample(rng, n)[:, None] * alpha[i][None, :]
-        return w.sample(rng, (n, m)) * alpha[i][None, :]
-
     if shared:
-        def u_mgf(i: int, theta: np.ndarray) -> float:
-            return w.mgf(float(theta @ alpha[i]))
-    else:
-        def u_mgf(i: int, theta: np.ndarray) -> float:
-            return float(np.prod([w.mgf(float(t * a)) for t, a in zip(theta, alpha[i])]))
-
-    return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
-                             max_scaled=float(alpha.max()))  # edge probability alpha / N <= 1
+        return _linear_kernel(alpha[:, :, None], [[w]] * m, hazard=False,
+                              max_scaled=float(alpha.max()))
+    kernel = _linear_kernel(alpha[:, :, None] * np.eye(m), [[w] * m] * m, hazard=False,
+                            max_scaled=float(alpha.max()))
+    # a batch's W in one row-major call, not one call per column: rows are prefixes
+    return replace(kernel, u_sampler=lambda i, rng, n: w.sample(rng, (n, m)) * alpha[i])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,8 @@ def _dynamic_moments(spec: DynamicGraphSpec, i: int) -> tuple[np.ndarray, np.nda
 
 
 # ---------------------------------------------------------------------------
-# Mover model (per-origin group sojourns)
+# Linear-law kernels: the mover model (per-origin group sojourns) and the
+# random-type model
 # ---------------------------------------------------------------------------
 
 
@@ -292,56 +287,60 @@ class BallClancy93Spec:
 
 
 def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
-    """Compile the mover model: V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j).
+    """Compile the mover model: V_{i,k} = 1 - exp(-(1/N) sum_j b[i][k,j] I^i_j)."""
+    return _linear_kernel(spec.b, spec.sojourn, hazard=True)
 
-    ``u_sum`` draws each line's summed sojourn of its infectives per group from
-    that sum's law, one vector call per group."""
-    b = spec.b
+
+def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: bool,
+                   max_scaled: float = math.inf) -> InfectivityKernel:
+    """The kernel of U_i = sum_j X_ij b[i][:, j], X_ij ~ laws[i][j] independent:
+    mu[i] = b[i] E[X_i], lam[i] = b[i] diag(var X_i) b[i]^T and E[exp(theta . U_i)]
+    = prod_j M_ij(theta . b[i][:, j]).  With ``hazard``, V = 1 - exp(-U/N), and
+    ``u_sum`` draws a line's summed X_ij from that sum's law, one call per column j.
+    """
     m = b.shape[0]
-    tables = spec.sojourn
-
-    means = np.stack([[tables[i][j].mean for j in range(m)] for i in range(m)])
-    variances = np.stack([[tables[i][j].var for j in range(m)] for i in range(m)])
+    means = np.array([[x.mean for x in row] for row in laws])
+    variances = np.array([[x.var for x in row] for row in laws])
     mu = np.einsum("ikj,ij->ik", b, means)
     lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
+    columns = [list(zip(laws[i], b[i].T[:, :, None])) for i in range(m)]  # X_ij, (m, 1) b[i][:, j]
 
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.stack([tables[i][j].sample(rng, n) for j in range(m)], axis=1) @ b[i].T
+        return np.stack([x.sample(rng, n) for x in laws[i]], axis=1) @ b[i].T
+
+    def u_mgf(i: int, theta: np.ndarray) -> float:
+        return float(math.prod(x.mgf(float(t)) for x, t in zip(laws[i], b[i].T @ theta)))
+
+    if not hazard:
+        return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
+                                 max_scaled=max_scaled)
 
     def u_sum(i: int, fresh: FreshFn, counts: np.ndarray) -> np.ndarray:
-        # sum_j I_j b[i][:, j] term by term: a row does not depend on the other rows
-        # (a matmul's rounding can depend on how many rows it has)
-        u = np.zeros((len(counts), m))
-        for j in range(m):
-            u += tables[i][j].sample_sum(fresh(), counts)[:, None] * b[i][:, j]
-        return u
+        # term by term, so a row does not depend on the other rows (a matmul's rounding
+        # can depend on how many it has), from the first term on (0 + t is t); built
+        # as (m, lines) so that each product runs along the lines, then transposed
+        (x, column), *rest = columns[i]
+        u = column * x.sample_sum(fresh(), counts)
+        for x, column in rest:
+            u += column * x.sample_sum(fresh(), counts)
+        return u.T
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)
 
-    def u_mgf(i: int, theta: np.ndarray) -> float:
-        args = b[i].T @ theta  # component l: sum_k theta_k b[i][k, l]
-        return float(np.prod([tables[i][l].mgf(float(args[l])) for l in range(m)]))
-
     return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
-                             sampler=sampler, u_sum=u_sum)
-
-
-# ---------------------------------------------------------------------------
-# Random-type model
-# ---------------------------------------------------------------------------
+                             sampler=sampler, u_sum=u_sum, max_scaled=max_scaled)
 
 
 def ball_clancy95_model(base: Sequence[ScalarDist],
                         pi: np.ndarray) -> tuple[InfectivityKernel, Allocation]:
     """Random-type model: an infective of type i contacts every individual
-    with the same probability 1 - exp(-u_i / N), u_i drawn from base[i].
+    with the same probability 1 - exp(-u_i / N), u_i drawn from base[i]
+    (the linear law with b_i all ones).
 
     Since an individual's type is assigned at random from pi irrespective of
     its infector, this maps onto random multinomial allocation; the forced
-    mode is returned alongside the kernel.  ``u_sum`` for counts[l] type-i
-    infectives on line l is one draw of the law of the sum of counts[l]
-    copies of u_i, all lines in one vector call.
+    mode is returned alongside the kernel.
     """
     pi = np.asarray(pi, dtype=float)
     m = len(pi)
@@ -349,24 +348,5 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
         raise ValueError(f"need one scalar infectivity law per type, got {len(base)} for m={m}")
     if np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise ValueError("pi must be a strictly positive probability vector")
-
-    means = np.array([d.mean for d in base])
-    variances = np.array([d.var for d in base])
-    mu = means[:, None] * np.ones((m, m))
-    lam = variances[:, None, None] * np.ones((m, m, m))
-
-    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.repeat(base[i].sample(rng, n)[:, None], m, axis=1)
-
-    def u_sum(i: int, fresh: FreshFn, counts: np.ndarray) -> np.ndarray:
-        return np.repeat(base[i].sample_sum(fresh(), counts)[:, None], m, axis=1)
-
-    def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return -np.expm1(-u_sampler(i, rng, n) / N)
-
-    def u_mgf(i: int, theta: np.ndarray) -> float:
-        return base[i].mgf(float(theta.sum()))
-
-    kernel = InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
-                               sampler=sampler, u_sum=u_sum)
+    kernel = _linear_kernel(np.ones((m, m, 1)), [[x] for x in base], hazard=True)
     return kernel, Allocation.RANDOM_MULTINOMIAL

@@ -143,6 +143,10 @@ def resolve_population(spec: PopulationSpec, rng: Optional[np.random.Generator] 
 # Infectivity kernels
 # ---------------------------------------------------------------------------
 
+# values of V one ``sample`` call of the sampled escape term draws at most (unless
+# one line needs more): its memory does not grow with the number of lines
+_ESCAPE_RUN = 1 << 16
+
 # sampler(infector_type, N, rng, n) -> (n, m) array of V values
 SamplerFn = Callable[[int, int, np.random.Generator, int], np.ndarray]
 # u_sampler(infector_type, rng, n) -> (n, m) array of scaled limits
@@ -232,8 +236,9 @@ class InfectivityKernel:
         * deterministic kernels draw nothing: counts * log(1 - V);
         * kernels with ``u_sum`` return -sum(U)/N, the sum drawn from its own
           law (so not from the draws ``sample`` would take);
-        * any other kernel draws counts.sum() values of V in one ``sample``
-          call and adds up each line's run of them.
+        * any other kernel draws counts.sum() values of V in ``sample`` calls
+          on one generator, each for a run of lines of at most ``_ESCAPE_RUN``
+          values (or one line), and adds up each line's run of them.
         """
         counts = np.asarray(counts)
         if self.deterministic:
@@ -246,11 +251,18 @@ class InfectivityKernel:
         rng = fresh()
         out = np.zeros((len(counts), self.m))
         lines = np.flatnonzero(counts)
-        if lines.size:
-            sizes = counts[lines]
+        sizes = counts[lines]
+        starts = np.cumsum(sizes) - sizes  # each line's first draw among the call's
+        total, start = int(sizes.sum()), 0
+        while start < lines.size:  # runs of lines, drawn in turn from one generator
+            done, stop = int(starts[start]), lines.size
+            if total - done > _ESCAPE_RUN:  # the lines that end within the run, at least one
+                stop = max(start + 1, int(np.searchsorted(starts, done + _ESCAPE_RUN, "right")) - 1)
+            size = (int(starts[stop]) if stop < lines.size else total) - done
             with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
-                draws = np.log1p(-self.sample(infector_type, N, rng, size=int(sizes.sum())))
-            out[lines] = np.add.reduceat(draws, np.cumsum(sizes) - sizes, axis=0)
+                draws = np.log1p(-self.sample(infector_type, N, rng, size=size))
+            out[lines[start:stop]] = np.add.reduceat(draws, starts[start:stop] - done, axis=0)
+            start = stop
         return out
 
     def sample_u(self, infector_type: int, rng: np.random.Generator,

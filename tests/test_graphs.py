@@ -307,16 +307,45 @@ def test_mover_unit_sojourn_is_constant_kernel():
     assert np.all(kernel.lam == 0.0)
 
 
-def test_mover_multigroup_moments():
+def _linear_kinds():
+    """Kernels of the linear law U_i = sum_j X_ij b[i][:, j], keyed by kind, each
+    with its b and its scalar laws X_ij stated from the model's definition."""
+    exp, gamma, const = ef.ScalarDist.exponential, ef.ScalarDist.gamma, ef.ScalarDist.constant
     b = np.array([[[2.0, 1.0], [0.5, 1.5]], [[1.0, 0.0], [0.0, 2.0]]])
-    sojourn = [[ef.ScalarDist.exponential(1.0), ef.ScalarDist.gamma(2.0, 0.5)],
-               [ef.ScalarDist.constant(0.5), ef.ScalarDist.exponential(2.0)]]
-    kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=b, sojourn=sojourn))
-    means = np.array([[1.0, 1.0], [0.5, 2.0]])
-    variances = np.array([[1.0, 0.5], [0.0, 4.0]])
-    for i in range(2):
-        assert np.allclose(kernel.mu[i], b[i] @ means[i])
-        assert np.allclose(kernel.lam[i], b[i] @ np.diag(variances[i]) @ b[i].T)
+    sojourn = [[exp(1.0), gamma(2.0, 0.5)], [const(0.5), exp(2.0)]]
+    base = [exp(1.7), ef.ScalarDist.discrete([0.5, 2.5], [0.4, 0.6]),
+            ef.ScalarDist.uniform(0.2, 1.4)]
+    alpha = np.array([[1.3, 0.7, 0.2], [0.7, 2.1, 0.9], [0.2, 0.9, 0.6]])
+    w = ef.ScalarDist.beta(2.0, 5.0)
+    theta = np.array([0.8, 1.9, 3.1])
+    return {
+        "mover": (ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=b, sojourn=sojourn)), b, sojourn),
+        "random_type": (ef.ball_clancy95_model(base, pi=[0.2, 0.3, 0.5])[0],
+                        np.ones((3, 3, 1)), [[x] for x in base]),
+        "static_graph": (ef.static_bernoulli_kernel(ef.StaticGraphSpec(alpha=alpha, w=w)),
+                         alpha[:, :, None] * np.eye(3), [[w] * 3] * 3),
+        "static_graph_shared": (ef.static_bernoulli_kernel(
+            ef.StaticGraphSpec(alpha=alpha, w=w, w_mode="shared")), alpha[:, :, None], [[w]] * 3),
+        "mixed_bernoulli": (ef.mixed_bernoulli_kernel(
+            ef.MixedGraphSpec(theta=theta, pi=[0.5, 0.3, 0.2], w=w))[0],
+            np.outer(theta, theta)[:, :, None], [[w]] * 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_linear_kinds()))
+def test_linear_kernel_moments_and_generating_function(name):
+    # mu[i] = b[i] E[X_i], lam[i] = b[i] diag(var X_i) b[i]^T and
+    # E[exp(theta . U_i)] = prod_j M_ij(theta . b[i][:, j])
+    kernel, b, laws = _linear_kinds()[name]
+    for i in range(kernel.m):
+        means = np.array([x.mean for x in laws[i]])
+        variances = np.array([x.var for x in laws[i]])
+        np.testing.assert_allclose(kernel.mu[i], b[i] @ means, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(kernel.lam[i], b[i] @ np.diag(variances) @ b[i].T,
+                                   rtol=1e-15, atol=0)
+        for theta in (np.zeros(kernel.m), np.linspace(-2.5, -0.1, kernel.m)):
+            expected = math.prod(x.mgf(float(theta @ b[i][:, j])) for j, x in enumerate(laws[i]))
+            assert kernel.u_mgf(i, theta) == expected
 
 
 # ---------------------------------------------------------------------------

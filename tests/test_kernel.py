@@ -289,3 +289,28 @@ def test_certain_infection_escape_term_has_no_nan():
         warnings.simplefilter("error")
         escape = kernel.log_escape(0, np.array([0, 2, 0]), 50, lambda: ef.replicate_rng(0, 0))
     assert escape.tolist() == [[0.0, 0.0], [-np.inf, 2 * np.log1p(-0.1)], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("name", ["custom_table", "static_graph"])
+def test_sampled_escape_term_in_runs_matches_one_call(monkeypatch, name):
+    # the sampled escape term draws runs of lines in turn from one generator:
+    # the same values, and the same generator state, as one call for all lines
+    kernel = {
+        "custom_table": ef.table_kernel([
+            (np.array([[1.0, 0.5], [2.0, 0.0], [0.2, 3.0]]), np.array([0.2, 0.5, 0.3])),
+            (np.array([[0.3, 2.0], [1.5, 1.0]]), np.array([0.6, 0.4]))]),
+        "static_graph": ef.static_bernoulli_kernel(ef.StaticGraphSpec(
+            alpha=[[2.0, 1.0], [1.0, 3.0]], w=ef.ScalarDist.beta(2.0, 3.0))),
+    }[name]
+    counts = np.array([0, 3, 1, 0, 11, 2, 0, 4, 4, 1])  # a line of 11 outgrows a run of 5
+    for i in range(kernel.m):
+        whole_rng = ef.replicate_rng(5, i)
+        whole = kernel.log_escape(i, counts, 100, lambda: whole_rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(ef.kernel, "_ESCAPE_RUN", 5)
+            runs_rng = ef.replicate_rng(5, i)
+            runs = kernel.log_escape(i, counts, 100, lambda: runs_rng)
+        assert np.array_equal(runs, whole)
+        assert not whole[counts == 0].any() and (whole[counts > 0] < 0).all()
+        assert np.array_equal(runs_rng.bit_generator.random_raw(8),
+                              whole_rng.bit_generator.random_raw(8))
