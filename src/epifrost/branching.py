@@ -12,8 +12,11 @@ with a_i initial ancestors of type i a major outbreak happens with
 probability 1 - prod_i q_i^{a_i}.
 
 Total progeny runs n lines at once, generation-synchronously: given its
-parents' U, a line's type-j children are one Poisson(pi_j * sum U_j) draw, and
-a generation draws at most n * max(cap, sum a) values of U.
+parents' summed U, a line's type-j children are one Poisson(pi_j * sum U_j)
+draw.  That sum is the epidemic's escape term in its N -> inf limit
+(``InfectivityKernel.log_escape`` with N=None), drawn as the epidemic draws it:
+nothing for a deterministic kernel, one sum-law draw per (type, group) with
+``u_sum``, and otherwise every parent's U, in runs.
 """
 
 from __future__ import annotations
@@ -56,29 +59,30 @@ class TotalProgeny:
 def simulate_progeny_lines(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndarray, cap: int,
                            n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(n, m) births (ancestors excluded) of ``n`` lines from ancestors ``a``, and (n,)
-    flags for lines stopped because their births passed ``cap``.  The parents' summed U
-    is ``active @ mu`` for a deterministic kernel, else per-type draws summed per line."""
+    flags for lines stopped because their births passed ``cap``.  Every draw, the
+    parents' summed U by ``kernel.log_escape(i, counts, None, ...)`` and the children,
+    comes from ``rng``."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    pi = np.asarray(pi, dtype=float)
+    pi = _checked_pi(kernel.m, pi, a)
     counts = np.zeros((n, kernel.m), dtype=np.int64)
     live = np.arange(n)
     active = np.tile(np.asarray(a, dtype=np.int64), (n, 1))
     while live.size:
-        if kernel.deterministic:
-            load = active @ kernel.mu
-        else:
-            load = np.zeros(active.shape)
-            for k in np.nonzero(active.any(axis=0))[0]:
-                lines = np.nonzero(active[:, k])[0]
-                sizes = active[lines, k]
-                u = kernel.sample_u(int(k), rng, size=int(sizes.sum()))
-                load[lines] += np.add.reduceat(u, np.cumsum(sizes) - sizes, axis=0)
+        load = -sum(kernel.log_escape(i, active[:, i], None, lambda: rng) for i in range(kernel.m))
         active = rng.poisson(load * pi)
         counts[live] += active
         keep = (counts[live].sum(axis=1) <= cap) & active.any(axis=1)
         live, active = live[keep], active[keep]
     return counts, counts.sum(axis=1) > cap
+
+
+def _checked_pi(m: int, pi: np.ndarray, a: Optional[np.ndarray]) -> np.ndarray:
+    """``pi`` as floats, once ``pi`` and ``a`` (unless None) have shape (m,), ``a`` >= 0."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (m,) or a is not None and (np.shape(a) != (m,) or np.any(np.asarray(a) < 0)):
+        raise ValueError(f"need pi and a nonnegative a of shape ({m},), got pi={pi!r}, a={a!r}")
+    return pi
 
 
 def simulate_total_progeny(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndarray,
@@ -111,10 +115,7 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
     R <= 1 by standard branching theory).
     """
     m = kernel.m
-    pi = np.asarray(pi, dtype=float)
-    if at_most_critical(compute_R(kernel.mu, pi)):
-        sol = ExtinctionSolution(q=np.ones(m), iterations=0, residual=0.0)
-        return _with_major_prob(sol, a)
+    pi = _checked_pi(m, pi, a)
 
     def h(s: np.ndarray) -> np.ndarray:
         theta = (s - 1.0) * pi
@@ -125,14 +126,13 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
         back = s - np.sqrt(np.finfo(float).eps) * np.eye(m)  # row j: step back in s_j
         return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(back)], axis=1)
 
-    q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(m), 1, 1.0,
-                                             tol, max_iter, "extinction-probability")
-    sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it, residual=residual,
-                             error_bound=bound)
-    return _with_major_prob(sol, a)
-
-
-def _with_major_prob(sol: ExtinctionSolution, a: Optional[np.ndarray]) -> ExtinctionSolution:
+    if at_most_critical(compute_R(kernel.mu, pi)):
+        sol = ExtinctionSolution(q=np.ones(m), iterations=0, residual=0.0)
+    else:
+        q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(m), 1, 1.0,
+                                                 tol, max_iter, "extinction-probability")
+        sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it, residual=residual,
+                                 error_bound=bound)
     if a is None:
         return sol
     return replace(sol, major_outbreak_prob=major_outbreak_probability(sol, a))

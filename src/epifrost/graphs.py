@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -305,8 +305,18 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
     lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
     columns = [list(zip(laws[i], b[i].T[:, :, None])) for i in range(m)]  # X_ij, (m, 1) b[i][:, j]
 
+    def linear(i: int, draw: Callable[[ScalarDist], np.ndarray]) -> np.ndarray:
+        # term by term, so a row does not depend on the other rows (a matmul's rounding
+        # can depend on how many it has), from the first term on (0 + t is t); built
+        # as (m, lines) so that each product runs along the lines, then transposed
+        (x, column), *rest = columns[i]
+        u = column * draw(x)
+        for x, column in rest:
+            u += column * draw(x)
+        return u.T
+
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.stack([x.sample(rng, n) for x in laws[i]], axis=1) @ b[i].T
+        return linear(i, lambda x: x.sample(rng, n))
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(math.prod(x.mgf(float(t)) for x, t in zip(laws[i], b[i].T @ theta)))
@@ -316,14 +326,7 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
                                  max_scaled=max_scaled)
 
     def u_sum(i: int, fresh: FreshFn, counts: np.ndarray) -> np.ndarray:
-        # term by term, so a row does not depend on the other rows (a matmul's rounding
-        # can depend on how many it has), from the first term on (0 + t is t); built
-        # as (m, lines) so that each product runs along the lines, then transposed
-        (x, column), *rest = columns[i]
-        u = column * x.sample_sum(fresh(), counts)
-        for x, column in rest:
-            u += column * x.sample_sum(fresh(), counts)
-        return u.T
+        return linear(i, lambda x: x.sample_sum(fresh(), counts))
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)

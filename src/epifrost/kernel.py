@@ -143,7 +143,7 @@ def resolve_population(spec: PopulationSpec, rng: Optional[np.random.Generator] 
 # Infectivity kernels
 # ---------------------------------------------------------------------------
 
-# values of V one ``sample`` call of the sampled escape term draws at most (unless
+# values of V (or U) one call of the sampled escape term draws at most (unless
 # one line needs more): its memory does not grow with the number of lines
 _ESCAPE_RUN = 1 << 16
 
@@ -168,8 +168,7 @@ class InfectivityKernel:
 
     V is U/N unless ``sampler`` draws it at finite N.  ``deterministic`` is
     derived: lam = 0 makes U, and so V, a fixed vector given the infector
-    type and N; ``sample`` then draws nothing from its generator, and the
-    simulator and the branching lines skip per-infective sampling.
+    type and N; ``sample`` and ``log_escape`` then draw nothing.
     ``max_scaled`` is the largest scaled probability the kernel is built
     from: N * V, or N times an edge probability for the graph kernels, or inf
     where there is no bound (V < 1 by construction); ``sample`` refuses N
@@ -204,15 +203,6 @@ class InfectivityKernel:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "deterministic", not lam.any())
 
-    def _rows(self, draw: Callable[..., np.ndarray], infector_type: int,
-              size: Optional[int], *args) -> np.ndarray:
-        """The (n, m) batch ``draw(infector_type, *args, n)``; ``size=None`` is its (m,) row."""
-        if not 0 <= infector_type < self.m:
-            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
-        if size is None:
-            return draw(infector_type, *args, 1)[0]
-        return draw(infector_type, *args, size)
-
     def sample(self, infector_type: int, N: int, rng: np.random.Generator,
                size: Optional[int] = None) -> np.ndarray:
         """Draw V for one infector type at scale N: one (m,) vector, or a
@@ -222,32 +212,38 @@ class InfectivityKernel:
             raise ValueError(f"population scale must be >= 1, got {N}")
         if N < self.max_scaled < math.inf:
             raise ValueError(f"scaled infectivity {self.max_scaled} exceeds population scale {N}")
-        if self.sampler is None:
-            return self._rows(self.u_sampler, infector_type, size, rng) / N
-        return self._rows(self.sampler, infector_type, size, N, rng)
+        if not 0 <= infector_type < self.m:
+            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
+        n = 1 if size is None else size
+        v = (self.u_sampler(infector_type, rng, n) / N if self.sampler is None
+             else self.sampler(infector_type, N, rng, n))
+        return v[0] if size is None else v
 
-    def log_escape(self, infector_type: int, counts: np.ndarray, N: int,
+    def log_escape(self, infector_type: int, counts: np.ndarray, N: Optional[int],
                    fresh: FreshFn) -> np.ndarray:
         """(len(counts), m): row l is the sum of log(1 - V) over counts[l] i.i.d.
-        draws for one infector type, the log-probability that a susceptible
-        escapes all of them (0 for a zero count).  Each vector draw call takes
-        its generator from ``fresh()`` and draws line by line, in line order:
+        draws for one infector type, the log-probability that a susceptible escapes
+        all of them (0 for a zero count); ``N=None`` gives its N -> inf limit of N
+        times that sum, -sum(U).  Each vector draw call takes its generator from
+        ``fresh()`` and draws line by line, in line order:
 
-        * deterministic kernels draw nothing: counts * log(1 - V);
-        * kernels with ``u_sum`` return -sum(U)/N, the sum drawn from its own
-          law (so not from the draws ``sample`` would take);
-        * any other kernel draws counts.sum() values of V in ``sample`` calls
-          on one generator, each for a run of lines of at most ``_ESCAPE_RUN``
-          values (or one line), and adds up each line's run of them.
+        * deterministic kernels draw nothing: counts * log(1 - V), or -counts * mu;
+        * kernels with ``u_sum`` return -sum(U)/N, the sum drawn from its own law
+          (so not from the draws ``sample`` would take);
+        * any other kernel draws counts.sum() values of V (``sample``) or U
+          (``u_sampler``) on one generator, in calls each for a run of lines of at
+          most ``_ESCAPE_RUN`` values (or one line), and adds up each line's run.
         """
         counts = np.asarray(counts)
         if self.deterministic:
             with np.errstate(divide="ignore", invalid="ignore"):  # V = 1 gives -inf
-                out = counts[:, None] * np.log1p(-self.sample(infector_type, N, fresh()))
+                row = (-self.mu[infector_type] if N is None
+                       else np.log1p(-self.sample(infector_type, N, fresh())))
+                out = counts[:, None] * row
             out[counts == 0] = 0.0  # not 0 * -inf = nan
             return out
-        if self.u_sum is not None:
-            return -self.u_sum(infector_type, fresh, counts) / N
+        if self.u_sum is not None:  # dividing by 1 is exact
+            return -self.u_sum(infector_type, fresh, counts) / (1 if N is None else N)
         rng = fresh()
         out = np.zeros((len(counts), self.m))
         lines = np.flatnonzero(counts)
@@ -260,15 +256,11 @@ class InfectivityKernel:
                 stop = max(start + 1, int(np.searchsorted(starts, done + _ESCAPE_RUN, "right")) - 1)
             size = (int(starts[stop]) if stop < lines.size else total) - done
             with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
-                draws = np.log1p(-self.sample(infector_type, N, rng, size=size))
+                draws = (-self.u_sampler(infector_type, rng, size) if N is None
+                         else np.log1p(-self.sample(infector_type, N, rng, size=size)))
             out[lines[start:stop]] = np.add.reduceat(draws, starts[start:stop] - done, axis=0)
             start = stop
         return out
-
-    def sample_u(self, infector_type: int, rng: np.random.Generator,
-                 size: Optional[int] = None) -> np.ndarray:
-        """Draw U for one infector type: one (m,) vector, or a (size, m) batch."""
-        return self._rows(self.u_sampler, infector_type, size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +311,8 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
         values.append(vals)
         probs.append(ps)
 
-    mu = np.stack([probs[i] @ values[i] for i in range(m)])
-    lam = np.zeros((m, m, m))
-    for i in range(m):
-        centered = values[i] - mu[i]
-        lam[i] = (centered * probs[i][:, None]).T @ centered
+    mu = np.stack([p @ v for v, p in zip(values, probs)])
+    lam = np.stack([((v - mean) * p[:, None]).T @ (v - mean) for v, p, mean in zip(values, probs, mu)])
 
     # a type whose rows of positive probability are one vector draws nothing
     support = [vals[ps > 0] for vals, ps in zip(values, probs)]

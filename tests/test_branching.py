@@ -35,6 +35,19 @@ def test_total_progeny_zero_law_repeated_draws():
     assert result.total == 0
 
 
+def test_branching_rejects_pi_and_a_of_the_wrong_shape():
+    # a two-type kernel takes pi and a of shape (2,), with a nonnegative
+    kernel = ef.constant_kernel([[1.5, 0.5], [0.5, 1.5]])
+    rng = np.random.default_rng(0)
+    for pi, a in (([1.0], [1, 0]), ([0.5, 0.5], [1]), ([0.5, 0.5], [1, -1]), ([0.5, 0.5], [[1, 0]])):
+        with pytest.raises(ValueError, match="shape"):
+            ef.simulate_progeny_lines(kernel, pi, np.array(a), 10, 5, rng)
+        with pytest.raises(ValueError, match="shape"):
+            ef.extinction_probability(kernel, pi, a=np.array(a))
+    with pytest.raises(ValueError, match="shape"):
+        ef.extinction_probability(kernel, [1.0])
+
+
 def test_total_progeny_poisson_zero_probability():
     # constant U = 0.5, pi = 1: no offspring with probability e^{-0.5}
     kernel = ef.constant_kernel([[0.5]])
@@ -75,13 +88,17 @@ def test_total_progeny_subcritical_mean():
 
 
 UPTO = 10
-# (kernel, offspring pmf on 0..UPTO): Poisson(1.5), and a two-atom U (the
-# segment-sum path) with the same mean, a mixed Poisson
+# (kernel, offspring pmf on 0..UPTO): Poisson(1.5), a two-atom U (the
+# segment-sum path) with the same mean, a mixed Poisson, and U ~ Exp(mean 1.5)
+# (the summed-U path), whose Poisson(U) offspring are geometric with p = 1/2.5
 DWASS_CASES = {
     "constant": (ef.constant_kernel([[1.5]]), poisson.pmf(np.arange(UPTO + 1), 1.5)),
     "two_atom": (ef.table_kernel([(np.array([[0.5], [2.5]]), np.array([0.5, 0.5]))]),
                  0.5 * poisson.pmf(np.arange(UPTO + 1), 0.5)
                  + 0.5 * poisson.pmf(np.arange(UPTO + 1), 2.5)),
+    "gse": (ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([[[1.5]]]), sojourn=[[ef.ScalarDist.exponential(1.0)]])),
+        stats.geom.pmf(np.arange(UPTO + 1), 1 / 2.5, loc=-1)),
 }
 
 
@@ -114,25 +131,31 @@ def test_single_line_view_matches_dwass_pmf():
 
 
 def test_multitype_mean_progeny_matches_next_generation_matrix():
-    # subcritical two-type U with two atoms per row: E[births] = a (I - M)^-1 - a
-    # with M[k, j] = mu[k, j] pi_j, for the batched lines and the one-line view
-    kernel = ef.table_kernel([
+    # subcritical two-type U: E[births] = a (I - M)^-1 - a with M[k, j] = mu[k, j] pi_j,
+    # for the batched lines and the one-line view, with two atoms per row (the
+    # per-draw path) and for a mover with exponential sojourns (the summed-U path)
+    table = ef.table_kernel([
         (np.array([[0.2, 0.9], [1.0, 0.1]]), np.array([0.5, 0.5])),
         (np.array([[0.0, 1.2], [0.8, 0.0]]), np.array([0.5, 0.5])),
     ])
+    mover = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([[[0.6, 0.2], [0.3, 0.5]], [[0.4, 0.1], [0.2, 0.7]]]),
+        sojourn=[[ef.ScalarDist.exponential(1.0), ef.ScalarDist.exponential(0.5)],
+                 [ef.ScalarDist.exponential(0.5), ef.ScalarDist.exponential(1.2)]]))
     pi = np.array([0.4, 0.6])
     a = np.array([2, 1])
-    M = kernel.mu * pi[None, :]
-    expected = a @ np.linalg.inv(np.eye(2) - M) - a
-    counts, exceeded = ef.simulate_progeny_lines(kernel, pi, a, 10**6, 40_000,
-                                                 np.random.default_rng(33))
-    rng = np.random.default_rng(34)
-    runs = [ef.simulate_total_progeny(kernel, pi, a, 10**6, rng) for _ in range(5_000)]
-    single = np.stack([run.counts for run in runs])
-    assert not exceeded.any() and not any(run.exceeded for run in runs)
-    for sample in (counts, single):
-        se = sample.std(axis=0, ddof=1) / np.sqrt(len(sample))
-        assert np.all(np.abs(sample.mean(axis=0) - expected) <= 4 * se)
+    for kernel in (table, mover):
+        M = kernel.mu * pi[None, :]
+        expected = a @ np.linalg.inv(np.eye(2) - M) - a
+        counts, exceeded = ef.simulate_progeny_lines(kernel, pi, a, 10**6, 40_000,
+                                                     np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        runs = [ef.simulate_total_progeny(kernel, pi, a, 10**6, rng) for _ in range(5_000)]
+        single = np.stack([run.counts for run in runs])
+        assert not exceeded.any() and not any(run.exceeded for run in runs)
+        for sample in (counts, single):
+            se = sample.std(axis=0, ddof=1) / np.sqrt(len(sample))
+            assert np.all(np.abs(sample.mean(axis=0) - expected) <= 4 * se)
 
 
 def test_extinction_subcritical_is_one():
@@ -183,7 +206,7 @@ def test_offspring_mean_matches_threshold_matrix():
     rng = np.random.default_rng(12)
     n = 100_000
     for k in range(2):
-        counts = rng.poisson(kernel.sample_u(k, rng, size=n) * pi[None, :])
+        counts = rng.poisson(kernel.u_sampler(k, rng, n) * pi[None, :])
         mean = counts.mean(axis=0)
         se = counts.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - kernel.mu[k] * pi) <= 4 * se)

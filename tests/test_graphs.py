@@ -348,6 +348,23 @@ def test_linear_kernel_moments_and_generating_function(name):
             assert kernel.u_mgf(i, theta) == expected
 
 
+def test_linear_kernel_row_does_not_depend_on_the_batch_size():
+    # random movers with constant sojourns draw the same X in every row, so every
+    # row of a batch must be the one-row draw bit for bit; a matmul over the stacked
+    # X can round a row differently depending on how many rows it has
+    rng = np.random.default_rng(2024)
+    for m in (2, 3, 4):
+        for _ in range(10):
+            sojourn = [[ef.ScalarDist.constant(x) for x in row] for row in rng.uniform(0.1, 2.0, (m, m))]
+            kernel = ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+                b=rng.uniform(0.0, 3.0, (m, m, m)), sojourn=sojourn))
+            for i in range(m):
+                u, v = kernel.u_sampler(i, rng, 1)[0], kernel.sample(i, 1000, rng)
+                for n in (2, 3, 4, 5, 7, 8, 16, 17, 33, 100, 1000):
+                    assert np.array_equal(kernel.u_sampler(i, rng, n), np.tile(u, (n, 1)))
+                    assert np.array_equal(kernel.sample(i, 1000, rng, size=n), np.tile(v, (n, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Random-type model
 # ---------------------------------------------------------------------------

@@ -198,6 +198,16 @@ def test_branching_tv_allows_for_sampling_noise_and_detects_a_wrong_law():
     assert right.tolerance["tv"] == pytest.approx(0.02 + 4 * right.tolerance["tv_se"])
 
 
+def test_branching_tv_passes_on_an_exponential_hazard_kernel(gse_ensemble):
+    # the branching lines draw the parents' summed U from its Gamma law; a constant
+    # kernel with the same mean (Poisson offspring, not geometric) is far off in TV
+    spec, kernel, ensemble = gse_ensemble
+    right = harness._check_branching_tv(ensemble, kernel, spec.pi, spec.a, seed=515)
+    wrong = harness._check_branching_tv(ensemble, ef.constant_kernel(kernel.mu), spec.pi, spec.a,
+                                        seed=515)
+    assert right.passed and not wrong.passed
+
+
 def test_rf_validate_report_matches_golden_sha256(tmp_path, capsys):
     # pins the branching_tv stream (all lines from replicate_rng(seed + 1, 0))
     # next to the ensemble's records, which the branching stream leaves alone

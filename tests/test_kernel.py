@@ -51,8 +51,6 @@ def test_invalid_type_index_rejected():
         kernel.sample(1, 100, rng)
     with pytest.raises(ValueError):
         kernel.sample(-1, 100, rng)
-    with pytest.raises(ValueError):
-        kernel.sample_u(5, rng)
 
 
 def test_sample_batches_are_iid():
