@@ -234,6 +234,8 @@ class InfectivityKernel:
           (``u_sampler``) on one generator, in calls each for a run of lines of at
           most ``_ESCAPE_RUN`` values (or one line), and adds up each line's run.
         """
+        if not 0 <= infector_type < self.m:
+            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
         counts = np.asarray(counts)
         if self.deterministic:
             with np.errstate(divide="ignore", invalid="ignore"):  # V = 1 gives -inf

@@ -17,10 +17,9 @@ vector binomial over the live lines.  Vector call c of an ensemble draws
 from a Philox generator with the key of ``replicate_rng(seed, 0)`` and
 counter (0, 0, c, 0), line by line, and the sequence of calls depends on
 neither the replicate count nor the outcomes, so row r depends only on the
-seed and rows 0..r.  A deterministic one-type kernel (the classic
-Reed-Frost chain) instead runs its replicates one after another, replicate
-r on the stream of ``replicate_rng(seed, r)``.  Either way an ensemble comes
-back as one ``Ensemble`` of per-replicate arrays.
+seed and rows 0..r.  Every kernel runs this way, the classic Reed-Frost
+chain (one type, fixed V) included, and an ensemble comes back as one
+``Ensemble`` of per-replicate arrays.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from math import expm1, log1p
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,8 +41,6 @@ __all__ = [
     "run_final_size",
     "run_ensemble",
     "replicate_rng",
-    "replicate_streams",
-    "stream_keys",
     "substreams",
 ]
 
@@ -103,39 +99,15 @@ def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
                    rng: np.random.Generator) -> FinalSizeRecord:
     """Run one epidemic to extinction and return its final size record.
 
-    A deterministic one-type kernel takes the scalar path below; any other
-    kernel runs as one line of the generation-synchronous engine, with every
-    vector draw from ``rng``: the population split, then per generation each
-    type's escape term in type order and the binomials.
+    This is one line of the generation-synchronous engine, with every vector
+    draw from ``rng``: the population split (random allocation only), then
+    per generation each type's escape term in type order and the binomials.
     """
     if kernel.m != spec.m:
         raise ValueError(f"kernel has {kernel.m} types but population has {spec.m}")
-    if not (kernel.deterministic and spec.m == 1):
-        t_inf, generations, n_susceptible = _run_lines(spec, kernel, 1, lambda: rng)
-        return FinalSizeRecord(t_inf=t_inf[0], generations=int(generations[0]),
-                               population=ResolvedPopulation(n_susceptible[0], spec.a))
-
-    # scalar path: one escape exponent and one binomial per generation
-    pop = resolve_population(spec, rng)
-    N = spec.N
-    generations = 0
-    # cannot be exceeded; guards an infinite loop caused by a bug
-    generation_cap = N + int(pop.n_infective.sum()) + 1
-    v = float(kernel.sample(0, N, rng)[0])
-    unit = log1p(-v) if v < 1.0 else -math.inf
-    s0 = s = int(pop.n_susceptible[0])
-    n_active = int(pop.n_infective[0])
-    while n_active > 0:
-        new = int(rng.binomial(s, -expm1(n_active * unit)))
-        if new == 0:
-            break
-        s -= new
-        n_active = new
-        generations += 1
-        if generations > generation_cap:
-            raise RuntimeError("generation count exceeded the population size; simulator bug")
-    return FinalSizeRecord(t_inf=np.array([s0 - s], dtype=np.int64),
-                           generations=generations, population=pop)
+    t_inf, generations, n_susceptible = _run_lines(spec, kernel, 1, lambda: rng)
+    return FinalSizeRecord(t_inf=t_inf[0], generations=int(generations[0]),
+                           population=ResolvedPopulation(n_susceptible[0], spec.a))
 
 
 def _run_lines(spec: PopulationSpec, kernel: InfectivityKernel, n: int,
@@ -174,68 +146,14 @@ def _run_lines(spec: PopulationSpec, kernel: InfectivityKernel, n: int,
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one replicate, keyed by (base seed, index)."""
+    """Philox generator with key ``SeedSequence([seed, index])`` at counter 0.
+
+    Index 0 holds the key of an ensemble's ``substreams(seed)``, whose call 0
+    draws exactly what this generator draws; the ``branching_tv`` lines draw
+    from ``replicate_rng(seed + 1, 0)``.  Any index gives an independent
+    stream for a single ``run_final_size``.
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, index])))
-
-
-# numpy's SeedSequence: O'Neill's seed_seq_fe hash with a pool of four uint32 words
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-MAX_REPLICATES = 2 ** 32  # an index below 2^32 is one entropy word
-KEY_BLOCK = 4096  # keys derived per batch; bounds the memory an ensemble's keys take
-
-
-def _hasher(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return out ^ (out >> np.uint32(16))
-
-
-def stream_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, 2) uint64 Philox keys; row j is, bit for bit,
-    ``SeedSequence([seed, start + j]).generate_state(2, np.uint64)``."""
-    if seed < 0 or not 0 <= start <= stop <= MAX_REPLICATES:
-        raise ValueError(f"need a nonnegative seed and indices in [0, 2^32), "
-                         f"got seed {seed}, indices [{start}, {stop})")
-    index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    # entropy: the seed's little-endian uint32 words, then the index
-    entropy = [np.full_like(index, seed >> s & _MASK32)
-               for s in range(0, max(seed.bit_length(), 1), 32)] + [index]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(index)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    out = _hasher(_INIT_B, _MULT_B)  # generate_state(2, uint64) reads the pool once
-    return np.stack([out(w) for w in pool], axis=1).astype("<u4").view("<u8").astype(np.uint64)
-
-
-def replicate_streams(seed: int, replicates: int) -> Iterator[np.random.Generator]:
-    """Yield the streams of replicates 0 .. replicates - 1: the draws of
-    ``replicate_rng(seed, r)``, from one Philox re-keyed in place (key, counter
-    0, empty buffer) per replicate.  A yielded generator is valid only until
-    the next one is requested."""
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    for start in range(0, replicates, KEY_BLOCK):
-        for key in stream_keys(seed, start, min(start + KEY_BLOCK, replicates)):
-            bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            yield rng
 
 
 def substreams(seed: int) -> FreshFn:
@@ -243,10 +161,12 @@ def substreams(seed: int) -> FreshFn:
     generator to the key of ``replicate_rng(seed, 0)``, counter (0, 0, c, 0)
     and an empty buffer, and returns it.  The returned generator is valid
     only until the next call."""
+    if seed < 0:
+        raise ValueError(f"need a nonnegative seed, got {seed}")
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     counter = np.zeros(4, dtype=np.uint64)
-    key = stream_keys(seed, 0, 1)[0]
+    key = np.random.SeedSequence([seed, 0]).generate_state(2, np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
@@ -265,17 +185,15 @@ def run_ensemble(spec: PopulationSpec, kernel: InfectivityKernel, replicates: in
                  threshold: Optional[int] = None) -> Ensemble:
     """Run an ensemble of independent replicates.
 
-    A deterministic one-type kernel runs replicate r on the stream of
-    ``replicate_rng(seed, r)``, one replicate after another.  Any other
-    kernel runs every replicate at once in the generation-synchronous engine
-    on the vector-call streams of ``substreams(seed)``; row r then depends
-    only on the seed and rows 0..r, so a shorter ensemble is a prefix of a
-    longer one.  ``workers`` must be 1.  The major/minor threshold defaults
-    to ``default_threshold(spec.N)``: both allocations resolve exactly N
+    Every replicate runs at once in the generation-synchronous engine, on
+    the vector-call streams of ``substreams(seed)``; row r depends only on
+    the seed and rows 0..r, so a shorter ensemble is a prefix of a longer
+    one.  ``workers`` must be 1.  The major/minor threshold defaults to
+    ``default_threshold(spec.N)``: both allocations resolve exactly N
     susceptibles.
     """
-    if not 1 <= replicates <= MAX_REPLICATES:
-        raise ValueError(f"need 1 to 2^32 replicates, got {replicates}")
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     if kernel.m != spec.m:
@@ -283,18 +201,6 @@ def run_ensemble(spec: PopulationSpec, kernel: InfectivityKernel, replicates: in
     threshold = default_threshold(spec.N) if threshold is None else threshold
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-
-    if not (kernel.deterministic and spec.m == 1):
-        t_inf, generations, n_susceptible = _run_lines(spec, kernel, replicates, substreams(seed))
-        return Ensemble(seed=seed, threshold=threshold, t_inf=t_inf, generations=generations,
-                        n_susceptible=n_susceptible)
-
-    records = [run_final_size(spec, kernel, rng) for rng in replicate_streams(seed, replicates)]
-    t_inf = np.stack([rec.t_inf for rec in records])
-    if spec.allocation is Allocation.DETERMINISTIC:
-        n_susceptible = np.broadcast_to(records[0].population.n_susceptible, t_inf.shape)
-    else:
-        n_susceptible = np.stack([rec.population.n_susceptible for rec in records])
-    return Ensemble(seed=seed, threshold=threshold, t_inf=t_inf,
-                    generations=np.array([rec.generations for rec in records], dtype=np.int64),
+    t_inf, generations, n_susceptible = _run_lines(spec, kernel, replicates, substreams(seed))
+    return Ensemble(seed=seed, threshold=threshold, t_inf=t_inf, generations=generations,
                     n_susceptible=n_susceptible)

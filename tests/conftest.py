@@ -15,9 +15,9 @@ def const_mu2_ensemble():
     kernel = ef.constant_kernel([[2.0]])
     # the final size carries O(N^-1/2) skewness (about -0.1 here), which the
     # Mardia skewness test detects at ~8000 major records: over seeds 0..39
-    # at these sizes criterion 4 fails on 18 (skewness p <= 1e-3 on each),
-    # and seed 2's skewness p (~0.28) is the largest of the 40; a gate whose
-    # null holds at finite N is ROADMAP open item 1
+    # at these sizes criterion 4 fails on 13 (skewness p <= 1e-3 on each),
+    # and seed 2 passes with skewness p ~0.31 (kurtosis p ~0.37); a gate
+    # whose null holds at finite N is ROADMAP open item 1
     ensemble = ef.run_ensemble(spec, kernel, replicates=10_000, seed=2)
     return spec, kernel, ensemble
 

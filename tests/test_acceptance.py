@@ -39,7 +39,6 @@ def test_criterion_1_exact_small_population_distribution():
     assert expected == pytest.approx([0.25, 0.25, 0.5], abs=1e-12)
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=2, a=[1])
     kernel = ef.constant_kernel([[1.0]])  # V = 0.5 at N = 2
-    # row r is run_final_size on replicate_rng(424_242, r)
     counts = np.bincount(ef.run_ensemble(spec, kernel, 100_000, seed=424_242).total,
                          minlength=3)
     _, p = stats.chisquare(counts, f_exp=expected * counts.sum())
@@ -151,8 +150,7 @@ def test_criterion_7_random_allocation_correction():
 
 def test_criterion_8_branching_approximation():
     # total-size pmf on {0..10} against total branching progeny, 1e5 each;
-    # row r of the ensemble is the run on replicate_rng(880_088, r), and the
-    # branching lines share the one stream replicate_rng(990_099, 0)
+    # the branching lines share the one stream replicate_rng(990_099, 0)
     n = 100_000
     upto = 10
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10_000, a=[1])

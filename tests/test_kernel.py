@@ -289,6 +289,25 @@ def test_certain_infection_escape_term_has_no_nan():
     assert escape.tolist() == [[0.0, 0.0], [-np.inf, 2 * np.log1p(-0.1)], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize("N", [None, 100])
+@pytest.mark.parametrize("form", ["deterministic", "u_sum", "sampled"])
+def test_log_escape_refuses_an_infector_type_out_of_range(form, N):
+    # -1 would read the last type's row and 5 would fail inside a draw
+    kernel = {
+        "deterministic": ef.constant_kernel([[1.0, 2.0], [3.0, 4.0]]),
+        "u_sum": ef.ball_clancy95_model(
+            [ef.ScalarDist.exponential(1.8), ef.ScalarDist.gamma(2.0, 0.9)], pi=[0.6, 0.4])[0],
+        "sampled": ef.table_kernel([
+            (np.array([[1.0, 0.5], [2.0, 0.0]]), np.array([0.5, 0.5])),
+            (np.array([[0.3, 2.0], [1.5, 1.0]]), np.array([0.6, 0.4]))]),
+    }[form]
+    assert kernel.deterministic == (form == "deterministic")
+    assert (kernel.u_sum is not None) == (form == "u_sum")
+    for i in (-1, 2, 5):
+        with pytest.raises(ValueError, match="infector type"):
+            kernel.log_escape(i, np.array([1]), N, lambda: ef.replicate_rng(0, 0))
+
+
 @pytest.mark.parametrize("name", ["custom_table", "static_graph"])
 def test_sampled_escape_term_in_runs_matches_one_call(monkeypatch, name):
     # the sampled escape term draws runs of lines in turn from one generator:

@@ -6,8 +6,7 @@ import pytest
 from scipy import stats
 
 import epifrost as ef
-from epifrost.simulator import (KEY_BLOCK, MAX_REPLICATES, replicate_streams, stream_keys,
-                                substreams)
+from epifrost.simulator import substreams
 
 from oracles import (
     R_NU_HALF_N50,
@@ -36,9 +35,7 @@ def test_final_size_distribution_matches_enumeration_n2():
     assert pmf == pytest.approx([0.25, 0.25, 0.5], abs=1e-12)
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=2, a=[1])
     kernel = ef.constant_kernel([[1.0]])  # V = 1/2 at N=2
-    counts = np.zeros(3)
-    for r in range(20_000):
-        counts[ef.run_final_size(spec, kernel, ef.replicate_rng(101, r)).total] += 1
+    counts = np.bincount(ef.run_ensemble(spec, kernel, 20_000, seed=101).total, minlength=3)
     _, p = stats.chisquare(counts, f_exp=pmf * counts.sum())
     assert p > 0.001
 
@@ -47,9 +44,7 @@ def test_final_size_distribution_matches_enumeration_n3():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=3, a=[1])
     kernel = ef.constant_kernel([[1.2]])  # V = 0.4 at N=3
     pmf = reed_frost_pmf(3, 1, 0.4)
-    counts = np.zeros(4)
-    for r in range(20_000):
-        counts[ef.run_final_size(spec, kernel, ef.replicate_rng(55, r)).total] += 1
+    counts = np.bincount(ef.run_ensemble(spec, kernel, 20_000, seed=55).total, minlength=4)
     _, p = stats.chisquare(counts, f_exp=pmf * counts.sum())
     assert p > 0.001
 
@@ -162,61 +157,11 @@ def test_substream_calls_are_counter_offsets_of_replicate_zero():
                               np.random.Generator(bitgen).binomial(100, 0.3, size=9))
 
 
-@pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 - 1])
-def test_ensemble_row_r_is_replicate_r(seed):
-    # row r of an ensemble is run_final_size on the stream keyed by (seed, r)
-    spec = ef.PopulationSpec(m=1, pi=[1.0], N=200, a=[1])
-    kernel = ef.constant_kernel([[2.0]])
-    ensemble = ef.run_ensemble(spec, kernel, 10, seed=seed)
-    assert ensemble.t_inf.shape == (10, 1)
-    for r in range(10):
-        record = ef.run_final_size(spec, kernel, ef.replicate_rng(seed, r))
-        assert np.array_equal(ensemble.t_inf[r], record.t_inf)
-        assert ensemble.generations[r] == record.generations
-
-
-def _seed_sequence_keys(seed, indices):
-    return np.array([np.random.SeedSequence([seed, int(r)]).generate_state(2, np.uint64)
-                     for r in indices])
-
-
-def test_stream_keys_match_seed_sequence_for_every_index_up_to_a_million():
-    stop = 10**6 + 1
-    for start in range(0, stop, 100_000):
-        end = min(start + 100_000, stop)
-        assert np.array_equal(stream_keys(7, start, end),
-                              _seed_sequence_keys(7, range(start, end)))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 2**33 + 5])
-def test_stream_keys_match_seed_sequence_sampled(seed):
-    # block edges, a sample up to 10^6, and the last indices below 2^32
-    edges = [k * KEY_BLOCK + d for k in range(1, 4) for d in (-1, 0, 1)]
-    sample = np.random.default_rng(seed % 1000).integers(0, 10**6, size=200)
-    for r in [0, 1, *edges, *sample, 10**6, MAX_REPLICATES - 1]:
-        assert np.array_equal(stream_keys(seed, r, r + 1)[0], _seed_sequence_keys(seed, [r])[0])
-    for start, stop in [(KEY_BLOCK - 3, 2 * KEY_BLOCK + 3), (MAX_REPLICATES - 5, MAX_REPLICATES)]:
-        assert np.array_equal(stream_keys(seed, start, stop),
-                              _seed_sequence_keys(seed, range(start, stop)))
-
-
-def test_replicate_streams_draw_what_replicate_rng_draws():
-    # across a key-block boundary, with draws that leave Philox's buffer part-used
-    indices = {0, 1, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1}
-    for r, rng in enumerate(replicate_streams(99, KEY_BLOCK + 2)):
-        if r in indices:
-            ref = ef.replicate_rng(99, r)
-            assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
-                                  ref.integers(0, 2**32, size=3, dtype=np.uint32))
-            assert np.array_equal(rng.binomial(100, 0.3, size=4), ref.binomial(100, 0.3, size=4))
-            assert np.array_equal(rng.random(3), ref.random(3))
-
-
 def test_run_ensemble_refuses_what_the_streams_cannot_key():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=50, a=[1])
     kernel = ef.constant_kernel([[2.0]])
-    with pytest.raises(ValueError, match="2\\^32 replicates"):
-        ef.run_ensemble(spec, kernel, MAX_REPLICATES + 1, seed=0)
+    with pytest.raises(ValueError, match="at least 1 replicate"):
+        ef.run_ensemble(spec, kernel, 0, seed=0)
     with pytest.raises(ValueError, match="workers must be 1"):
         ef.run_ensemble(spec, kernel, 5, seed=0, workers=2)
     with pytest.raises(ValueError, match="nonnegative"):
