@@ -183,10 +183,7 @@ def compute_R(mu: np.ndarray, pi: np.ndarray) -> float:
     pi = np.asarray(pi, dtype=float)
     if np.any(mu < 0):
         raise ValueError("mu must be nonnegative")
-    A = mu * pi[None, :]
-    if not A.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+    return float(np.max(np.abs(np.linalg.eigvals(mu * pi[None, :]))))
 
 
 def check_irreducibility(mu: np.ndarray, pi: np.ndarray) -> bool:

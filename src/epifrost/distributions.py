@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,8 @@ class ScalarDist:
     array of the same shape; a zero count gives 0 and draws nothing).
     ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
     and accept any t <= 0.  ``expect(f)`` = E[f(X)] for an f that maps a 1-d
-    array of values to a same-length array (or (n, ...) stack).
+    array of values to a same-length array (or (n, ...) stack).  A constant
+    law is a one-atom discrete law, and an exponential law is gamma(1, mean).
     """
 
     name: str
@@ -70,34 +71,18 @@ class ScalarDist:
         v = float(value)
         if v < 0:
             raise ValueError(f"constant distribution needs value >= 0, got {v}")
-        return ScalarDist(
-            name=f"constant({v})",
-            mean=v,
-            var=0.0,
-            sample=lambda rng, size: np.full(size, v),
-            sample_sum=lambda rng, n: n * v,
-            mgf=lambda t: float(np.exp(t * v)),
-            mgf_prime=lambda t: float(v * np.exp(t * v)),
-            expect=_atoms([v], [1.0]),
-            support_max=v,
-        )
+        return replace(ScalarDist.discrete([v], [1.0]), name=f"constant({v})")
 
     @staticmethod
     def exponential(mean: float) -> "ScalarDist":
         m = float(mean)
         if m <= 0:
             raise ValueError(f"exponential distribution needs mean > 0, got {m}")
-        return ScalarDist(
-            name=f"exponential(mean={m})",
-            mean=m,
-            var=m * m,
-            sample=lambda rng, size: rng.exponential(m, size),
-            sample_sum=lambda rng, n: rng.standard_gamma(n) * m,  # = rng.gamma(n, m)
-            mgf=lambda t: 1.0 / (1.0 - m * t),  # finite for all t < 1/m
-            mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
-            # -m log(1 - u) = m log(1 + e^z) for u = expit(z)
-            expect=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)),
-        )
+        return replace(ScalarDist.gamma(1.0, m), name=f"exponential(mean={m})",
+                       # the bits gamma(1, m) draws, about 25% faster
+                       sample=lambda rng, size: rng.exponential(m, size),
+                       # -m log(1 - u) = m log(1 + e^z) for u = expit(z): no gammaincinv nodes
+                       expect=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)))
 
     @staticmethod
     def gamma(shape: float, scale: float) -> "ScalarDist":
@@ -192,7 +177,7 @@ class ScalarDist:
             mgf=lambda t: float(np.exp(t * vals) @ ps),
             mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
             expect=_atoms(vals, ps),
-            support_max=float(vals.max()) if vals.size else 0.0,
+            support_max=float(vals.max()),
         )
 
     @staticmethod

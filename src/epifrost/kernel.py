@@ -1,11 +1,11 @@
 """Populations and infectivity kernels.
 
 The model's probabilistic inputs live here.  A population is a split of N
-initial susceptibles into m types (deterministic rounding or multinomial
-allocation) plus initial-infective counts.  An infectivity kernel is, per
-infector type i, the law of the vector V_i whose k-th entry is the
-probability of contacting any given type-k susceptible.  Kernels also
-declare their scaled moment structure:
+initial susceptibles into m types (deterministic rounding, or a multinomial
+split that the ensemble draws per replicate) plus initial-infective counts.
+An infectivity kernel is, per infector type i, the law of the vector V_i
+whose k-th entry is the probability of contacting any given type-k
+susceptible.  Kernels also declare their scaled moment structure:
 
     mu[i, k]     = lim N * E[V_{i,k}]          (mean scaled infectivity)
     lam[i, j, k] = lim N^2 * cov(V_{i,j}, V_{i,k})
@@ -13,7 +13,8 @@ declare their scaled moment structure:
 and the scaled limit law U_i = lim N * V_i consumed by the branching
 module (E[U_{i,k}] = mu[i, k]; a type-k child count is Poisson(pi_k *
 U_{i,k})).  A kernel states the law of U once; V = U/N unless it also
-gives its own finite-N sampler, and a kernel with lam = 0 is deterministic.
+gives its own finite-N sampler.  A kernel with lam = 0 is deterministic,
+such as the constant kernel: the table kernel with one row per infector type.
 
 Kernels are immutable; every sampling call takes an explicit
 numpy Generator (or, for the batched escape terms, a function that hands out
@@ -123,20 +124,13 @@ def _largest_remainder_split(N: int, pi: np.ndarray) -> np.ndarray:
     return counts
 
 
-def resolve_population(spec: PopulationSpec, rng: Optional[np.random.Generator] = None) -> ResolvedPopulation:
-    """Turn a PopulationSpec into concrete counts.
-
-    Deterministic allocation returns the spec's own largest-remainder split
-    (read-only, shared by every call).  Multinomial allocation draws
-    (N_1..N_m) ~ Multinomial(N, pi) from ``rng``.  Initial-infective counts
-    are ``spec.a`` itself.
-    """
-    if spec._split is not None:
-        return spec._split
-    if rng is None:
-        raise ValueError("random multinomial allocation needs an rng")
-    return ResolvedPopulation(n_susceptible=rng.multinomial(spec.N, spec.pi).astype(np.int64),
-                              n_infective=spec.a)
+def resolve_population(spec: PopulationSpec) -> ResolvedPopulation:
+    """The spec's largest-remainder split (read-only, shared by every call),
+    with ``spec.a`` as the initial infectives.  Refuses multinomial
+    allocation: the ensemble draws each replicate's split."""
+    if spec._split is None:
+        raise ValueError("random multinomial allocation has no fixed split: the ensemble draws it")
+    return spec._split
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +265,14 @@ class InfectivityKernel:
 
 
 def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
-    """Kernel with fixed infectivity U_{i,k} = scaled[i,k], so V = scaled / N.
-
-    ``scaled`` is the m x m matrix of scaled means; it equals mu exactly and
-    the covariance structure is identically zero.
-    """
+    """The table kernel with the one row ``scaled[i]`` per infector type i:
+    fixed infectivity U_{i,k} = scaled[i,k], so V = scaled / N, mu = scaled
+    and lam = 0."""
     scaled = np.atleast_2d(np.asarray(scaled, dtype=float))
     m = scaled.shape[0]
     if scaled.shape != (m, m) or np.any(scaled < 0):
         raise ValueError("scaled infectivity must be a nonnegative square matrix")
-
-    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return scaled[i:i + 1].repeat(n, 0)
-
-    def u_mgf(i: int, theta: np.ndarray) -> float:
-        return float(np.exp(theta @ scaled[i]))
-
-    return InfectivityKernel(m=m, mu=scaled.copy(), lam=np.zeros((m, m, m)), u_sampler=u_sampler,
-                             u_mgf=u_mgf, max_scaled=float(scaled.max(initial=0.0)))
+    return table_kernel([(row[None, :], [1.0]) for row in scaled])
 
 
 def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel:

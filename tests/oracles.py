@@ -240,10 +240,11 @@ def counting_indicators(spec: PopulationSpec, kernel: InfectivityKernel,
     the same underlying contact draws, so nested exposure levels produce
     nested infection sets.
     """
-    pop = resolve_population(spec, None if spec.allocation is Allocation.DETERMINISTIC else rng)
+    n_susceptible = (resolve_population(spec).n_susceptible
+                     if spec.allocation is Allocation.DETERMINISTIC else rng.multinomial(spec.N, spec.pi))
     levels = [np.asarray(t, dtype=float) for t in exposure_levels]
     counts = [_exposure_counts(spec, t) for t in levels]
-    available = pop.n_infective + pop.n_susceptible
+    available = spec.a + n_susceptible
     for t, c in zip(levels, counts):
         if np.any(c > available):
             raise ValueError(
@@ -260,7 +261,7 @@ def counting_indicators(spec: PopulationSpec, kernel: InfectivityKernel,
         else:
             v = np.zeros((0, spec.m))
         contacts.append([
-            rng.random((L_k, int(pop.n_susceptible[i]))) < v[:, i][:, None]
+            rng.random((L_k, int(n_susceptible[i]))) < v[:, i][:, None]
             for i in range(spec.m)
         ])
 
@@ -268,7 +269,7 @@ def counting_indicators(spec: PopulationSpec, kernel: InfectivityKernel,
     for c in counts:
         level_chi = []
         for i in range(spec.m):
-            hit = np.zeros(int(pop.n_susceptible[i]), dtype=bool)
+            hit = np.zeros(int(n_susceptible[i]), dtype=bool)
             for k in range(spec.m):
                 if c[k] > 0:
                     hit |= contacts[k][i][: int(c[k])].any(axis=0)

@@ -225,3 +225,19 @@ def test_sample_sum_of_a_count_array_of_a_degenerate_law_draws_nothing(law):
     rng, untouched = ef.replicate_rng(33, 0), ef.replicate_rng(33, 0)
     assert np.array_equal(law.sample_sum(rng, COUNTS), COUNTS * law.mean)
     assert np.array_equal(rng.bit_generator.random_raw(8), untouched.bit_generator.random_raw(8))
+
+
+def test_special_cases_keep_their_names_and_checks():
+    # constant and exponential laws are built from discrete and gamma ones, and
+    # the constant kernel from a table kernel; each keeps its own name and check
+    assert ef.ScalarDist.constant(1.5).name == "constant(1.5)"
+    assert ef.ScalarDist.exponential(2.0).name == "exponential(mean=2.0)"
+    for law, message in [({"dist": "exponential", "mean": -1}, "exponential distribution needs mean > 0"),
+                         ({"dist": "constant", "value": -1}, "constant distribution needs value >= 0")]:
+        doc = {"population": {"m": 1, "pi": [1.0], "N": 100, "a": [1]},
+               "kernel": {"kind": "ball_clancy95", "pi": [1.0], "u": [law]}, "replicates": 3}
+        with pytest.raises(ef.ConfigError, match=message):
+            ef.parse_config(doc)
+    for scaled in (np.ones((2, 3)), -np.ones((2, 2))):
+        with pytest.raises(ValueError, match="nonnegative square matrix"):
+            ef.constant_kernel(scaled)

@@ -286,7 +286,23 @@ GOLDEN_CONFIGS = {
     # m > 1 deterministic kernel, both types seeded: escape terms without draws
     "constant_two_type": {"population": {"m": 2, "pi": [0.6, 0.4], "N": 10_000, "a": [1, 1]},
                           "kernel": {"kind": "constant", "mu": [[2.0, 1.0], [0.8, 1.5]]}},
+    "custom_table": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+                     "kernel": {"kind": "custom_table", "rows": [
+                         {"values": [[1.5, 0.5], [3.0, 0.2]], "probs": [0.5, 0.5]},
+                         {"values": [[0.4, 1.0], [0.8, 2.5]], "probs": [0.3, 0.7]}]}},
+    "dynamic_graph": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+                      "kernel": {"kind": "dynamic_graph", "rho_plus": [[1.5, 0.8], [0.8, 2.0]],
+                                 "rho_minus": [[1.0, 1.0], [1.0, 1.0]],
+                                 "beta": [[1.5, 1.0], [1.0, 1.5]],
+                                 "q": [{"dist": "exponential", "mean": 1.0},
+                                       {"dist": "exponential", "mean": 1.5}]}},
 }
+# the mover with fixed off-diagonal sojourns: constant laws inside a sampled kernel
+GOLDEN_CONFIGS["mover_constant_sojourn"] = {
+    "population": GOLDEN_CONFIGS["mover"]["population"],
+    "kernel": dict(GOLDEN_CONFIGS["mover"]["kernel"], sojourn=[
+        [{"dist": "exponential", "mean": 1.0} if i == j else {"dist": "constant", "value": 0.25}
+         for j in range(3)] for i in range(3)])}
 
 
 @pytest.mark.parametrize("name, replicates, fmt, sha", [
@@ -297,6 +313,10 @@ GOLDEN_CONFIGS = {
     ("static_graph", 100, "csv", "d77789b8a04032d25b2009dad6a9cbc7f6e8c75dae16b8c619a13ac319896bf1"),
     ("mixed_bernoulli", 100, "csv", "2800821979717f2a6f9c6cc9791cbfb8c857b60bb50fb392b834b9762dfca99f"),
     ("constant_two_type", 300, "csv", "2a9c31fbd8af812180de2b11d8454943b531498cebfe115388c60bb27cf84066"),
+    ("custom_table", 100, "csv", "3eb88fe8ff85540138f8c5e48458bad472598f189d4578ce77cf356fdbb22fe7"),
+    ("dynamic_graph", 100, "csv", "3b926955f47d3765242e308c72652fde5b1fb0a4918f8b82e94925382d1c39da"),
+    ("mover_constant_sojourn", 100, "csv",
+     "a1c152f680f26e461f91075e8d68ab1efae1ec5e767ab7a6f9ccd9f88db346c9"),
 ])
 def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     # pins the random stream and the records layout: a change to either,
@@ -311,18 +331,10 @@ def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
 # one config per kernel kind a config can name
 KIND_CONFIGS = {
     "constant": GOLDEN_CONFIGS["constant_two_type"],
-    "custom_table": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
-                     "kernel": {"kind": "custom_table", "rows": [
-                         {"values": [[1.5, 0.5], [3.0, 0.2]], "probs": [0.5, 0.5]},
-                         {"values": [[0.4, 1.0], [0.8, 2.5]], "probs": [0.3, 0.7]}]}},
+    "custom_table": GOLDEN_CONFIGS["custom_table"],
     "static_graph": GOLDEN_CONFIGS["static_graph"],
     "mixed_bernoulli": GOLDEN_CONFIGS["mixed_bernoulli"],
-    "dynamic_graph": {"population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
-                      "kernel": {"kind": "dynamic_graph", "rho_plus": [[1.5, 0.8], [0.8, 2.0]],
-                                 "rho_minus": [[1.0, 1.0], [1.0, 1.0]],
-                                 "beta": [[1.5, 1.0], [1.0, 1.5]],
-                                 "q": [{"dist": "exponential", "mean": 1.0},
-                                       {"dist": "exponential", "mean": 1.5}]}},
+    "dynamic_graph": GOLDEN_CONFIGS["dynamic_graph"],
     "ball_clancy93": GOLDEN_CONFIGS["mover"],
     "ball_clancy95": GOLDEN_CONFIGS["random_type"],
 }

@@ -164,12 +164,17 @@ def test_resolve_population_deterministic_is_pure():
 
 
 def test_resolve_population_multinomial_concentrates():
-    # binomial tail: P(|N_1/N - 0.5| > 0.003) < 1e-3 at N = 1e6
+    # the ensemble draws each replicate's split; binomial tail:
+    # P(|N_1/N - 0.5| > 0.003) < 1e-3 per replicate at N = 1e6
     spec = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=1_000_000, a=[1, 1],
                              allocation=ef.Allocation.RANDOM_MULTINOMIAL)
-    pop = ef.resolve_population(spec, np.random.default_rng(11))
-    assert pop.n_susceptible.sum() == 1_000_000
-    assert 0.497 < pop.n_susceptible[0] / 1_000_000 < 0.503
+    with pytest.raises(ValueError, match="the ensemble draws it"):
+        ef.resolve_population(spec)
+    n_susceptible = ef.run_ensemble(spec, ef.constant_kernel(np.full((2, 2), 0.5)), 3,
+                                    seed=11).n_susceptible
+    assert np.all(n_susceptible.sum(axis=1) == 1_000_000)
+    assert len({tuple(row) for row in n_susceptible}) == 3
+    assert np.all((0.497 < n_susceptible[:, 0] / 1_000_000) & (n_susceptible[:, 0] / 1_000_000 < 0.503))
 
 
 def test_population_spec_validation():
