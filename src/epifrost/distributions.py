@@ -79,8 +79,8 @@ class ScalarDist:
         if m <= 0:
             raise ValueError(f"exponential distribution needs mean > 0, got {m}")
         return replace(ScalarDist.gamma(1.0, m), name=f"exponential(mean={m})",
-                       # the bits gamma(1, m) draws, about 25% faster
-                       sample=lambda rng, size: rng.exponential(m, size),
+                       # gamma's pow can be an ulp off these, which moves extinction q
+                       mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
                        # -m log(1 - u) = m log(1 + e^z) for u = expit(z): no gammaincinv nodes
                        expect=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)))
 

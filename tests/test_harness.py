@@ -328,6 +328,21 @@ def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+@pytest.mark.parametrize("command, sha", [
+    ("extinction", "c74a35d423a94be4e081a13c114da80d9dd13c901a0241439948a119b7fae2e4"),
+    ("clt", "704f08ccbac3fe7bb8d21481f0ba09e61bd44c9092d80101a29fda84c87d8b78"),
+])
+def test_exponential_theory_output_matches_golden_sha256(tmp_path, capsys, command, sha):
+    # exponential sojourn means no benchmark config uses; the extinction q here
+    # moves by an ulp if M(t) = 1 / (1 - m t) is computed as (1 - m t) ** -1
+    kernel = dict(GOLDEN_CONFIGS["mover"]["kernel"], sojourn=[
+        [{"dist": "exponential", "mean": 0.9 if i == j else 0.15} for j in range(3)]
+        for i in range(3)])
+    path = _write_config(tmp_path, dict(GOLDEN_CONFIGS["mover"], kernel=kernel))
+    assert cli.main([command, "--config", path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 # one config per kernel kind a config can name
 KIND_CONFIGS = {
     "constant": GOLDEN_CONFIGS["constant_two_type"],
