@@ -14,19 +14,22 @@ Schema (see README for the full field reference):
       "checks": ["lln", "major_prob", "clt", "branching_tv"]
     }
 
-Kernel kinds: constant | custom_table | static_graph | mixed_bernoulli |
-dynamic_graph | ball_clancy93 | ball_clancy95.  Kinds that assign types at
-random (mixed_bernoulli, ball_clancy95) force multinomial allocation and
-supply pi themselves; the population block may omit pi in that case.
+Each block (the document, ``population``, ``output``, the ``kernel`` of each
+kind in ``KINDS``, a ``custom_table`` row, a scalar law in ``LAWS``) is one
+JSON object whose fields are the parameters of the function that builds it
+(``_build``).  Kinds that assign types at random (mixed_bernoulli,
+ball_clancy95) force multinomial allocation and supply pi themselves.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,16 +51,6 @@ from .kernel import Allocation, InfectivityKernel, PopulationSpec, constant_kern
 __all__ = ["ExperimentConfig", "VALID_CHECKS", "load_config", "parse_config", "build_kernel"]
 
 VALID_CHECKS = ("lln", "major_prob", "clt", "branching_tv")
-TOP_LEVEL_FIELDS = ("population", "kernel", "replicates", "seed", "threshold_override",
-                    "workers", "output", "checks")
-POPULATION_FIELDS = ("m", "pi", "N", "a", "zeta", "allocation")
-OUTPUT_FIELDS = ("path", "format")
-# kernel kind -> its fields besides "kind"
-KERNEL_FIELDS = {"constant": ("mu",), "custom_table": ("rows",),
-                 "static_graph": ("alpha", "w", "w_mode"), "mixed_bernoulli": ("theta", "pi", "w"),
-                 "dynamic_graph": ("rho_plus", "rho_minus", "beta", "q"),
-                 "ball_clancy93": ("b", "sojourn"), "ball_clancy95": ("pi", "u")}
-TABLE_ROW_FIELDS = ("values", "probs")
 
 
 @dataclass(frozen=True)
@@ -73,177 +66,170 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
 
 
-def _reject_unknown(table: dict, valid: tuple[str, ...], context: str) -> None:
-    unknown = [key for key in table if key not in valid]
-    if unknown:
-        raise ConfigError(f"{context}: unknown field {unknown[0]!r}; valid fields are {valid}")
+@functools.cache  # one signature read per builder, not one per config
+def _fields(builder: Callable) -> dict[str, bool]:
+    """A builder's keyword parameters, its block's fields, and whether each is required."""
+    return {p.name: p.default is p.empty for p in inspect.signature(builder).parameters.values()
+            if p.kind is not p.POSITIONAL_ONLY}
 
 
-def _require(table: dict, key: str, context: str):
-    if key not in table:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return table[key]
-
-
-def _scalar_dist(cfg, context: str) -> ScalarDist:
+def _build(builder: Callable, block, context: str, *args):
+    """``builder(*args, **block)``: the block's fields are the builder's keyword
+    parameters, required if they have no default.  Each ConfigError names the
+    block by ``context``, once: one from an inner block passes unchanged."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} block must be an object")
+    fields = _fields(builder)
+    for key in block:
+        if key not in fields:
+            raise ConfigError(f"{context}: unknown field {key!r}; valid fields are {tuple(fields)}")
+    for key, required in fields.items():
+        if required and key not in block:
+            raise ConfigError(f"{context}: missing required field {key!r}")
     try:
-        return ScalarDist.from_config(cfg)
-    except ValueError as exc:
+        return builder(*args, **block)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def build_kernel(cfg: dict) -> tuple[InfectivityKernel, Optional[Allocation], Optional[np.ndarray]]:
-    """Compile a kernel config block.
+def _tagged(block, tag: str, table: dict, context: str) -> tuple[str, dict]:
+    """The name ``block[tag]`` looks up in ``table``, and the block's other fields."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} block must be an object")
+    if tag not in block:
+        raise ConfigError(f"{context}: missing required field {tag!r}")
+    name = block[tag]
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{context}: unknown {tag} {name!r}; valid {tag}s are {tuple(table)}")
+    return name, {key: value for key, value in block.items() if key != tag}
 
-    Returns (kernel, forced_allocation, kernel_pi); the last two are None
-    unless the model dictates random type allocation with its own pi.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("kernel block must be an object")
-    kind = _require(cfg, "kind", "kernel")
-    if kind not in KERNEL_FIELDS:
-        raise ConfigError(f"kernel: unknown kind {kind!r}; valid kinds are {tuple(KERNEL_FIELDS)}")
-    _reject_unknown(cfg, ("kind",) + KERNEL_FIELDS[kind], f"kernel ({kind})")
-    try:
-        if kind == "constant":
-            return constant_kernel(np.asarray(_require(cfg, "mu", "kernel"), dtype=float)), None, None
-        if kind == "custom_table":
-            rows = []
-            for row in _require(cfg, "rows", "kernel"):
-                _reject_unknown(row, TABLE_ROW_FIELDS, "kernel.rows")
-                rows.append((np.asarray(_require(row, "values", "kernel.rows"), dtype=float),
-                             np.asarray(_require(row, "probs", "kernel.rows"), dtype=float)))
-            return table_kernel(rows), None, None
-        if kind == "static_graph":
-            spec = StaticGraphSpec(
-                alpha=np.asarray(_require(cfg, "alpha", "kernel"), dtype=float),
-                w=_scalar_dist(_require(cfg, "w", "kernel"), "kernel.w"),
-                w_mode=cfg.get("w_mode", "independent"),
-            )
-            return static_bernoulli_kernel(spec), None, None
-        if kind == "mixed_bernoulli":
-            spec = MixedGraphSpec(
-                theta=np.asarray(_require(cfg, "theta", "kernel"), dtype=float),
-                pi=np.asarray(_require(cfg, "pi", "kernel"), dtype=float),
-                w=_scalar_dist(_require(cfg, "w", "kernel"), "kernel.w"),
-            )
-            kernel, alloc = mixed_bernoulli_kernel(spec)
-            return kernel, alloc, spec.pi
-        if kind == "dynamic_graph":
-            q_cfg = _require(cfg, "q", "kernel")
-            rho_plus = np.asarray(_require(cfg, "rho_plus", "kernel"), dtype=float)
-            m = np.atleast_2d(rho_plus).shape[0]
-            q = ([_scalar_dist(c, "kernel.q") for c in q_cfg] if isinstance(q_cfg, list)
-                 else [_scalar_dist(q_cfg, "kernel.q")] * m)
-            spec = DynamicGraphSpec(
-                rho_plus=rho_plus,
-                rho_minus=np.asarray(_require(cfg, "rho_minus", "kernel"), dtype=float),
-                beta=np.asarray(_require(cfg, "beta", "kernel"), dtype=float),
-                q=q,
-            )
-            return dynamic_bernoulli_kernel(spec), None, None
-        if kind == "ball_clancy93":
-            b = np.asarray(_require(cfg, "b", "kernel"), dtype=float)
-            sojourn_cfg = _require(cfg, "sojourn", "kernel")
-            sojourn = [[_scalar_dist(c, "kernel.sojourn") for c in row] for row in sojourn_cfg]
-            return ball_clancy93_kernel(BallClancy93Spec(b=b, sojourn=sojourn)), None, None
-        if kind == "ball_clancy95":
-            pi = np.asarray(_require(cfg, "pi", "kernel"), dtype=float)
-            base = [_scalar_dist(c, "kernel.u") for c in _require(cfg, "u", "kernel")]
-            kernel, alloc = ball_clancy95_model(base, pi)
-            return kernel, alloc, pi
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"kernel ({kind}): {exc}") from exc
-    raise AssertionError("unreachable")
+
+# {"dist": name, ...} -> the ScalarDist constructor it names
+LAWS = {name: getattr(ScalarDist, name) for name in
+        ("constant", "exponential", "gamma", "bernoulli", "uniform", "beta", "discrete")}
+
+
+def _laws(cfg, depth: int, context: str):
+    """The law a block builds, or lists of them nested at most ``depth`` deep."""
+    if isinstance(cfg, list) and depth > 0:
+        return [_laws(c, depth - 1, context) for c in cfg]
+    dist, fields = _tagged(cfg, "dist", LAWS, context)
+    return _build(LAWS[dist], fields, f"{context} ({dist})")
+
+
+def _constant(mu):
+    return constant_kernel(mu)
+
+
+def _custom_table(rows):
+    return table_kernel([_build(_table_row, row, "kernel.rows") for row in rows])
+
+
+def _table_row(values, probs):
+    return values, probs
+
+
+def _dynamic_graph(rho_plus, rho_minus, beta, q):
+    """The dynamic graph, where a single lifetime law q applies to every type."""
+    if isinstance(q, ScalarDist):
+        q = [q] * len(np.atleast_2d(rho_plus))
+    return dynamic_bernoulli_kernel(DynamicGraphSpec(rho_plus, rho_minus, beta, q))
+
+
+def _ball_clancy95(pi, u):
+    return ball_clancy95_model(u, pi)
+
+
+def _compiled(spec: type, compile_kernel: Callable) -> Callable:
+    """``compile_kernel(spec(**fields))``, whose fields are the spec's parameters."""
+    def build(**fields):
+        return compile_kernel(spec(**fields))
+    build.__wrapped__ = spec  # inspect.signature reads the spec's
+    return build
+
+
+# kind -> (its builder, {field holding laws: how deep they nest in lists})
+KINDS = {
+    "constant": (_constant, {}),
+    "custom_table": (_custom_table, {}),
+    "static_graph": (_compiled(StaticGraphSpec, static_bernoulli_kernel), {"w": 0}),
+    "mixed_bernoulli": (_compiled(MixedGraphSpec, mixed_bernoulli_kernel), {"w": 0}),
+    "dynamic_graph": (_dynamic_graph, {"q": 1}),
+    "ball_clancy93": (_compiled(BallClancy93Spec, ball_clancy93_kernel), {"sojourn": 2}),
+    "ball_clancy95": (_ball_clancy95, {"u": 1}),
+}
+
+
+def build_kernel(cfg: dict) -> tuple[InfectivityKernel, Optional[np.ndarray]]:
+    """Compile a kernel config block into (kernel, kernel_pi); kernel_pi is None
+    unless the model assigns types at random from its own pi."""
+    kind, fields = _tagged(cfg, "kind", KINDS, "kernel")
+    builder, laws = KINDS[kind]
+    for name, depth in laws.items():
+        if name in fields:
+            fields[name] = _laws(fields[name], depth, f"kernel.{name}")
+    kernel = _build(builder, fields, f"kernel ({kind})")
+    if isinstance(kernel, tuple):  # (kernel, its forced random allocation)
+        return kernel[0], np.asarray(fields["pi"], dtype=float)
+    return kernel, None
+
+
+def _population(kernel_pi, /, *, m=None, pi=None, N, a=None, zeta=None,
+                allocation="deterministic") -> PopulationSpec:
+    """The population block.  A kernel with its own ``kernel_pi`` supplies pi
+    and forces multinomial allocation."""
+    if allocation not in tuple(Allocation):
+        raise ValueError(f"unknown allocation {allocation!r}")
+    if kernel_pi is not None:
+        if pi is not None and not np.allclose(np.asarray(pi, dtype=float), kernel_pi, atol=1e-12):
+            raise ValueError("pi conflicts with the kernel's type distribution")
+        pi = kernel_pi if pi is None else pi
+        allocation = Allocation.RANDOM_MULTINOMIAL
+    elif pi is None:
+        raise ValueError("missing required field 'pi'")
+    return PopulationSpec(m=int(len(pi) if m is None else m), pi=pi, N=int(N), a=a, zeta=zeta,
+                          allocation=allocation)
+
+
+def _output(path=None, format="csv") -> tuple[Optional[Path], str]:
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
+    return Path(path) if path else None, format
+
+
+def _experiment(population, kernel, replicates=1, seed=0, threshold_override=None, workers=1,
+                output=None, checks=()) -> ExperimentConfig:
+    """The top-level block."""
+    built, kernel_pi = build_kernel(kernel)
+    spec = _build(_population, population, "population", kernel_pi)
+    if spec.m != built.m:
+        raise ValueError(f"population has {spec.m} types but the kernel has {built.m}")
+    if spec.N < built.max_scaled < math.inf:
+        raise ValueError(f"kernel scaled infectivity {built.max_scaled} exceeds "
+                         f"population scale {spec.N}")
+    replicates = int(replicates)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if workers != 1:  # replicates run in one thread
+        raise ValueError(f"workers must be 1, got {workers!r}")
+    if threshold_override is not None:
+        threshold_override = int(threshold_override)
+        if threshold_override < 0:
+            raise ValueError(f"threshold_override must be >= 0, got {threshold_override}")
+    checks = tuple(checks)
+    for c in checks:
+        if c not in VALID_CHECKS:
+            raise ValueError(f"unknown check {c!r}; valid checks are {VALID_CHECKS}")
+    output_path, output_format = _build(_output, {} if output is None else output, "output")
+    return ExperimentConfig(spec, built, kernel["kind"], replicates, int(seed), threshold_override,
+                            output_path, output_format, checks)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the runtime objects."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _reject_unknown(doc, TOP_LEVEL_FIELDS, "config")
-
-    kernel_cfg = _require(doc, "kernel", "config")
-    kernel, forced_alloc, kernel_pi = build_kernel(kernel_cfg)
-
-    pop_cfg = _require(doc, "population", "config")
-    if not isinstance(pop_cfg, dict):
-        raise ConfigError("population block must be an object")
-    _reject_unknown(pop_cfg, POPULATION_FIELDS, "population")
-    pi = pop_cfg.get("pi")
-    if pi is None:
-        if kernel_pi is None:
-            raise ConfigError("population: missing required field 'pi'")
-        pi = kernel_pi
-    else:
-        pi = np.asarray(pi, dtype=float)
-        if kernel_pi is not None and not np.allclose(pi, kernel_pi, atol=1e-12):
-            raise ConfigError("population.pi conflicts with the kernel's type distribution")
-
-    allocation = pop_cfg.get("allocation", "deterministic")
-    try:
-        allocation = Allocation(allocation)
-    except ValueError as exc:
-        raise ConfigError(f"population: unknown allocation {allocation!r}") from exc
-    if forced_alloc is not None:
-        # random-type models require multinomial allocation regardless of the config
-        allocation = forced_alloc
-
-    try:
-        population = PopulationSpec(
-            m=int(pop_cfg.get("m", len(pi))),
-            pi=pi,
-            N=int(_require(pop_cfg, "N", "population")),
-            a=np.asarray(pop_cfg["a"], dtype=np.int64) if "a" in pop_cfg else None,
-            zeta=(np.asarray(pop_cfg["zeta"], dtype=float)
-                  if "zeta" in pop_cfg and "a" not in pop_cfg else None),
-            allocation=allocation,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"population: {exc}") from exc
-    if population.m != kernel.m:
-        raise ConfigError(
-            f"population has {population.m} types but the kernel has {kernel.m}")
-    if population.N < kernel.max_scaled < math.inf:
-        raise ConfigError(f"kernel: scaled infectivity {kernel.max_scaled} exceeds "
-                          f"population scale {population.N}")
-
-    replicates = int(doc.get("replicates", 1))
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    if doc.get("workers", 1) != 1:  # replicates run in one thread
-        raise ConfigError(f"workers must be 1, got {doc['workers']!r}")
-
-    threshold = doc.get("threshold_override")
-    if threshold is not None:
-        threshold = int(threshold)
-        if threshold < 0:
-            raise ConfigError(f"threshold_override must be >= 0, got {threshold}")
-
-    checks = tuple(doc.get("checks", ()))
-    for c in checks:
-        if c not in VALID_CHECKS:
-            raise ConfigError(f"unknown check {c!r}; valid checks are {VALID_CHECKS}")
-
-    output = doc.get("output", {})
-    if output and not isinstance(output, dict):
-        raise ConfigError("output block must be an object")
-    _reject_unknown(output, OUTPUT_FIELDS, "output")
-    output_format = output.get("format", "csv")
-    if output_format not in ("csv", "jsonl"):
-        raise ConfigError(f"output.format must be 'csv' or 'jsonl', got {output_format!r}")
-
-    return ExperimentConfig(
-        population=population,
-        kernel=kernel,
-        kernel_kind=kernel_cfg["kind"],
-        replicates=replicates,
-        seed=int(doc.get("seed", 0)),
-        threshold_override=threshold,
-        output_path=Path(output["path"]) if output.get("path") else None,
-        output_format=output_format,
-        checks=checks,
-    )
+    return _build(_experiment, doc, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -180,24 +180,6 @@ class ScalarDist:
             support_max=float(vals.max()),
         )
 
-    @staticmethod
-    def from_config(cfg: dict) -> "ScalarDist":
-        """Build from the {"dist": ..., ...} tagged form used in experiment configs."""
-        if not isinstance(cfg, dict) or "dist" not in cfg:
-            raise ValueError(f"scalar distribution config must be a dict with a 'dist' key: {cfg!r}")
-        kind = cfg["dist"]
-        if not isinstance(kind, str) or kind not in CONFIG_PARAMETERS:
-            raise ValueError(f"unknown scalar distribution kind {kind!r}")
-        unknown = set(cfg) - {"dist", *CONFIG_PARAMETERS[kind]}
-        if unknown:
-            raise ValueError(f"scalar distribution {kind!r} has unknown parameter "
-                             f"{sorted(unknown)[0]!r}; valid parameters are {CONFIG_PARAMETERS[kind]}")
-        try:
-            args = [cfg[name] for name in CONFIG_PARAMETERS[kind]]
-        except KeyError as exc:
-            raise ValueError(f"scalar distribution {kind!r} is missing parameter {exc}") from exc
-        return getattr(ScalarDist, kind)(*args)
-
 
 def _added(sample: Callable[[np.random.Generator, int], np.ndarray]) -> Callable:
     """``sample_sum`` for a law whose sums have no closed form: counts.sum()
@@ -245,9 +227,3 @@ def _kummer(a: float, c: float, t: float) -> float:
     if t < -700.0:
         return float(special.hyp1f1(a, c, t))
     return math.exp(t) * float(special.hyp1f1(c - a, c, -t))
-
-
-# config tag -> the ScalarDist constructor's parameters, in order
-CONFIG_PARAMETERS = {"constant": ("value",), "exponential": ("mean",), "gamma": ("shape", "scale"),
-                     "bernoulli": ("p",), "uniform": ("low", "high"), "beta": ("a", "b"),
-                     "discrete": ("values", "probs")}

@@ -53,9 +53,10 @@ class PopulationSpec:
     """Population layout: m types, proportions pi, scale N, initial infectives.
 
     Initial infectives may be given as exact counts ``a`` or as intensities
-    ``zeta`` (zeta_k = a_k / (N pi_k)).  If both are supplied, ``a`` wins and
-    zeta is recomputed from it.  Under deterministic allocation the split of N
-    into types is computed once, here, as read-only arrays.
+    ``zeta``, rounded to a = rint(zeta N pi) (``a`` wins if both are given);
+    zeta is then always a / (N pi), the seeds that are simulated.  Under
+    deterministic allocation the split of N into types is computed once,
+    here, as read-only arrays.
     """
 
     m: int
@@ -79,21 +80,17 @@ class PopulationSpec:
             raise ValueError("all type proportions must be strictly positive")
         if self.N < 1:
             raise ValueError(f"population scale N must be >= 1, got {self.N}")
-        if self.a is None and self.zeta is None:
-            object.__setattr__(self, "a", np.zeros(self.m, dtype=np.int64))
-        if self.a is not None:
-            a = np.array(self.a, dtype=np.int64)  # a copy: it is made read-only below
-            if a.shape != (self.m,) or np.any(a < 0):
-                raise ValueError("a must be a nonnegative integer vector of length m")
-            object.__setattr__(self, "a", a)
-            # a takes precedence; zeta is recomputed to stay consistent
-            object.__setattr__(self, "zeta", a / (self.N * pi))
-        else:
+        a = self.a
+        if a is None and self.zeta is not None:  # a takes precedence over zeta
             zeta = np.asarray(self.zeta, dtype=float)
             if zeta.shape != (self.m,) or np.any(zeta < 0):
                 raise ValueError("zeta must be a nonnegative vector of length m")
-            object.__setattr__(self, "zeta", zeta)
-            object.__setattr__(self, "a", np.rint(zeta * self.N * pi).astype(np.int64))
+            a = np.rint(zeta * self.N * pi)
+        a = np.array(np.zeros(self.m) if a is None else a, dtype=np.int64)  # a copy: made read-only
+        if a.shape != (self.m,) or np.any(a < 0):
+            raise ValueError("a must be a nonnegative integer vector of length m")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "zeta", a / (self.N * pi))
         if not isinstance(self.allocation, Allocation):
             object.__setattr__(self, "allocation", Allocation(self.allocation))
         self.a.setflags(write=False)

@@ -308,7 +308,8 @@ def test_dynamic_graph_extinction_is_exact():
 
     doc = json.loads(path.read_text())["kernel"]
     spec = ef.DynamicGraphSpec(rho_plus=doc["rho_plus"], rho_minus=doc["rho_minus"],
-                               beta=doc["beta"], q=[ef.ScalarDist.from_config(q) for q in doc["q"]])
+                               beta=doc["beta"],
+                               q=[ef.ScalarDist.exponential(q["mean"]) for q in doc["q"]])
     lifetimes = [stats.expon(scale=q["mean"]) for q in doc["q"]]
 
     def h(s):

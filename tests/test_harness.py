@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import epifrost as ef
-from epifrost import cli, harness
+from epifrost import cli, config, harness
 from epifrost.config import parse_config
 from epifrost.errors import ConfigError
 
@@ -114,7 +114,7 @@ def test_unknown_fields_rejected(tmp_path, capsys, block, key):
 
 @pytest.mark.parametrize("w_extra, kernel_extra, message", [
     ({}, {"w_mod": "shared"}, "unknown field 'w_mod'; valid fields are"),  # loaded as independent
-    ({"meen": 0.4}, {}, "unknown parameter 'meen'; valid parameters are"),
+    ({"meen": 0.4}, {}, "unknown field 'meen'; valid fields are"),
 ])
 def test_unknown_kernel_and_scalar_law_fields_rejected(tmp_path, capsys, w_extra, kernel_extra,
                                                        message):
@@ -136,6 +136,43 @@ def test_unknown_custom_table_row_field_rejected(tmp_path, capsys):
         parse_config(doc)
     assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, kernel, population, message", [
+    ("kernel", {"kind": "constant"}, None, "kernel (constant): missing required field 'mu'"),
+    ("population", None, {"m": 1, "pi": [1.0], "a": [1]},
+     "population: missing required field 'N'"),
+    ("kernel", {"kind": "custom_table",
+                "rows": [{"values": [[1.0]], "probs": [1.0], "prob": [1.0]}]},
+     None, "kernel.rows: unknown field 'prob'; valid fields are ('values', 'probs')"),
+    ("kernel", {"kind": "static_graph", "alpha": [[2.0]], "w": {"dist": "beta", "a": 2.0}}, None,
+     "kernel.w (beta): missing required field 'b'"),
+])
+def test_config_errors_name_their_block_once(tmp_path, block, kernel, population, message):
+    # a ConfigError is a ValueError, which the kernel and population blocks used to
+    # prefix again: "population: population: missing required field 'N'"
+    doc = _base_config(tmp_path)
+    doc["kernel"] = kernel or doc["kernel"]
+    doc["population"] = population or doc["population"]
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
+    assert str(info.value).count(block) == 1
+
+
+@pytest.mark.parametrize("name", ["from_config", "is_constant", "__init__", "__class__", "trap"])
+def test_law_and_kind_names_are_looked_up_only_in_their_tables(tmp_path, monkeypatch, name):
+    # a name that is an attribute, but not a law or a kind, is refused and never called
+    def trap(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(ef.ScalarDist, "trap", staticmethod(trap), raising=False)
+    monkeypatch.setattr(config, "trap", trap, raising=False)
+    law = {"kind": "static_graph", "alpha": [[2.0]], "w": {"dist": name, "value": 0.5}}
+    for kernel, tag in [(law, "dist"), ({"kind": name, "value": 0.5}, "kind")]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(_base_config(tmp_path, kernel=kernel))
+        assert f"unknown {tag} {name!r}; valid {tag}s are ('constant', " in str(info.value)
 
 
 def test_perfbench_configs_parse():

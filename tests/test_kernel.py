@@ -195,8 +195,15 @@ def test_a_wins_over_zeta():
 
 
 def test_zeta_converted_to_counts():
-    spec = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=100, zeta=[0.1, 0.0])
-    assert spec.a.tolist() == [5, 0]
+    # zeta is the intensity of the seeds that are simulated, a / (N pi)
+    for pi, N, zeta, a, simulated in [
+        ([0.5, 0.5], 100, [0.1, 0.0], [5, 0], [0.1, 0.0]),
+        ([1.0], 10, [0.05], [0], [0.0]),  # rounds to no seed: the solvers must not see one
+        ([0.5, 0.5], 1000, [0.0015, 0.0], [1, 0], [0.002, 0.0]),  # one seed: intensity 0.002
+    ]:
+        spec = ef.PopulationSpec(m=len(pi), pi=pi, N=N, zeta=zeta)
+        assert spec.a.tolist() == a
+        assert spec.zeta.tolist() == simulated
 
 
 def test_kernel_rejects_bad_moment_structure():
