@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .distributions import _special
 from .errors import InsufficientDataError, SingularMatrixError
 from .kernel import Allocation
 from .simulator import Ensemble
@@ -141,11 +141,11 @@ def mardia_test(y: np.ndarray) -> tuple[float, float, float, float]:
     third = np.einsum("ra,rb,rc->abc", z, z, z) / n
     b1 = float((third ** 2).sum())
     df = m * (m + 1) * (m + 2) / 6.0
-    p_skew = float(special.chdtrc(df, n * b1 / 6.0))
+    p_skew = float(_special().chdtrc(df, n * b1 / 6.0))
 
     b2 = float(np.mean((z ** 2).sum(axis=1) ** 2))
     z_kurt = (b2 - m * (m + 2)) / np.sqrt(8.0 * m * (m + 2) / n)
-    p_kurt = float(2.0 * special.ndtr(-abs(z_kurt)))
+    p_kurt = float(2.0 * _special().ndtr(-abs(z_kurt)))
     return b1, p_skew, b2, p_kurt
 
 

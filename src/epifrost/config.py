@@ -138,10 +138,6 @@ def _dynamic_graph(rho_plus, rho_minus, beta, q):
     return dynamic_bernoulli_kernel(DynamicGraphSpec(rho_plus, rho_minus, beta, q))
 
 
-def _ball_clancy95(pi, u):
-    return ball_clancy95_model(u, pi)
-
-
 def _compiled(spec: type, compile_kernel: Callable) -> Callable:
     """``compile_kernel(spec(**fields))``, whose fields are the spec's parameters."""
     def build(**fields):
@@ -158,7 +154,7 @@ KINDS = {
     "mixed_bernoulli": (_compiled(MixedGraphSpec, mixed_bernoulli_kernel), {"w": 0}),
     "dynamic_graph": (_dynamic_graph, {"q": 1}),
     "ball_clancy93": (_compiled(BallClancy93Spec, ball_clancy93_kernel), {"sojourn": 2}),
-    "ball_clancy95": (_ball_clancy95, {"u": 1}),
+    "ball_clancy95": (ball_clancy95_model, {"u": 1}),
 }
 
 

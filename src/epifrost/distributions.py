@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = ["ScalarDist"]
 
@@ -69,15 +68,15 @@ class ScalarDist:
     @staticmethod
     def constant(value: float) -> "ScalarDist":
         v = float(value)
-        if v < 0:
-            raise ValueError(f"constant distribution needs value >= 0, got {v}")
+        if not 0 <= v < math.inf:  # each check refuses NaN as well
+            raise ValueError(f"constant distribution needs value >= 0 and finite, got {v}")
         return replace(ScalarDist.discrete([v], [1.0]), name=f"constant({v})")
 
     @staticmethod
     def exponential(mean: float) -> "ScalarDist":
         m = float(mean)
-        if m <= 0:
-            raise ValueError(f"exponential distribution needs mean > 0, got {m}")
+        if not 0 < m < math.inf:
+            raise ValueError(f"exponential distribution needs mean > 0 and finite, got {m}")
         return replace(ScalarDist.gamma(1.0, m), name=f"exponential(mean={m})",
                        # gamma's pow can be an ulp off these, which moves extinction q
                        mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
@@ -87,8 +86,9 @@ class ScalarDist:
     @staticmethod
     def gamma(shape: float, scale: float) -> "ScalarDist":
         k, s = float(shape), float(scale)
-        if k <= 0 or s <= 0:
-            raise ValueError("gamma distribution needs shape > 0 and scale > 0")
+        if not (0 < k < math.inf and 0 < s < math.inf):
+            raise ValueError(f"gamma distribution needs finite shape > 0 and scale > 0, "
+                             f"got shape={k}, scale={s}")
         return ScalarDist(
             name=f"gamma(shape={k}, scale={s})",
             mean=k * s,
@@ -98,7 +98,7 @@ class ScalarDist:
             mgf=lambda t: float((1.0 - s * t) ** (-k)),
             mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
             expect=_quantile_rule(lambda z, u, v: s * np.where(
-                z < 0, special.gammaincinv(k, u), special.gammainccinv(k, v))),
+                z < 0, _special().gammaincinv(k, u), _special().gammainccinv(k, v))),
         )
 
     @staticmethod
@@ -121,8 +121,8 @@ class ScalarDist:
     @staticmethod
     def uniform(low: float, high: float) -> "ScalarDist":
         a, b = float(low), float(high)
-        if not 0 <= a < b:
-            raise ValueError(f"uniform distribution needs 0 <= low < high, got [{a}, {b}]")
+        if not 0 <= a < b < math.inf:
+            raise ValueError(f"uniform distribution needs 0 <= low < high < inf, got [{a}, {b}]")
         w = b - a  # X = a + w B with B ~ Beta(1, 1)
         return ScalarDist(
             name=f"uniform({a}, {b})",
@@ -141,8 +141,8 @@ class ScalarDist:
     def beta(a: float, b: float) -> "ScalarDist":
         # M(t) = M(a, a+b, t) and M'(t) = (a/(a+b)) M(a+1, a+b+1, t) (Kummer's M)
         aa, bb = float(a), float(b)
-        if aa <= 0 or bb <= 0:
-            raise ValueError("beta distribution needs a > 0 and b > 0")
+        if not (0 < aa < math.inf and 0 < bb < math.inf):
+            raise ValueError(f"beta distribution needs finite a > 0 and b > 0, got a={aa}, b={bb}")
         mean = aa / (aa + bb)
         var = aa * bb / ((aa + bb) ** 2 * (aa + bb + 1))
         return ScalarDist(
@@ -154,7 +154,7 @@ class ScalarDist:
             mgf=lambda t: _kummer(aa, aa + bb, t),
             mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
             expect=_quantile_rule(lambda z, u, v: np.where(
-                z < 0, special.betaincinv(aa, bb, u), 1.0 - special.betaincinv(bb, aa, v))),
+                z < 0, _special().betaincinv(aa, bb, u), 1.0 - _special().betaincinv(bb, aa, v))),
             support_max=1.0,
         )
 
@@ -164,8 +164,9 @@ class ScalarDist:
         ps = np.asarray(probs, dtype=float)
         if vals.ndim != 1 or vals.shape != ps.shape:
             raise ValueError("discrete distribution needs matching 1-d values and probs")
-        if np.any(vals < 0) or np.any(ps < 0) or abs(ps.sum() - 1.0) > 1e-12:
-            raise ValueError("discrete distribution needs values >= 0 and probs summing to 1")
+        if not (np.all((0 <= vals) & (vals < np.inf)) and np.all(ps >= 0)
+                and abs(ps.sum() - 1.0) <= 1e-12):
+            raise ValueError("discrete distribution needs finite values >= 0 and probs summing to 1")
         mean = float(vals @ ps)
         var = float((vals - mean) ** 2 @ ps)
         return ScalarDist(
@@ -198,13 +199,22 @@ def _atoms(values, probs) -> Callable:
 
 
 @functools.cache
+def _special():
+    """``scipy.special``, imported on its first use: it would be most of what
+    ``import epifrost`` costs, and only the tanh-sinh nodes, quantiles,
+    Kummer's M and the Mardia p-values need it."""
+    from scipy import special
+    return special
+
+
+@functools.cache
 def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tanh-sinh rule on (0, 1) as (z, u, 1 - u, weights): nodes
     u = expit(z), z = pi sinh(t), at t = j / 64 for |t| <= 4 (513 nodes, the
     last within 1e-37 of either end), weights normalized to sum to 1."""
     t = np.arange(-256, 257) / 64.0
     z = math.pi * np.sinh(t)
-    u, v = special.expit(z), special.expit(-z)
+    u, v = _special().expit(z), _special().expit(-z)
     w = u * v * np.cosh(t)  # du/dt up to the constant pi / 64, removed below
     return z, u, v, w / w.sum()
 
@@ -225,5 +235,5 @@ def _kummer(a: float, c: float, t: float) -> float:
     """Kummer's M(a, c, t) for t <= 0 as e^t M(c - a, c, -t), a series of positive
     terms; below t = -700, where that form overflows, scipy's M(a, c, t) itself."""
     if t < -700.0:
-        return float(special.hyp1f1(a, c, t))
-    return math.exp(t) * float(special.hyp1f1(c - a, c, -t))
+        return float(_special().hyp1f1(a, c, t))
+    return math.exp(t) * float(_special().hyp1f1(c - a, c, -t))

@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 
+def _is_list_of(laws, m: int) -> bool:
+    """Whether ``laws`` is a sequence of m entries, not a single law."""
+    return not isinstance(laws, ScalarDist) and len(laws) == m
+
+
 # ---------------------------------------------------------------------------
 # Static multitype Bernoulli graph
 # ---------------------------------------------------------------------------
@@ -175,8 +180,8 @@ class DynamicGraphSpec:
             raise ValueError("partnership rates must be strictly positive entrywise")
         if np.any(beta < 0):
             raise ValueError("contact rates must be nonnegative")
-        if len(self.q) != m:
-            raise ValueError(f"need one lifetime law per type, got {len(self.q)} for m={m}")
+        if not _is_list_of(self.q, m):
+            raise ValueError(f"q must be a list of one lifetime law per type, m = {m}")
 
 
 def _dynamic_scaled_u(spec: DynamicGraphSpec, i: int, q_values: np.ndarray,
@@ -278,11 +283,11 @@ class BallClancy93Spec:
         b = np.asarray(self.b, dtype=float)
         if b.ndim == 2:
             b = b[None, :, :]
-        object.__setattr__(self, "b", b)
-        m = b.shape[0]
-        if b.shape != (m, m, m) or np.any(b < 0):
+        if b.ndim != 3 or b.shape != (len(b),) * 3 or np.any(b < 0):
             raise ValueError("b must be m nonnegative m x m matrices")
-        if len(self.sojourn) != m or any(len(row) != m for row in self.sojourn):
+        object.__setattr__(self, "b", b)
+        m = len(b)
+        if not _is_list_of(self.sojourn, m) or not all(_is_list_of(row, m) for row in self.sojourn):
             raise ValueError(f"sojourn must be an {m} x {m} table of scalar laws")
 
 
@@ -335,10 +340,10 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
                              sampler=sampler, u_sum=u_sum, max_scaled=max_scaled)
 
 
-def ball_clancy95_model(base: Sequence[ScalarDist],
+def ball_clancy95_model(u: Sequence[ScalarDist],
                         pi: np.ndarray) -> tuple[InfectivityKernel, Allocation]:
     """Random-type model: an infective of type i contacts every individual
-    with the same probability 1 - exp(-u_i / N), u_i drawn from base[i]
+    with the same probability 1 - exp(-u_i / N), u_i drawn from u[i]
     (the linear law with b_i all ones).
 
     Since an individual's type is assigned at random from pi irrespective of
@@ -347,9 +352,9 @@ def ball_clancy95_model(base: Sequence[ScalarDist],
     """
     pi = np.asarray(pi, dtype=float)
     m = len(pi)
-    if len(base) != m:
-        raise ValueError(f"need one scalar infectivity law per type, got {len(base)} for m={m}")
+    if not _is_list_of(u, m):
+        raise ValueError(f"u must be a list of one scalar infectivity law per type, m = {m}")
     if np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise ValueError("pi must be a strictly positive probability vector")
-    kernel = _linear_kernel(np.ones((m, m, 1)), [[x] for x in base], hazard=True)
+    kernel = _linear_kernel(np.ones((m, m, 1)), [[x] for x in u], hazard=True)
     return kernel, Allocation.RANDOM_MULTINOMIAL

@@ -138,14 +138,16 @@ def resolve_population(spec: PopulationSpec) -> ResolvedPopulation:
 # one line needs more): its memory does not grow with the number of lines
 _ESCAPE_RUN = 1 << 16
 
+# (np.random.Generator is quoted so that importing the library leaves
+# numpy.random unloaded until something draws)
 # sampler(infector_type, N, rng, n) -> (n, m) array of V values
-SamplerFn = Callable[[int, int, np.random.Generator, int], np.ndarray]
+SamplerFn = Callable[[int, int, "np.random.Generator", int], np.ndarray]
 # u_sampler(infector_type, rng, n) -> (n, m) array of scaled limits
-USamplerFn = Callable[[int, np.random.Generator, int], np.ndarray]
+USamplerFn = Callable[[int, "np.random.Generator", int], np.ndarray]
 # mgf(infector_type, theta) -> E[exp(theta . U_i)] for theta <= 0
 UMgfFn = Callable[[int, np.ndarray], float]
 # fresh() -> the generator for the next vector draw call
-FreshFn = Callable[[], np.random.Generator]
+FreshFn = Callable[[], "np.random.Generator"]
 # u_sum(infector_type, fresh, counts) -> (len(counts), m): row l one draw from
 # the law of the sum of counts[l] i.i.d. copies of U_i, each numpy call on a
 # generator of its own from fresh(); only for kernels with V = 1 - exp(-U/N)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +159,57 @@ def test_config_errors_name_their_block_once(tmp_path, block, kernel, population
         parse_config(doc)
     assert str(info.value) == message
     assert str(info.value).count(block) == 1
+
+
+_EXP = {"dist": "exponential", "mean": 1.0}
+_MOVER_1 = {"kind": "ball_clancy93", "b": [[1.5]], "sojourn": [[_EXP]]}
+
+
+@pytest.mark.parametrize("kernel, message", [
+    # each a ValueError naming the field, so exit 2, not a traceback
+    (dict(_MOVER_1, b=2.0), "kernel (ball_clancy93): b must be m nonnegative m x m matrices"),
+    (dict(_MOVER_1, b=None), "kernel (ball_clancy93): b must be m nonnegative m x m matrices"),
+    # one law where a list belongs
+    ({"kind": "ball_clancy95", "pi": [1.0], "u": _EXP},
+     "kernel (ball_clancy95): u must be a list of one scalar infectivity law per type, m = 1"),
+    (dict(_MOVER_1, sojourn=[_EXP]),
+     "kernel (ball_clancy93): sojourn must be an 1 x 1 table of scalar laws"),
+    (dict(_MOVER_1, sojourn=_EXP),
+     "kernel (ball_clancy93): sojourn must be an 1 x 1 table of scalar laws"),
+], ids=["b-number", "b-null", "u-one-law", "sojourn-flat-row", "sojourn-one-law"])
+def test_malformed_kernel_fields_are_config_errors(tmp_path, capsys, kernel, message):
+    doc = _base_config(tmp_path, kernel=kernel)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
+    assert cli.main(["graph", "--config", _write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("law, field", [
+    ({"dist": "constant", "value": 1.0}, "value"),
+    ({"dist": "exponential", "mean": 1.0}, "mean"),
+    ({"dist": "gamma", "shape": 2.0, "scale": 0.5}, "shape"),
+    ({"dist": "gamma", "shape": 2.0, "scale": 0.5}, "scale"),
+    ({"dist": "bernoulli", "p": 0.5}, "p"),
+    ({"dist": "uniform", "low": 0.5, "high": 1.5}, "low"),
+    ({"dist": "uniform", "low": 0.5, "high": 1.5}, "high"),
+    ({"dist": "beta", "a": 2.0, "b": 3.0}, "a"),
+    ({"dist": "beta", "a": 2.0, "b": 3.0}, "b"),
+    ({"dist": "discrete", "values": [0.5, 1.5], "probs": [0.5, 0.5]}, "values"),
+    ({"dist": "discrete", "values": [0.5, 1.5], "probs": [0.5, 0.5]}, "probs"),
+], ids=lambda x: x if isinstance(x, str) else x["dist"])
+def test_non_finite_law_parameters_are_config_errors(tmp_path, capsys, law, field, bad):
+    # json reads Infinity and NaN, which each law must refuse before a solver sees them
+    value = [law[field][0], bad] if isinstance(law[field], list) else bad
+    kernel = dict(_MOVER_1, sojourn=[[dict(law, **{field: value})]])
+    path = _write_config(tmp_path, _base_config(tmp_path, kernel=kernel))
+    with pytest.raises(ConfigError, match=rf"^kernel\.sojourn \({law['dist']}\): {law['dist']} "
+                                          "distribution needs"):
+        ef.load_config(path)
+    assert cli.main(["graph", "--config", path]) == 2
+    assert "config error: kernel.sojourn" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["from_config", "is_constant", "__init__", "__class__", "trap"])
@@ -544,6 +596,37 @@ def test_import_leaves_out_scipy_stats_and_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_special_loads_on_first_use_and_gives_the_same_values():
+    # import plus load_config of constant, exponential, gamma and beta kernels
+    # leaves out scipy, and quantiles, Kummer's M and Mardia's p-values then
+    # give what they give in this process
+    laws = [ef.ScalarDist.gamma(2.0, 0.9), ef.ScalarDist.beta(2.0, 3.0)]
+    y = np.column_stack([np.sin(np.arange(60.0)), np.cos(1.3 * np.arange(60.0)) ** 3])
+    expected = [law.expect(lambda x: np.exp(-x)) for law in laws] + [
+        laws[1].mgf(-0.7), laws[1].mgf_prime(-2.5), *ef.mardia_test(y)]
+    docs = [GOLDEN_CONFIGS[name] for name in
+            ("constant_two_type", "mover", "random_type", "static_graph")]
+    code = "\n".join([
+        "import json, sys",
+        "import numpy as np",
+        "import epifrost as ef",
+        "for doc in json.loads(sys.argv[1]):",
+        "    ef.parse_config(doc)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "laws = [ef.ScalarDist.gamma(2.0, 0.9), ef.ScalarDist.beta(2.0, 3.0)]",
+        "y = np.column_stack([np.sin(np.arange(60.0)), np.cos(1.3 * np.arange(60.0)) ** 3])",
+        "values = [law.expect(lambda x: np.exp(-x)) for law in laws] + [",
+        "    laws[1].mgf(-0.7), laws[1].mgf_prime(-2.5), *ef.mardia_test(y)]",
+        "print(json.dumps([float(v).hex() for v in values]))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(docs)], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    loaded, values = out.stdout.splitlines()
+    assert loaded == "[]"
+    assert [float.fromhex(v) for v in json.loads(values)] == expected
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
