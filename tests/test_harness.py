@@ -598,14 +598,20 @@ def test_import_leaves_out_scipy_stats_and_sparse():
     assert out.stdout.strip() == "[]"
 
 
+# gamma and beta quantiles (expect), Kummer's M (beta mgf) and the Mardia p-values
+SPECIAL_VALUES = """
+laws = [ef.ScalarDist.gamma(2.0, 0.9), ef.ScalarDist.beta(2.0, 3.0)]
+y = np.column_stack([np.sin(np.arange(60.0)), np.cos(1.3 * np.arange(60.0)) ** 3])
+values = [law.expect(lambda x: np.exp(-x)) for law in laws] + [
+    laws[1].mgf(-0.7), laws[1].mgf_prime(-2.5), *ef.mardia_test(y)]
+"""
+
+
 def test_scipy_special_loads_on_first_use_and_gives_the_same_values():
-    # import plus load_config of constant, exponential, gamma and beta kernels
-    # leaves out scipy, and quantiles, Kummer's M and Mardia's p-values then
-    # give what they give in this process
-    laws = [ef.ScalarDist.gamma(2.0, 0.9), ef.ScalarDist.beta(2.0, 3.0)]
-    y = np.column_stack([np.sin(np.arange(60.0)), np.cos(1.3 * np.arange(60.0)) ** 3])
-    expected = [law.expect(lambda x: np.exp(-x)) for law in laws] + [
-        laws[1].mgf(-0.7), laws[1].mgf_prime(-2.5), *ef.mardia_test(y)]
+    # import plus parse_config of constant, exponential, gamma and beta kernels
+    # leaves out scipy, and the values that need it then equal this process's
+    here = {"ef": ef, "np": np}
+    exec(SPECIAL_VALUES, here)
     docs = [GOLDEN_CONFIGS[name] for name in
             ("constant_two_type", "mover", "random_type", "static_graph")]
     code = "\n".join([
@@ -615,10 +621,7 @@ def test_scipy_special_loads_on_first_use_and_gives_the_same_values():
         "for doc in json.loads(sys.argv[1]):",
         "    ef.parse_config(doc)",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        "laws = [ef.ScalarDist.gamma(2.0, 0.9), ef.ScalarDist.beta(2.0, 3.0)]",
-        "y = np.column_stack([np.sin(np.arange(60.0)), np.cos(1.3 * np.arange(60.0)) ** 3])",
-        "values = [law.expect(lambda x: np.exp(-x)) for law in laws] + [",
-        "    laws[1].mgf(-0.7), laws[1].mgf_prime(-2.5), *ef.mardia_test(y)]",
+        SPECIAL_VALUES,
         "print(json.dumps([float(v).hex() for v in values]))",
     ])
     out = subprocess.run([sys.executable, "-c", code, json.dumps(docs)], capture_output=True,
@@ -626,7 +629,7 @@ def test_scipy_special_loads_on_first_use_and_gives_the_same_values():
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     loaded, values = out.stdout.splitlines()
     assert loaded == "[]"
-    assert [float.fromhex(v) for v in json.loads(values)] == expected
+    assert [float.fromhex(v) for v in json.loads(values)] == here["values"]
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
