@@ -14,9 +14,9 @@ probability 1 - prod_i q_i^{a_i}.
 Total progeny runs n lines at once, generation-synchronously: given its
 parents' summed U, a line's type-j children are one Poisson(pi_j * sum U_j)
 draw.  That sum is the epidemic's escape term in its N -> inf limit
-(``InfectivityKernel.log_escape`` with N=None), drawn as the epidemic draws it:
-nothing for a deterministic kernel, one sum-law draw per (type, group) with
-``u_sum``, and otherwise every parent's U, in runs.
+(``InfectivityKernel.escape`` with N=None), drawn as the epidemic draws it:
+nothing for a deterministic kernel, the sum laws of ``u_sum`` (one pooled
+call for the gamma family), and otherwise every parent's U, in runs.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def simulate_progeny_lines(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndar
                            n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(n, m) births (ancestors excluded) of ``n`` lines from ancestors ``a``, and (n,)
     flags for lines stopped because their births passed ``cap``.  Every draw, the
-    parents' summed U by ``kernel.log_escape(i, counts, None, ...)`` and the children,
+    parents' summed U by ``kernel.escape(active, None, ...)`` and the children,
     comes from ``rng``."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -69,7 +69,7 @@ def simulate_progeny_lines(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndar
     live = np.arange(n)
     active = np.tile(np.asarray(a, dtype=np.int64), (n, 1))
     while live.size:
-        load = -sum(kernel.log_escape(i, active[:, i], None, lambda: rng) for i in range(kernel.m))
+        load = -kernel.escape(active, None, lambda: rng)
         active = rng.poisson(load * pi)
         counts[live] += active
         keep = (counts[live].sum(axis=1) <= cap) & active.any(axis=1)

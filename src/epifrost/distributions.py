@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class ScalarDist:
     mgf_prime: Callable[[float], float] = field(repr=False)
     expect: Callable[[Callable[[np.ndarray], np.ndarray]], float] = field(repr=False)
     support_max: float = np.inf
+    gamma_shape_scale: Optional[tuple[float, float]] = None  # (shape, scale) of a gamma law
 
     def __post_init__(self):
         if self.is_constant:  # a degenerate law (bernoulli(0), one atom) draws nothing
@@ -99,6 +100,7 @@ class ScalarDist:
             mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
             expect=_quantile_rule(lambda z, u, v: s * np.where(
                 z < 0, _special().gammaincinv(k, u), _special().gammainccinv(k, v))),
+            gamma_shape_scale=(k, s),
         )
 
     @staticmethod

@@ -301,7 +301,8 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
     """The kernel of U_i = sum_j X_ij b[i][:, j], X_ij ~ laws[i][j] independent:
     mu[i] = b[i] E[X_i], lam[i] = b[i] diag(var X_i) b[i]^T and E[exp(theta . U_i)]
     = prod_j M_ij(theta . b[i][:, j]).  With ``hazard``, V = 1 - exp(-U/N), and
-    ``u_sum`` draws a line's summed X_ij from that sum's law, one call per column j.
+    ``u_sum`` draws each line's summed X_ij from that sum's law: the gamma family's
+    Gamma(n k, scale) in one call, then one call per other (i, j) with variance.
     """
     m = b.shape[0]
     means = np.array([[x.mean for x in row] for row in laws])
@@ -310,18 +311,18 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
     lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
     columns = [list(zip(laws[i], b[i].T[:, :, None])) for i in range(m)]  # X_ij, (m, 1) b[i][:, j]
 
-    def linear(i: int, draw: Callable[[ScalarDist], np.ndarray]) -> np.ndarray:
+    def linear(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         # term by term, so a row does not depend on the other rows (a matmul's rounding
         # can depend on how many it has), from the first term on (0 + t is t); built
         # as (m, lines) so that each product runs along the lines, then transposed
-        (x, column), *rest = columns[i]
-        u = column * draw(x)
-        for x, column in rest:
-            u += column * draw(x)
+        (column, x), *rest = terms
+        u = column * x
+        for column, x in rest:
+            u += column * x
         return u.T
 
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return linear(i, lambda x: x.sample(rng, n))
+        return linear([(column, x.sample(rng, n)) for x, column in columns[i]])
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(math.prod(x.mgf(float(t)) for x, t in zip(laws[i], b[i].T @ theta)))
@@ -330,8 +331,14 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
         return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
                                  max_scaled=max_scaled)
 
-    def u_sum(i: int, fresh: FreshFn, counts: np.ndarray) -> np.ndarray:
-        return linear(i, lambda x: x.sample_sum(fresh(), counts))
+    shape, scale = np.moveaxis([[x.gamma_shape_scale or (0.0, 1.0) for x in row] for row in laws], 2, 0)
+
+    def u_sum(fresh: FreshFn, active: np.ndarray) -> np.ndarray:
+        # one call laid out (line, i, j), so row l depends on rows 0..l only; shape 0 draws nothing
+        sums = fresh().standard_gamma(active[:, :, None] * shape) * scale if shape.any() else None
+        return linear([(column, sums[:, i, j] if x.gamma_shape_scale else
+                        x.sample_sum(None if x.is_constant else fresh(), active[:, i]))
+                       for i in range(m) for j, (x, column) in enumerate(columns[i])])
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)

@@ -74,7 +74,7 @@ class PopulationSpec:
             raise ValueError(f"need at least one type, got m={self.m}")
         if pi.shape != (self.m,):
             raise ValueError(f"pi must have shape ({self.m},), got {pi.shape}")
-        if abs(pi.sum() - 1.0) > 1e-12:
+        if not abs(pi.sum() - 1.0) <= 1e-12:  # so a NaN or infinite entry fails too
             raise ValueError(f"pi must sum to 1 within 1e-12, got sum={pi.sum()!r}")
         if np.any(pi <= 0):
             raise ValueError("all type proportions must be strictly positive")
@@ -148,10 +148,10 @@ USamplerFn = Callable[[int, "np.random.Generator", int], np.ndarray]
 UMgfFn = Callable[[int, np.ndarray], float]
 # fresh() -> the generator for the next vector draw call
 FreshFn = Callable[[], "np.random.Generator"]
-# u_sum(infector_type, fresh, counts) -> (len(counts), m): row l one draw from
-# the law of the sum of counts[l] i.i.d. copies of U_i, each numpy call on a
-# generator of its own from fresh(); only for kernels with V = 1 - exp(-U/N)
-USumFn = Callable[[int, FreshFn, np.ndarray], np.ndarray]
+# u_sum(fresh, active) -> (lines, m): row l one draw of the summed U of active[l, i]
+# i.i.d. copies of U_i for every type i, each numpy call on a generator of its
+# own from fresh(); only for kernels with V = 1 - exp(-U/N)
+USumFn = Callable[[FreshFn, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class InfectivityKernel:
 
     V is U/N unless ``sampler`` draws it at finite N.  ``deterministic`` is
     derived: lam = 0 makes U, and so V, a fixed vector given the infector
-    type and N; ``sample`` and ``log_escape`` then draw nothing.
+    type and N; ``sample`` and ``escape`` then draw nothing.
     ``max_scaled`` is the largest scaled probability the kernel is built
     from: N * V, or N times an edge probability for the graph kernels, or inf
     where there is no bound (V < 1 by construction); ``sample`` refuses N
@@ -185,13 +185,14 @@ class InfectivityKernel:
             raise ValueError(f"mu must be {self.m}x{self.m}, got {mu.shape}")
         if lam.shape != (self.m, self.m, self.m):
             raise ValueError(f"lam must be ({self.m},{self.m},{self.m}), got {lam.shape}")
-        if np.any(mu < 0):
-            raise ValueError("mu must be nonnegative")
-        for i in range(self.m):
-            if not np.allclose(lam[i], lam[i].T, atol=1e-9):
-                raise ValueError(f"lam[{i}] must be symmetric")
-            if np.linalg.eigvalsh((lam[i] + lam[i].T) / 2).min() < -1e-9:
-                raise ValueError(f"lam[{i}] must be positive semidefinite")
+        if not 0 <= mu.min() <= mu.max() < math.inf:  # NaN fails too
+            raise ValueError("mu must be finite and nonnegative")
+        if not np.abs(lam).max() < math.inf:
+            raise ValueError("lam must be finite")
+        lam_t = lam.transpose(0, 2, 1)  # every type in one pass; the first bad one is named
+        asymmetric = (np.abs(lam - lam_t) > 1e-9 + 1e-5 * np.abs(lam_t)).any(axis=(1, 2))
+        for i in np.flatnonzero(asymmetric | (np.linalg.eigvalsh((lam + lam_t) / 2)[:, 0] < -1e-9))[:1]:
+            raise ValueError(f"lam[{i}] must be {'symmetric' if asymmetric[i] else 'positive semidefinite'}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "deterministic", not lam.any())
@@ -212,49 +213,48 @@ class InfectivityKernel:
              else self.sampler(infector_type, N, rng, n))
         return v[0] if size is None else v
 
-    def log_escape(self, infector_type: int, counts: np.ndarray, N: Optional[int],
-                   fresh: FreshFn) -> np.ndarray:
-        """(len(counts), m): row l is the sum of log(1 - V) over counts[l] i.i.d.
-        draws for one infector type, the log-probability that a susceptible escapes
-        all of them (0 for a zero count); ``N=None`` gives its N -> inf limit of N
-        times that sum, -sum(U).  Each vector draw call takes its generator from
-        ``fresh()`` and draws line by line, in line order:
-
-        * deterministic kernels draw nothing: counts * log(1 - V), or -counts * mu;
-        * kernels with ``u_sum`` return -sum(U)/N, the sum drawn from its own law
-          (so not from the draws ``sample`` would take);
-        * any other kernel draws counts.sum() values of V (``sample``) or U
-          (``u_sampler``) on one generator, in calls each for a run of lines of at
-          most ``_ESCAPE_RUN`` values (or one line), and adds up each line's run.
+    def escape(self, active: np.ndarray, N: Optional[int], fresh: FreshFn) -> np.ndarray:
+        """(lines, m): row l is the sum of log(1 - V) over one draw for each of
+        line l's infectives, active[l, i] of type i, the log-probability that a
+        susceptible escapes them all; ``N=None`` gives its N -> inf limit of N
+        times that sum, -sum(U).  Kernels with ``u_sum`` return
+        -u_sum(fresh, active)/N.  The others add up one term per type, in type
+        order, each on a generator of its own from ``fresh()`` (a deterministic
+        kernel's at finite N only): a deterministic kernel draws nothing,
+        active[:, i] * log(1 - V_i) or -active[:, i] * mu[i]; any other draws
+        active[:, i].sum() values of V (``sample``) or U (``u_sampler``) line by
+        line, in calls each for a run of lines of at most ``_ESCAPE_RUN`` values
+        (or one line), and adds up each line's run.
         """
-        if not 0 <= infector_type < self.m:
-            raise ValueError(f"infector type must be in [0, {self.m}), got {infector_type}")
-        counts = np.asarray(counts)
-        if self.deterministic:
-            with np.errstate(divide="ignore", invalid="ignore"):  # V = 1 gives -inf
-                row = (-self.mu[infector_type] if N is None
-                       else np.log1p(-self.sample(infector_type, N, fresh())))
-                out = counts[:, None] * row
-            out[counts == 0] = 0.0  # not 0 * -inf = nan
-            return out
-        if self.u_sum is not None:  # dividing by 1 is exact
-            return -self.u_sum(infector_type, fresh, counts) / (1 if N is None else N)
-        rng = fresh()
-        out = np.zeros((len(counts), self.m))
-        lines = np.flatnonzero(counts)
-        sizes = counts[lines]
-        starts = np.cumsum(sizes) - sizes  # each line's first draw among the call's
-        total, start = int(sizes.sum()), 0
-        while start < lines.size:  # runs of lines, drawn in turn from one generator
-            done, stop = int(starts[start]), lines.size
-            if total - done > _ESCAPE_RUN:  # the lines that end within the run, at least one
-                stop = max(start + 1, int(np.searchsorted(starts, done + _ESCAPE_RUN, "right")) - 1)
-            size = (int(starts[stop]) if stop < lines.size else total) - done
-            with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
-                draws = (-self.u_sampler(infector_type, rng, size) if N is None
-                         else np.log1p(-self.sample(infector_type, N, rng, size=size)))
-            out[lines[start:stop]] = np.add.reduceat(draws, starts[start:stop] - done, axis=0)
-            start = stop
+        active = np.asarray(active)
+        if active.ndim != 2 or active.shape[1] != self.m:
+            raise ValueError(f"active must count {self.m} infector types per line, got {active.shape}")
+        if self.u_sum is not None and not self.deterministic:  # dividing by 1 is exact
+            return -self.u_sum(fresh, active) / (1 if N is None else N)
+        out = np.zeros(active.shape)
+        for i, counts in enumerate(active.T):
+            if self.deterministic:
+                with np.errstate(divide="ignore", invalid="ignore"):  # V = 1 gives -inf
+                    row = -self.mu[i] if N is None else np.log1p(-self.sample(i, N, fresh()))
+                    term = counts[:, None] * row
+                term[counts == 0] = 0.0  # not 0 * -inf = nan
+                out += term
+                continue
+            rng = fresh()
+            lines = np.flatnonzero(counts)
+            sizes = counts[lines]
+            starts = np.cumsum(sizes) - sizes  # each line's first draw among the call's
+            total, start = int(sizes.sum()), 0
+            while start < lines.size:  # runs of lines, drawn in turn from one generator
+                done, stop = int(starts[start]), lines.size
+                if total - done > _ESCAPE_RUN:  # the lines that end within the run, at least one
+                    stop = max(start + 1, int(np.searchsorted(starts, done + _ESCAPE_RUN, "right")) - 1)
+                size = (int(starts[stop]) if stop < lines.size else total) - done
+                with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
+                    draws = (-self.u_sampler(i, rng, size) if N is None
+                             else np.log1p(-self.sample(i, N, rng, size=size)))
+                out[lines[start:stop]] += np.add.reduceat(draws, starts[start:stop] - done, axis=0)
+                start = stop
         return out
 
 
@@ -269,8 +269,8 @@ def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
     and lam = 0."""
     scaled = np.atleast_2d(np.asarray(scaled, dtype=float))
     m = scaled.shape[0]
-    if scaled.shape != (m, m) or np.any(scaled < 0):
-        raise ValueError("scaled infectivity must be a nonnegative square matrix")
+    if scaled.shape != (m, m) or not np.all((0 <= scaled) & (scaled < math.inf)):
+        raise ValueError("mu, the scaled infectivity, must be a finite nonnegative square matrix")
     return table_kernel([(row[None, :], [1.0]) for row in scaled])
 
 
@@ -291,8 +291,9 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
             raise ValueError(f"row {i}: value vectors must have length m={m}")
         if vals.shape[0] != ps.shape[0]:
             raise ValueError(f"row {i}: values and probs must have matching length")
-        if np.any(vals < 0) or np.any(ps < 0) or abs(ps.sum() - 1.0) > 1e-12:
-            raise ValueError(f"row {i}: need nonnegative values and probs summing to 1")
+        if not (np.all((0 <= vals) & (vals < math.inf)) and np.all(ps >= 0)
+                and abs(ps.sum() - 1.0) <= 1e-12):  # each test refuses NaN as well
+            raise ValueError(f"row {i}: need finite nonnegative values and probs summing to 1")
         values.append(vals)
         probs.append(ps)
 

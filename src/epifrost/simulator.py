@@ -12,8 +12,8 @@ literal indicator construction lives with the test suite's oracles
 
 A generation depends on the last one only through the active counts, so an
 ensemble runs all of its replicates (lines) together: per generation, one
-batched escape term per type (``InfectivityKernel.log_escape``) and one
-vector binomial over the live lines.  Vector call c of an ensemble draws
+escape term over every type (``InfectivityKernel.escape``) and one vector
+binomial over the live lines.  Vector call c of an ensemble draws
 from a Philox generator with the key of ``replicate_rng(seed, 0)`` and
 counter (0, 0, c, 0), line by line, and the sequence of calls depends on
 neither the replicate count nor the outcomes, so row r depends only on the
@@ -101,7 +101,7 @@ def run_final_size(spec: PopulationSpec, kernel: InfectivityKernel,
 
     This is one line of the generation-synchronous engine, with every vector
     draw from ``rng``: the population split (random allocation only), then
-    per generation each type's escape term in type order and the binomials.
+    per generation the escape term's draws and the binomials.
     """
     if kernel.m != spec.m:
         raise ValueError(f"kernel has {kernel.m} types but population has {spec.m}")
@@ -117,8 +117,8 @@ def _run_lines(spec: PopulationSpec, kernel: InfectivityKernel, n: int,
 
     ``fresh()`` gives the generator for each vector draw call.  The calls
     come in an order that depends on neither ``n`` nor the outcomes: the
-    population split (random allocation only), then per generation every
-    type's escape term, active or not, and one binomial over the live lines.
+    population split (random allocation only), then per generation the
+    escape term's calls, the same whoever is active, and one binomial.
     Each call draws line by line, so line r depends only on lines 0..r.
     """
     m, N = spec.m, spec.N
@@ -133,8 +133,8 @@ def _run_lines(spec: PopulationSpec, kernel: InfectivityKernel, n: int,
     # cannot be exceeded; guards an infinite loop caused by a bug
     generation, generation_cap = 0, N + int(spec.a.sum()) + 1
     while live.size:
-        log_escape = sum(kernel.log_escape(i, active[:, i], N, fresh) for i in range(m))
-        new = fresh().binomial(remaining[live], -np.expm1(log_escape))
+        infected = -np.expm1(kernel.escape(active, N, fresh))  # drawn before the binomial
+        new = fresh().binomial(remaining[live], infected)
         generation += 1
         if generation > generation_cap:
             raise RuntimeError("generation count exceeded the population size; simulator bug")

@@ -176,7 +176,18 @@ _MOVER_1 = {"kind": "ball_clancy93", "b": [[1.5]], "sojourn": [[_EXP]]}
      "kernel (ball_clancy93): sojourn must be an 1 x 1 table of scalar laws"),
     (dict(_MOVER_1, sojourn=_EXP),
      "kernel (ball_clancy93): sojourn must be an 1 x 1 table of scalar laws"),
-], ids=["b-number", "b-null", "u-one-law", "sojourn-flat-row", "sojourn-one-law"])
+    # json reads Infinity: the kernel refuses a non-finite mu before a solver sees it
+    (dict(_MOVER_1, b=[[[math.inf]]]), "kernel (ball_clancy93): mu must be finite and nonnegative"),
+    ({"kind": "constant", "mu": [[math.inf]]},
+     "kernel (constant): mu, the scaled infectivity, must be a finite nonnegative square matrix"),
+    ({"kind": "custom_table", "rows": [{"values": [[math.inf], [1.0]], "probs": [0.5, 0.5]}]},
+     "kernel (custom_table): row 0: need finite nonnegative values and probs summing to 1"),
+    ({"kind": "static_graph", "alpha": [[math.inf]], "w": {"dist": "beta", "a": 2.0, "b": 3.0}},
+     "kernel (static_graph): mu must be finite and nonnegative"),
+    ({"kind": "dynamic_graph", "rho_plus": [[math.inf]], "rho_minus": [[1.0]], "beta": [[1.0]],
+      "q": _EXP}, "kernel (dynamic_graph): mu must be finite and nonnegative"),
+], ids=["b-number", "b-null", "u-one-law", "sojourn-flat-row", "sojourn-one-law", "b-inf",
+        "constant-mu-inf", "table-value-inf", "alpha-inf", "rho_plus-inf"])
 def test_malformed_kernel_fields_are_config_errors(tmp_path, capsys, kernel, message):
     doc = _base_config(tmp_path, kernel=kernel)
     with pytest.raises(ConfigError) as info:
@@ -210,6 +221,17 @@ def test_non_finite_law_parameters_are_config_errors(tmp_path, capsys, law, fiel
         ef.load_config(path)
     assert cli.main(["graph", "--config", path]) == 2
     assert "config error: kernel.sojourn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pi", [[math.nan], [math.inf], [0.5, math.nan]], ids=str)
+def test_non_finite_population_pi_is_config_error(tmp_path, capsys, pi):
+    # NaN passes both "sums to 1" and "all positive" as plain comparisons
+    doc = _base_config(tmp_path, population={"pi": pi, "N": 100, "a": [1] + [0] * (len(pi) - 1)},
+                       kernel={"kind": "constant", "mu": np.eye(len(pi)).tolist()})
+    with pytest.raises(ConfigError, match=r"^population: pi must sum to 1"):
+        parse_config(doc)
+    assert cli.main(["solve", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "config error: population: pi must sum to 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["from_config", "is_constant", "__init__", "__class__", "trap"])
@@ -397,15 +419,15 @@ GOLDEN_CONFIGS["mover_constant_sojourn"] = {
 @pytest.mark.parametrize("name, replicates, fmt, sha", [
     ("reed_frost", 300, "csv", "f5ebccb2d3810b01282299d716242ddee90d7e972c7c3f21f70727d048519c30"),
     ("reed_frost", 300, "jsonl", "6acd825eb34802201df6a548fbb21e5ab1af44f3ef13b5ddf2cf49504dcd9d4d"),
-    ("mover", 50, "csv", "50e0bd93439276f0421a0c26f4ae57f6409ddb1e5d6d3898c901017f66bae74a"),
-    ("random_type", 300, "csv", "8772eabc4802926d9183d4683fcd23f66993ccff65534a8aa2fd5d408baf0141"),
+    ("mover", 50, "csv", "5f63f0f7e63167554756a40e40d01e910896dadb1e318824e38be6e68ae79dd0"),
+    ("random_type", 300, "csv", "c3360eef2ea8933e2e6b7b3b18168375de2a04401a614b227cfa6b1bbb9d912c"),
     ("static_graph", 100, "csv", "d77789b8a04032d25b2009dad6a9cbc7f6e8c75dae16b8c619a13ac319896bf1"),
     ("mixed_bernoulli", 100, "csv", "2800821979717f2a6f9c6cc9791cbfb8c857b60bb50fb392b834b9762dfca99f"),
     ("constant_two_type", 300, "csv", "2a9c31fbd8af812180de2b11d8454943b531498cebfe115388c60bb27cf84066"),
     ("custom_table", 100, "csv", "3eb88fe8ff85540138f8c5e48458bad472598f189d4578ce77cf356fdbb22fe7"),
     ("dynamic_graph", 100, "csv", "3b926955f47d3765242e308c72652fde5b1fb0a4918f8b82e94925382d1c39da"),
     ("mover_constant_sojourn", 100, "csv",
-     "a1c152f680f26e461f91075e8d68ab1efae1ec5e767ab7a6f9ccd9f88db346c9"),
+     "8dd557ede348c3b889ec7744f616416931c36865ca989f14a5f97bbbeab69f18"),
 ])
 def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     # pins the random stream and the records layout: a change to either,
@@ -444,10 +466,32 @@ KIND_CONFIGS = {
 }
 
 
-# one config per kind at seed 5, and the Reed-Frost chain at seeds that span
-# SeedSequence's entropy words
+# movers whose sums are not all drawn in the pooled gamma call: gamma and
+# exponential sojourns beside constant ones that draw nothing (every infective
+# stays in group 0), and uniform sojourns drawn one call per (type, group)
+MOVER_DOCS = {
+    "mover_joint": {
+        "population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+        "kernel": {"kind": "ball_clancy93",
+                   "b": [[[1.9, 0.0], [0.65, 0.0]], [[0.85, 0.0], [1.1, 0.0]]],
+                   "sojourn": [[{"dist": "gamma", "shape": 2.0, "scale": 0.5},
+                                {"dist": "constant", "value": 0.0}],
+                               [{"dist": "exponential", "mean": 1.5},
+                                {"dist": "constant", "value": 0.0}]]}},
+    "mover_uniform": {
+        "population": GOLDEN_CONFIGS["mover"]["population"],
+        "kernel": dict(GOLDEN_CONFIGS["mover"]["kernel"], sojourn=[
+            [{"dist": "exponential", "mean": 1.0} if i == j
+             else {"dist": "uniform", "low": 0.0, "high": 0.5} for j in range(3)]
+            for i in range(3)])},
+}
+
+
+# one config per kind at seed 5, the movers above, and the Reed-Frost chain at
+# seeds that span SeedSequence's entropy words
 PREFIX_CASES = [
     *(pytest.param(kind, KIND_CONFIGS[kind], 5, id=kind) for kind in sorted(KIND_CONFIGS)),
+    *(pytest.param("ball_clancy93", doc, 5, id=name) for name, doc in MOVER_DOCS.items()),
     *(pytest.param("constant", GOLDEN_CONFIGS["reed_frost"], seed, id=f"reed_frost-{seed}")
       for seed in (0, 2**32, 2**64 - 1))]
 

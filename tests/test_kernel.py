@@ -220,6 +220,30 @@ def test_kernel_rejects_bad_moment_structure():
                              sampler=sampler, u_sampler=u_sampler, u_mgf=u_mgf)
 
 
+def test_kernel_names_the_first_bad_moment():
+    # finiteness before the sign of mu, and the first type whose lam fails
+    # either check, symmetric before positive semidefinite
+    u_sampler = lambda i, rng, size: np.zeros((size, 3))
+    u_mgf = lambda i, theta: 1.0
+    asymmetric = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    indefinite = np.diag([1.0, -0.5, 1.0])
+    for mu, lam, message in [
+        (np.full((3, 3), np.inf), np.zeros((3, 3, 3)), "mu must be finite and nonnegative"),
+        (np.full((3, 3), np.nan), np.zeros((3, 3, 3)), "mu must be finite and nonnegative"),
+        (np.full((3, 3), -1.0), np.zeros((3, 3, 3)), "mu must be finite and nonnegative"),
+        (np.ones((3, 3)), np.stack([np.eye(3), np.eye(3) * np.nan, np.eye(3)]), "lam must be finite"),
+        (np.ones((3, 3)), np.stack([np.eye(3), asymmetric, indefinite]), r"lam\[1\] must be symmetric"),
+        (np.ones((3, 3)), np.stack([np.eye(3), indefinite, asymmetric]),
+         r"lam\[1\] must be positive semidefinite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ef.InfectivityKernel(m=3, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf)
+    # within np.allclose's tolerance, and eigenvalues of rounding size, pass
+    near = np.eye(3) + np.array([[0.0, 1e-10, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0 - 1e-10]])
+    ef.InfectivityKernel(m=3, mu=np.ones((3, 3)), lam=np.stack([near] * 3), u_sampler=u_sampler,
+                         u_mgf=u_mgf)
+
+
 def test_deterministic_is_derived_from_lam():
     # zero covariance makes U a fixed vector, however the table lists it
     assert ef.table_kernel([(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))]).deterministic
@@ -232,20 +256,25 @@ def test_scaled_values_must_fit_population():
         kernel.sample(0, 1, np.random.default_rng(0))  # 2/1 > 1
 
 
+def _one_type_at_a_time_and_all(counts: np.ndarray, m: int) -> list[np.ndarray]:
+    """(lines, m) active counts: ``counts`` for each single infector type, then for all."""
+    return [np.outer(counts, row) for row in (*np.eye(m, dtype=np.int64), np.ones(m, np.int64))]
+
+
 @pytest.mark.parametrize("name", ["mover", "mover_joint", "random_type"])
 @pytest.mark.parametrize("n", [1, 7, 1000])
 @pytest.mark.parametrize("N", [100, 20_000])
 def test_log_escape_sums_the_same_draws(exponential_hazard_kernels, name, n, N):
-    # log_escape is -u_sum/N: the draws of the summed U that u_sum takes on
+    # escape is -u_sum/N: the draws of the summed U that u_sum takes on
     # the same stream, and no other draw; a line without infectives gives 0
     _, kernel = exponential_hazard_kernels[name]
     assert kernel.u_sum is not None
     counts = np.array([0, n, 0, 3])
-    for i in range(kernel.m):
+    for active in _one_type_at_a_time_and_all(counts, kernel.m):
         escape_rng, sum_rng = np.random.default_rng(17), np.random.default_rng(17)
-        escape = kernel.log_escape(i, counts, N, lambda: escape_rng)
+        escape = kernel.escape(active, N, lambda: escape_rng)
         assert escape.shape == (len(counts), kernel.m)
-        assert np.array_equal(escape, -kernel.u_sum(i, lambda: sum_rng, counts) / N)
+        assert np.array_equal(escape, -kernel.u_sum(lambda: sum_rng, active) / N)
         assert not escape[counts == 0].any() and (escape[counts > 0] < 0).all()
         assert np.array_equal(escape_rng.bit_generator.random_raw(8),
                               sum_rng.bit_generator.random_raw(8))
@@ -286,7 +315,9 @@ def test_deterministic_kernels_draw_nothing(name):
         rng, untouched = ef.replicate_rng(12, 0), ef.replicate_rng(12, 0)
         v = kernel.sample(i, 100, rng)
         assert np.array_equal(kernel.sample(i, 100, rng, size=3), np.tile(v, (3, 1)))
-        escape = kernel.log_escape(i, np.array([0, 2]), 100, lambda: rng)
+        active = np.zeros((2, kernel.m), dtype=np.int64)
+        active[1, i] = 2
+        escape = kernel.escape(active, 100, lambda: rng)
         assert np.array_equal(escape, [np.zeros(kernel.m), 2 * np.log1p(-v)])
         assert np.array_equal(rng.bit_generator.random_raw(8), untouched.bit_generator.random_raw(8))
 
@@ -297,14 +328,15 @@ def test_certain_infection_escape_term_has_no_nan():
     kernel = ef.constant_kernel([[50.0, 5.0], [5.0, 5.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        escape = kernel.log_escape(0, np.array([0, 2, 0]), 50, lambda: ef.replicate_rng(0, 0))
+        escape = kernel.escape(np.array([[0, 0], [2, 0], [0, 0]]), 50, lambda: ef.replicate_rng(0, 0))
     assert escape.tolist() == [[0.0, 0.0], [-np.inf, 2 * np.log1p(-0.1)], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("N", [None, 100])
 @pytest.mark.parametrize("form", ["deterministic", "u_sum", "sampled"])
 def test_log_escape_refuses_an_infector_type_out_of_range(form, N):
-    # -1 would read the last type's row and 5 would fail inside a draw
+    # counts of one type too few or too many would misread the kernel's rows or
+    # fail inside a draw, and a flat vector of counts names no infector types
     kernel = {
         "deterministic": ef.constant_kernel([[1.0, 2.0], [3.0, 4.0]]),
         "u_sum": ef.ball_clancy95_model(
@@ -315,9 +347,9 @@ def test_log_escape_refuses_an_infector_type_out_of_range(form, N):
     }[form]
     assert kernel.deterministic == (form == "deterministic")
     assert (kernel.u_sum is not None) == (form == "u_sum")
-    for i in (-1, 2, 5):
+    for active in (np.ones((1, 1)), np.ones((1, 3)), np.ones((1, 5)), np.ones(2), np.ones((1, 1, 2))):
         with pytest.raises(ValueError, match="infector type"):
-            kernel.log_escape(i, np.array([1]), N, lambda: ef.replicate_rng(0, 0))
+            kernel.escape(active.astype(np.int64), N, lambda: ef.replicate_rng(0, 0))
 
 
 @pytest.mark.parametrize("name", ["custom_table", "static_graph"])
@@ -332,13 +364,13 @@ def test_sampled_escape_term_in_runs_matches_one_call(monkeypatch, name):
             alpha=[[2.0, 1.0], [1.0, 3.0]], w=ef.ScalarDist.beta(2.0, 3.0))),
     }[name]
     counts = np.array([0, 3, 1, 0, 11, 2, 0, 4, 4, 1])  # a line of 11 outgrows a run of 5
-    for i in range(kernel.m):
+    for i, active in enumerate(_one_type_at_a_time_and_all(counts, kernel.m)):
         whole_rng = ef.replicate_rng(5, i)
-        whole = kernel.log_escape(i, counts, 100, lambda: whole_rng)
+        whole = kernel.escape(active, 100, lambda: whole_rng)
         with monkeypatch.context() as patch:
             patch.setattr(ef.kernel, "_ESCAPE_RUN", 5)
             runs_rng = ef.replicate_rng(5, i)
-            runs = kernel.log_escape(i, counts, 100, lambda: runs_rng)
+            runs = kernel.escape(active, 100, lambda: runs_rng)
         assert np.array_equal(runs, whole)
         assert not whole[counts == 0].any() and (whole[counts > 0] < 0).all()
         assert np.array_equal(runs_rng.bit_generator.random_raw(8),

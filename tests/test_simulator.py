@@ -84,6 +84,53 @@ def test_summed_u_ensemble_equals_per_draw_ensemble(exponential_hazard_kernels, 
     assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
 
 
+def _uniform_sojourn_mover():
+    """The mover with uniform off-diagonal sojourns of the same means (0.25)."""
+    diag = [[3.88, 0.1, 0.1], [0.1, 3.88, 0.1], [0.1, 0.1, 3.88]]
+    return ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=np.array([diag] * 3), sojourn=[
+        [ef.ScalarDist.exponential(1.0) if i == j else ef.ScalarDist.uniform(0.0, 0.5)
+         for j in range(3)] for i in range(3)]))
+
+
+@pytest.mark.parametrize("name, escape_calls", [
+    ("mover", 1),  # nine exponential (type, group) sums in one pooled call
+    ("mover_uniform", 1 + 6),  # the pooled call, then one per uniform (type, group)
+    ("mover_joint", 1),  # the constant sojourns draw nothing and take no generator
+    ("random_type", 1),  # an exponential and a gamma law, pooled
+    ("constant", 2),  # deterministic: one generator per type, as before, and no draw
+    ("static_graph", 2),  # sampled: one generator per type, as before
+])
+def test_every_generation_makes_the_same_generator_calls(monkeypatch, exponential_hazard_kernels,
+                                                          name, escape_calls):
+    # per generation the escape term's calls, then one binomial, whoever is active;
+    # random allocation adds one multinomial call before the first generation
+    two_types = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=2000, a=[1, 1])
+    spec, kernel = {
+        **exponential_hazard_kernels,
+        "mover_uniform": (exponential_hazard_kernels["mover"][0], _uniform_sojourn_mover()),
+        "constant": (two_types, ef.constant_kernel([[1.5, 0.5], [0.2, 2.0]])),
+        "static_graph": (two_types, ef.static_bernoulli_kernel(ef.StaticGraphSpec(
+            alpha=[[6.0, 2.0], [2.0, 4.5]], w=ef.ScalarDist.beta(2.0, 3.0)))),
+    }[name]
+    calls = 0
+
+    def counting_substreams(seed):
+        fresh = substreams(seed)
+
+        def counted():
+            nonlocal calls
+            calls += 1
+            return fresh()
+        return counted
+
+    monkeypatch.setattr(ef.simulator, "substreams", counting_substreams)
+    ensemble = ef.run_ensemble(spec, kernel, 200, seed=9)
+    assert ensemble.major.any() and not ensemble.major.all()
+    loops = int(ensemble.generations.max()) + 1  # the last one infects nobody
+    split = spec.allocation is ef.Allocation.RANDOM_MULTINOMIAL
+    assert calls == split + loops * (escape_calls + 1)
+
+
 def test_exponential_hazard_final_size_matches_enumeration():
     # GSE with b = 2 at N = 6 against the exact chain, on the summed path and
     # on the per-infective path
