@@ -331,6 +331,8 @@ def test_rf_validate_report_matches_golden_sha256(tmp_path, capsys):
     report = Path(str(out) + ".report.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "4612596c58cf4824560ae8329c9b1e48e81a830cc92cc1a1dcc736aac0000423")
+    # validate prints the report it writes
+    assert capsys.readouterr().out == report.read_text() + "\n"
 
 
 def test_failing_check_detected(tmp_path):
@@ -452,6 +454,27 @@ def test_exponential_theory_output_matches_golden_sha256(tmp_path, capsys, comma
     path = _write_config(tmp_path, dict(GOLDEN_CONFIGS["mover"], kernel=kernel))
     assert cli.main([command, "--config", path]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("name, command, sha", [
+    ("mover", "solve", "68fc6aaba7682595d9366ce5e72402f1d04c60dcf0089633fc46493624149e78"),
+    ("mover", "graph", "ca78f7c35161fb4b94b105acf0b31b3a38f0c75271174e6e8a25dc2e5c37465a"),
+    ("dynamic_graph", "solve", "d58772cb4cb4c7c5479247c7da180c0509bed56e60aebe428d95e76918255153"),
+    ("dynamic_graph", "graph", "5e570fedd4d04205c653c32401a087632ed87080b41181bf0718cc6bc10bf8fc"),
+])
+def test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha):
+    path = _write_config(tmp_path, GOLDEN_CONFIGS[name])
+    assert cli.main([command, "--config", path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def test_simulate_stdout_without_records_matches_golden_sha256(tmp_path, capsys):
+    path = _write_config(tmp_path, dict(GOLDEN_CONFIGS["reed_frost"], replicates=300, seed=3))
+    assert cli.main(["simulate", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["records"] is None
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f7bdee343cb98c47a5d55aa227a75f5870435997051616ad8c429d34f746deef")
 
 
 # one config per kernel kind a config can name
