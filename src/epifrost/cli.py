@@ -7,6 +7,8 @@
     epifrost graph      --config cfg.json
     epifrost validate   --config cfg.json [--seed S] [--replicates R] [--out PATH]
 
+Each command maps the loaded config to one payload, which ``main`` prints as
+one JSON object; ``validate`` prints the report it writes next to the records.
 Exit codes: 0 success (all enabled checks pass), 1 check failure,
 2 configuration error, 3 numerical failure.
 """
@@ -33,44 +35,25 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(harness.to_jsonable(payload), indent=2))
-
-
-def _load(args: argparse.Namespace) -> ExperimentConfig:
-    config = load_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        overrides["replicates"] = args.replicates
-    if getattr(args, "out", None) is not None:
-        overrides["output_path"] = Path(args.out)
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load(args)
+def _simulate(config: ExperimentConfig) -> dict:
     _, stats = harness.simulate_ensemble(config)
-    _emit({
+    return {
         "replicates": stats.n_records,
         "major_fraction": stats.major_fraction,
         "major_fraction_se": stats.major_fraction_se,
         "major_mean_fraction": stats.major_mean_fraction,
         "records": str(config.output_path) if config.output_path else None,
-    })
-    return EXIT_OK
+    }
 
 
-def _solve(config: ExperimentConfig) -> deterministic.DeterministicSolution:
+def _tau(config: ExperimentConfig) -> deterministic.DeterministicSolution:
     return deterministic.solve_tau(config.kernel.mu, config.population.pi,
                                    config.population.zeta)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _load(args)
-    sol = _solve(config)
-    _emit({
+def _solve(config: ExperimentConfig) -> dict:
+    sol = _tau(config)
+    return {
         "tau": sol.tau,
         "sigma": sol.sigma,
         "R": sol.R,
@@ -79,33 +62,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "residual": sol.residual,
         "error_bound": sol.error_bound,
         "nonuniqueness_risk": sol.nonuniqueness_risk,
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_extinction(args: argparse.Namespace) -> int:
-    config = _load(args)
+def _extinction(config: ExperimentConfig) -> dict:
     sol = branching.extinction_probability(config.kernel, config.population.pi,
                                            a=config.population.a)
-    _emit({
+    return {
         "q": sol.q,
         "major_outbreak_prob": sol.major_outbreak_prob,
         "iterations": sol.iterations,
         "residual": sol.residual,
         "error_bound": sol.error_bound,
         "mc_samples": sol.mc_samples,
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_clt(args: argparse.Namespace) -> int:
-    config = _load(args)
-    sol = _solve(config)
+def _clt(config: ExperimentConfig) -> dict:
     summary = clt.asymptotic_covariance(config.kernel.mu, config.kernel.lam,
-                                        config.population.pi, sol.tau,
+                                        config.population.pi, _tau(config).tau,
                                         config.population.zeta,
                                         allocation=config.population.allocation)
-    _emit({
+    return {
         "sigma": np.diag(summary.sigma_diag),
         "xi": summary.xi,
         "u": summary.u_matrix,
@@ -113,30 +91,37 @@ def _cmd_clt(args: argparse.Namespace) -> int:
         "asym_cov": summary.asym_cov,
         "cond_u": summary.cond_u,
         "allocation": summary.allocation.value,
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    config = _load(args)
+def _graph(config: ExperimentConfig) -> dict:
     kernel = config.kernel
-    _emit({
+    return {
         "kind": config.kernel_kind,
         "mu": kernel.mu,
         "lambda": kernel.lam,
         "R": deterministic.compute_R(kernel.mu, config.population.pi),
         "moments_estimated": False,  # mu and lambda are exact for every kernel
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _load(args)
+def _validate(config: ExperimentConfig) -> harness.ValidationReport:
     records_path, report = harness.run_experiment(config)
-    print(report.to_json())
     if records_path is not None:
         print(f"records written to {records_path}", file=sys.stderr)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
+    return report
+
+
+# command -> (its payload from the config, whether it runs an ensemble and so
+# takes --seed, --replicates and --out)
+COMMANDS = {
+    "simulate": (_simulate, True),
+    "solve": (_solve, False),
+    "extinction": (_extinction, False),
+    "clt": (_clt, False),
+    "graph": (_graph, False),
+    "validate": (_validate, True),
+}
 
 
 @functools.cache  # built once per process: parse_args leaves it unchanged
@@ -146,29 +131,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multitype randomized Reed-Frost epidemics: simulation and asymptotics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", _cmd_simulate),
-        ("solve", _cmd_solve),
-        ("extinction", _cmd_extinction),
-        ("clt", _cmd_clt),
-        ("graph", _cmd_graph),
-        ("validate", _cmd_validate),
-    ):
+    for name, (_, runs_ensemble) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        if name in ("simulate", "validate"):  # the theory commands run no ensemble
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
-            p.add_argument("--replicates", type=int, default=None,
-                           help="override the config replicate count")
-            p.add_argument("--out", type=str, default=None, help="override the records path")
-        p.set_defaults(func=fn)
+        if runs_ensemble:
+            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--replicates", type=int, help="override the config replicate count")
+            p.add_argument("--out", type=Path, dest="output_path",
+                           help="override the records path")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key in ("seed", "replicates", "output_path")
+                 if (value := getattr(args, key, None)) is not None}
     try:
-        return args.func(args)
+        config = dataclasses.replace(load_config(args.config), **overrides)
+        payload = COMMANDS[args.command][0](config)
     except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
@@ -176,6 +156,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # ConfigError, and inputs the library rejects only once it runs them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    print(json.dumps(payload, indent=2, default=harness.json_default))
+    if isinstance(payload, harness.ValidationReport) and not payload.all_passed:
+        return EXIT_CHECK_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ from .graphs import (
     mixed_bernoulli_kernel,
     static_bernoulli_kernel,
 )
-from .kernel import Allocation, InfectivityKernel, PopulationSpec, constant_kernel, table_kernel
+from .kernel import (Allocation, InfectivityKernel, PopulationSpec, constant_kernel, table_kernel,
+                     whole_numbers)
 
 __all__ = ["ExperimentConfig", "VALID_CHECKS", "load_config", "parse_config", "build_kernel"]
 
@@ -185,7 +186,7 @@ def _population(kernel_pi, /, *, m=None, pi=None, N, a=None, zeta=None,
         allocation = Allocation.RANDOM_MULTINOMIAL
     elif pi is None:
         raise ValueError("missing required field 'pi'")
-    return PopulationSpec(m=int(len(pi) if m is None else m), pi=pi, N=int(N), a=a, zeta=zeta,
+    return PopulationSpec(m=len(pi) if m is None else m, pi=pi, N=N, a=a, zeta=zeta,
                           allocation=allocation)
 
 
@@ -205,21 +206,18 @@ def _experiment(population, kernel, replicates=1, seed=0, threshold_override=Non
     if spec.N < built.max_scaled < math.inf:
         raise ValueError(f"kernel scaled infectivity {built.max_scaled} exceeds "
                          f"population scale {spec.N}")
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    replicates = int(whole_numbers("replicates", replicates, low=1))
     if workers != 1:  # replicates run in one thread
         raise ValueError(f"workers must be 1, got {workers!r}")
+    seed = int(whole_numbers("seed", seed))
     if threshold_override is not None:
-        threshold_override = int(threshold_override)
-        if threshold_override < 0:
-            raise ValueError(f"threshold_override must be >= 0, got {threshold_override}")
+        threshold_override = int(whole_numbers("threshold_override", threshold_override))
     checks = tuple(checks)
     for c in checks:
         if c not in VALID_CHECKS:
             raise ValueError(f"unknown check {c!r}; valid checks are {VALID_CHECKS}")
     output_path, output_format = _build(_output, {} if output is None else output, "output")
-    return ExperimentConfig(spec, built, kernel["kind"], replicates, int(seed), threshold_override,
+    return ExperimentConfig(spec, built, kernel["kind"], replicates, seed, threshold_override,
                             output_path, output_format, checks)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .deterministic import check_irreducibility
 from .distributions import ScalarDist
-from .kernel import Allocation, FreshFn, InfectivityKernel
+from .kernel import Allocation, FreshFn, InfectivityKernel, check_type_distribution
 
 __all__ = [
     "StaticGraphSpec",
@@ -132,8 +132,9 @@ class MixedGraphSpec:
         object.__setattr__(self, "pi", pi)
         if theta.ndim != 1 or np.any(theta < 0):
             raise ValueError("theta must be a nonnegative vector")
-        if pi.shape != theta.shape or np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("pi must be a strictly positive probability vector matching theta")
+        if pi.shape != theta.shape:
+            raise ValueError(f"pi must have theta's shape {theta.shape}, got {pi.shape}")
+        check_type_distribution(pi)
         if self.w.support_max > 1.0:
             raise ValueError("W is a probability; its support must lie in [0, 1]")
 
@@ -361,7 +362,6 @@ def ball_clancy95_model(u: Sequence[ScalarDist],
     m = len(pi)
     if not _is_list_of(u, m):
         raise ValueError(f"u must be a list of one scalar infectivity law per type, m = {m}")
-    if np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
-        raise ValueError("pi must be a strictly positive probability vector")
+    check_type_distribution(pi)
     kernel = _linear_kernel(np.ones((m, m, 1)), [[x] for x in u], hazard=True)
     return kernel, Allocation.RANDOM_MULTINOMIAL

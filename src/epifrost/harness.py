@@ -29,6 +29,7 @@ __all__ = [
     "OutbreakStatistics",
     "CheckResult",
     "ValidationReport",
+    "json_default",
     "estimate_outbreak_statistics",
     "write_records",
     "simulate_ensemble",
@@ -109,19 +110,6 @@ def write_records(ensemble: Ensemble, path: Path, fmt: str = "csv") -> None:
 # ---------------------------------------------------------------------------
 
 
-def to_jsonable(obj):
-    """Replace numpy arrays and scalars, at any depth, by plain Python values."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -141,10 +129,17 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "all_passed": self.all_passed,
-            "checks": [to_jsonable(asdict(c)) for c in self.checks],
-        }, indent=2)
+        return json.dumps(self, indent=2, default=json_default)
+
+
+def json_default(obj):
+    """``json.dumps``'s ``default``: numpy arrays and scalars as plain Python
+    values, and a validation report as its verdict and its checks' fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, ValidationReport):
+        return {"all_passed": obj.all_passed, "checks": [asdict(c) for c in obj.checks]}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _check_lln(stats: OutbreakStatistics, tau: np.ndarray) -> CheckResult:

@@ -68,27 +68,20 @@ class PopulationSpec:
     _split: Optional["ResolvedPopulation"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", int(whole_numbers("m", self.m, low=1)))
+        object.__setattr__(self, "N", int(whole_numbers("N", self.N, low=1)))
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-        if self.m < 1:
-            raise ValueError(f"need at least one type, got m={self.m}")
         if pi.shape != (self.m,):
             raise ValueError(f"pi must have shape ({self.m},), got {pi.shape}")
-        if not abs(pi.sum() - 1.0) <= 1e-12:  # so a NaN or infinite entry fails too
-            raise ValueError(f"pi must sum to 1 within 1e-12, got sum={pi.sum()!r}")
-        if np.any(pi <= 0):
-            raise ValueError("all type proportions must be strictly positive")
-        if self.N < 1:
-            raise ValueError(f"population scale N must be >= 1, got {self.N}")
+        check_type_distribution(pi)
         a = self.a
         if a is None and self.zeta is not None:  # a takes precedence over zeta
             zeta = np.asarray(self.zeta, dtype=float)
-            if zeta.shape != (self.m,) or np.any(zeta < 0):
-                raise ValueError("zeta must be a nonnegative vector of length m")
+            if zeta.shape != (self.m,) or not np.all((0 <= zeta) & (zeta < math.inf)):
+                raise ValueError("zeta must be a finite nonnegative vector of length m")
             a = np.rint(zeta * self.N * pi)
-        a = np.array(np.zeros(self.m) if a is None else a, dtype=np.int64)  # a copy: made read-only
-        if a.shape != (self.m,) or np.any(a < 0):
-            raise ValueError("a must be a nonnegative integer vector of length m")
+        a = whole_numbers("a", np.zeros(self.m) if a is None else a, shape=(self.m,))  # a copy
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "zeta", a / (self.N * pi))
         if not isinstance(self.allocation, Allocation):
@@ -98,6 +91,26 @@ class PopulationSpec:
             n_susc = _largest_remainder_split(self.N, pi)
             n_susc.setflags(write=False)
             object.__setattr__(self, "_split", ResolvedPopulation(n_susc, self.a))
+
+
+def check_type_distribution(pi: np.ndarray) -> None:
+    """Refuse type proportions unless strictly positive and summing to 1."""
+    if not abs(pi.sum() - 1.0) <= 1e-12:  # so a NaN or infinite entry fails too
+        raise ValueError(f"pi must sum to 1 within 1e-12, got sum={pi.sum()!r}")
+    if np.any(pi <= 0):
+        raise ValueError("all type proportions must be strictly positive")
+
+
+def whole_numbers(name: str, value, low: int = 0, shape: tuple = ()) -> np.ndarray:
+    """Counts read from outside as an int64 array of ``shape``, refused unless each
+    is a whole number in [low, 2**63): 3 and 1e4 pass; True, 2.5 and "7" do not."""
+    entries = np.asarray(value, dtype=object)
+    if entries.shape != shape or not all(
+            (type(x) in (int, float) or isinstance(x, (np.integer, np.floating)))
+            and low <= x < 2**63 and float(x).is_integer() for x in entries.flat):
+        what = f"an array of shape {shape} of whole numbers" if shape else "a whole number"
+        raise ValueError(f"{name} must be {what} in [{low}, 2**63), got {value!r}")
+    return entries.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import integrate, stats
 
 import epifrost as ef
 from epifrost.graphs import _dynamic_scaled_u
-from epifrost.harness import to_jsonable
+from epifrost.harness import json_default
 
 from oracles import (MU_DYN_UNIT, beta_mgf_by_quadrature, dense_spectral_radius,
                      dynamic_edge_mean_mc, minimal_root)
@@ -38,10 +39,10 @@ def test_static_degenerate_w_draws_nothing(w):
     # V is almost surely constant, so sampling it leaves the stream untouched
     kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(alpha=np.full((2, 2), 1.5), w=w))
     rng = np.random.Generator(np.random.Philox(7))
-    before = to_jsonable(rng.bit_generator.state)
+    before = json.dumps(rng.bit_generator.state, default=json_default)
     assert np.all(kernel.sample(0, 100, rng) == 1.5 * w.mean / 100)
     assert np.all(kernel.sample(1, 100, rng, size=5) == 1.5 * w.mean / 100)
-    assert to_jsonable(rng.bit_generator.state) == before
+    assert json.dumps(rng.bit_generator.state, default=json_default) == before
 
 
 def test_static_bernoulli_w_moments():
@@ -406,3 +407,13 @@ def test_random_type_rejects_degenerate_pi():
     with pytest.raises(ValueError):
         ef.ball_clancy95_model([ef.ScalarDist.constant(1.0), ef.ScalarDist.constant(1.0)],
                                pi=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda pi: ef.MixedGraphSpec(theta=[1.0, 2.0], pi=pi, w=ef.ScalarDist.constant(1.0)),
+    lambda pi: ef.ball_clancy95_model([ef.ScalarDist.constant(1.0)] * 2, pi=pi),
+], ids=["mixed_bernoulli", "ball_clancy95"])
+def test_type_distribution_with_a_nan_entry_is_refused(build):
+    for pi in ([0.5, math.nan], [math.nan, 0.5]):
+        with pytest.raises(ValueError, match="pi must sum to 1 within 1e-12"):
+            build(pi)

@@ -606,6 +606,45 @@ def test_theory_commands_reject_ensemble_options(tmp_path, capsys, command, opti
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
+# (block, field, value, the start of the refusal): counts must be whole numbers
+# within int64, so fractions, bools, strings and values past int64 are refused
+NOT_WHOLE = [
+    ("population", "a", [1.5], "population: a must be an array of shape (1,) of whole numbers"),
+    ("population", "a", [-0.5], "population: a must be an array of shape (1,) of whole numbers"),
+    ("population", "a", [1e30], "population: a must be an array of shape (1,) of whole numbers"),
+    ("population", "N", 1000.7, "population: N must be a whole number"),
+    ("population", "N", True, "population: N must be a whole number"),
+    ("population", "N", 1e30, "population: N must be a whole number"),
+    ("population", "zeta", [math.nan], "population: zeta must be a finite"),
+    (None, "replicates", 2.5, "config: replicates must be a whole number"),
+    (None, "replicates", "7", "config: replicates must be a whole number"),
+    (None, "seed", 2.7, "config: seed must be a whole number"),
+    (None, "seed", -1, "config: seed must be a whole number in [0, 2**63)"),
+    (None, "threshold_override", 1.5, "config: threshold_override must be a whole number"),
+]
+
+
+@pytest.mark.parametrize("block, key, value, message", NOT_WHOLE,
+                         ids=[f"{key}={value!r}" for _, key, value, _ in NOT_WHOLE])
+def test_cli_refuses_counts_that_are_not_whole_numbers(tmp_path, capsys, block, key, value,
+                                                        message):
+    doc = _base_config(tmp_path)
+    if key == "zeta":
+        del doc["population"]["a"]
+    (doc if block is None else doc[block])[key] = value
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_integral_floats_are_whole_numbers(tmp_path):
+    doc = _base_config(tmp_path, replicates=20.0, seed=1e3, threshold_override=50.0)
+    doc["population"].update(N=1e4, a=[2.0])
+    config = parse_config(doc)
+    assert (config.replicates, config.seed, config.threshold_override) == (20, 1000, 50)
+    assert type(config.population.N) is int and config.population.N == 10_000
+    assert config.population.a.tolist() == [2]
+
+
 def test_cli_infectivity_above_population_scale_is_config_error(tmp_path, capsys):
     doc = _base_config(tmp_path, kernel={"kind": "constant", "mu": [[200.0]]})
     doc["population"]["N"] = 100
