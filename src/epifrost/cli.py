@@ -16,17 +16,15 @@ Exit codes: 0 success (all enabled checks pass), 1 check failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import branching, clt, deterministic, harness
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, parse_config, read_document
 from .errors import ConvergenceError, SingularMatrixError
 
 EXIT_OK = 0
@@ -137,17 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
         if runs_ensemble:
             p.add_argument("--seed", type=int, help="override the config seed")
             p.add_argument("--replicates", type=int, help="override the config replicate count")
-            p.add_argument("--out", type=Path, dest="output_path",
-                           help="override the records path")
+            p.add_argument("--out", help="override the records path")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {key: value for key in ("seed", "replicates", "output_path")
-                 if (value := getattr(args, key, None)) is not None}
     try:
-        config = dataclasses.replace(load_config(args.config), **overrides)
+        doc = read_document(args.config)
+        if isinstance(doc, dict):  # the overrides replace its fields, so they meet the same rules
+            doc = {**doc, **{key: value for key in ("seed", "replicates")
+                             if (value := getattr(args, key, None)) is not None}}
+            output = doc.get("output")
+            if getattr(args, "out", None) is not None and (output is None or isinstance(output, dict)):
+                doc["output"] = {**(output or {}), "path": args.out}
+        config = parse_config(doc)
         payload = COMMANDS[args.command][0](config)
     except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

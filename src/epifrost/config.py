@@ -49,7 +49,8 @@ from .graphs import (
 from .kernel import (Allocation, InfectivityKernel, PopulationSpec, constant_kernel, table_kernel,
                      whole_numbers)
 
-__all__ = ["ExperimentConfig", "VALID_CHECKS", "load_config", "parse_config", "build_kernel"]
+__all__ = ["ExperimentConfig", "VALID_CHECKS", "read_document", "load_config", "parse_config",
+           "build_kernel"]
 
 VALID_CHECKS = ("lln", "major_prob", "clt", "branching_tv")
 
@@ -207,7 +208,7 @@ def _experiment(population, kernel, replicates=1, seed=0, threshold_override=Non
         raise ValueError(f"kernel scaled infectivity {built.max_scaled} exceeds "
                          f"population scale {spec.N}")
     replicates = int(whole_numbers("replicates", replicates, low=1))
-    if workers != 1:  # replicates run in one thread
+    if whole_numbers("workers", workers) != 1:  # replicates run in one thread
         raise ValueError(f"workers must be 1, got {workers!r}")
     seed = int(whole_numbers("seed", seed))
     if threshold_override is not None:
@@ -226,15 +227,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return _build(_experiment, doc, "config")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and parse a JSON config file.
-
-    JSON syntax errors are re-raised as ConfigError with the line/column
-    diagnostic preserved.
-    """
+def read_document(path: str | Path):
+    """The JSON document in a config file; a syntax error is a ConfigError naming its place."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_config(doc)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Read and parse a JSON config file."""
+    return parse_config(read_document(path))

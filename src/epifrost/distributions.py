@@ -3,10 +3,10 @@
 Kernel specifications need a handful of nonnegative scalar laws (contact
 probabilities W, infectious lifetimes Q, group sojourn times I).  Each law
 exposes sampling, draws from the law of the sum of n i.i.d. copies for
-every entry n of a count array in one call (``sample_sum``: a Gamma,
-binomial or multinomial draw per entry where the sum's law is closed; for
-uniform and beta laws, counts.sum() draws added up per entry), exact first
-and second moments, and its exact moment
+every entry n of a count array (``sample_sum``: one Gamma, binomial or
+multinomial call where the sum's law is closed; for uniform and beta laws,
+n draws per entry added up by ``run_sums``, as the sampled escape term adds
+its draws), exact first and second moments, and its exact moment
 generating function M(t) = E[exp(tX)] and derivative M'(t) = E[X exp(tX)]
 at nonpositive arguments: the extinction solver needs M, the dynamic-graph
 moments need both.  Beta laws (and uniform ones, a shifted and scaled
@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = ["ScalarDist"]
+_RUN = 1 << 16  # most rows one ``draw`` call of ``run_sums`` returns, besides its last entry's
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class ScalarDist:
     """A nonnegative scalar random variable with known moments.
 
     ``sample_sum(rng, counts)`` draws X_1 + ... + X_n for i.i.d. copies, one
-    for each entry n of ``counts``, in one numpy call and in entry order (an
-    array of the same shape; a zero count gives 0 and draws nothing).
+    for each entry n of ``counts``, in entry order (an array of the same
+    shape; a zero count gives 0 and draws nothing).
     ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
     and accept any t <= 0.  ``expect(f)`` = E[f(X)] for an f that maps a 1-d
     array of values to a same-length array (or (n, ...) stack).  A constant
@@ -131,7 +132,7 @@ class ScalarDist:
             mean=(a + b) / 2,
             var=w ** 2 / 12,
             sample=lambda rng, size: rng.uniform(a, b, size),
-            sample_sum=_added(lambda rng, size: rng.uniform(a, b, size)),  # no closed form
+            sample_sum=lambda rng, n: run_sums(lambda size: rng.uniform(a, b, size), n),
             mgf=lambda t: math.exp(t * a) * _kummer(1.0, 2.0, t * w),
             mgf_prime=lambda t: math.exp(t * a) * (a * _kummer(1.0, 2.0, t * w)
                                                    + w / 2 * _kummer(2.0, 3.0, t * w)),
@@ -152,7 +153,7 @@ class ScalarDist:
             mean=mean,
             var=var,
             sample=lambda rng, size: rng.beta(aa, bb, size),
-            sample_sum=_added(lambda rng, size: rng.beta(aa, bb, size)),  # no closed form
+            sample_sum=lambda rng, n: run_sums(lambda size: rng.beta(aa, bb, size), n),
             mgf=lambda t: _kummer(aa, aa + bb, t),
             mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
             expect=_quantile_rule(lambda z, u, v: np.where(
@@ -184,14 +185,20 @@ class ScalarDist:
         )
 
 
-def _added(sample: Callable[[np.random.Generator, int], np.ndarray]) -> Callable:
-    """``sample_sum`` for a law whose sums have no closed form: counts.sum()
-    draws in one call, each entry's run of them added up as ``ndarray.sum`` does."""
-    def sample_sum(rng: np.random.Generator, counts) -> np.ndarray:
-        counts = np.asarray(counts)
-        runs = np.split(sample(rng, int(counts.sum())), np.cumsum(counts.ravel())[:-1])
-        return np.array([run.sum() for run in runs]).reshape(counts.shape)
-    return sample_sum
+def run_sums(draw: Callable[[int], np.ndarray], counts, shape: tuple = ()) -> np.ndarray:
+    """counts.shape + shape array: entry e is ``np.add.reduceat``'s sum of the next
+    counts[e] rows of ``draw(size)`` (each of ``shape``), entries in order, and 0 for a
+    count of 0.  Entries whose rows begin in one block of ``_RUN`` share one call, so
+    memory is bounded; the calls follow in turn, so the sums are those of one call."""
+    sizes = np.asarray(counts).ravel()
+    out = np.zeros(sizes.shape + shape)
+    starts = np.cumsum(sizes) - sizes  # each entry's first row
+    entries = np.flatnonzero(sizes)
+    calls = np.flatnonzero(np.diff(starts[entries] // _RUN, prepend=-1))  # each call's first entry
+    for run in np.split(entries, calls)[1:]:  # the piece before calls[0] = 0 is empty
+        draws = draw(int(starts[run[-1]] + sizes[run[-1]] - starts[run[0]]))
+        out[run] = np.add.reduceat(draws, starts[run] - starts[run[0]], axis=0)
+    return out.reshape(np.shape(counts) + shape)
 
 
 def _atoms(values, probs) -> Callable:
@@ -203,8 +210,8 @@ def _atoms(values, probs) -> Callable:
 @functools.cache
 def _special():
     """``scipy.special``, imported on its first use: it would be most of what
-    ``import epifrost`` costs, and only the tanh-sinh nodes, quantiles,
-    Kummer's M and the Mardia p-values need it."""
+    ``import epifrost`` costs, and only the quantiles, Kummer's M and the
+    Mardia p-values need it."""
     from scipy import special
     return special
 
@@ -216,7 +223,7 @@ def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     last within 1e-37 of either end), weights normalized to sum to 1."""
     t = np.arange(-256, 257) / 64.0
     z = math.pi * np.sinh(t)
-    u, v = _special().expit(z), _special().expit(-z)
+    u, v = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
     w = u * v * np.cosh(t)  # du/dt up to the constant pi / 64, removed below
     return z, u, v, w / w.sum()
 

@@ -32,6 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .distributions import run_sums
+
 __all__ = [
     "Allocation",
     "PopulationSpec",
@@ -147,10 +149,6 @@ def resolve_population(spec: PopulationSpec) -> ResolvedPopulation:
 # Infectivity kernels
 # ---------------------------------------------------------------------------
 
-# values of V (or U) one call of the sampled escape term draws at most (unless
-# one line needs more): its memory does not grow with the number of lines
-_ESCAPE_RUN = 1 << 16
-
 # (np.random.Generator is quoted so that importing the library leaves
 # numpy.random unloaded until something draws)
 # sampler(infector_type, N, rng, n) -> (n, m) array of V values
@@ -236,8 +234,7 @@ class InfectivityKernel:
         kernel's at finite N only): a deterministic kernel draws nothing,
         active[:, i] * log(1 - V_i) or -active[:, i] * mu[i]; any other draws
         active[:, i].sum() values of V (``sample``) or U (``u_sampler``) line by
-        line, in calls each for a run of lines of at most ``_ESCAPE_RUN`` values
-        (or one line), and adds up each line's run.
+        line and adds up each line's run in calls of bounded size (``run_sums``).
         """
         active = np.asarray(active)
         if active.ndim != 2 or active.shape[1] != self.m:
@@ -254,20 +251,9 @@ class InfectivityKernel:
                 out += term
                 continue
             rng = fresh()
-            lines = np.flatnonzero(counts)
-            sizes = counts[lines]
-            starts = np.cumsum(sizes) - sizes  # each line's first draw among the call's
-            total, start = int(sizes.sum()), 0
-            while start < lines.size:  # runs of lines, drawn in turn from one generator
-                done, stop = int(starts[start]), lines.size
-                if total - done > _ESCAPE_RUN:  # the lines that end within the run, at least one
-                    stop = max(start + 1, int(np.searchsorted(starts, done + _ESCAPE_RUN, "right")) - 1)
-                size = (int(starts[stop]) if stop < lines.size else total) - done
-                with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
-                    draws = (-self.u_sampler(i, rng, size) if N is None
-                             else np.log1p(-self.sample(i, N, rng, size=size)))
-                out[lines[start:stop]] += np.add.reduceat(draws, starts[start:stop] - done, axis=0)
-                start = stop
+            with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
+                out += run_sums(lambda size: -self.u_sampler(i, rng, size) if N is None
+                                else np.log1p(-self.sample(i, N, rng, size=size)), counts, (self.m,))
         return out
 
 

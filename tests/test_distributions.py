@@ -143,6 +143,11 @@ def _sum_pmf(atoms, n):
     return pmf
 
 
+def _run_sum(run) -> float:
+    """A run of draws added up as the sampled escape term adds each line's run."""
+    return np.add.reduceat(run, [0])[0] if len(run) else 0.0
+
+
 @pytest.mark.parametrize("n", SUM_SIZES)
 @pytest.mark.parametrize("law, shape, scale", [(ef.ScalarDist.exponential(2.0), 1.0, 2.0),
                                                (ef.ScalarDist.gamma(2.5, 0.8), 2.5, 0.8)],
@@ -184,7 +189,7 @@ def test_sample_sum_of_a_degenerate_law_draws_nothing(law, n):
 def test_sample_sum_without_a_closed_form_adds_the_draws(law, n):
     rng, reference = ef.replicate_rng(34, n), ef.replicate_rng(34, n)
     for _ in range(3):
-        assert law.sample_sum(rng, n) == law.sample(reference, n).sum()
+        assert law.sample_sum(rng, n) == _run_sum(law.sample(reference, n))
 
 
 COUNTS = np.array([0, 3, 0, 7, 1, 0])
@@ -214,8 +219,25 @@ def test_sample_sum_of_a_count_array_adds_each_entrys_run_of_draws(law):
         draws = law.sample(reference, int(counts.sum()))
         ends = np.cumsum(counts)
         assert np.array_equal(law.sample_sum(rng, counts),
-                              [draws[end - n:end].sum() for n, end in zip(counts, ends)])
+                              [_run_sum(draws[end - n:end]) for n, end in zip(counts, ends)])
     assert np.array_equal(rng.bit_generator.random_raw(8), reference.bit_generator.random_raw(8))
+
+
+@pytest.mark.parametrize("law", [ef.ScalarDist.uniform(0.5, 2.0), ef.ScalarDist.beta(2.0, 3.0)],
+                         ids=lambda law: law.name)
+def test_sample_sum_of_a_count_array_in_runs_matches_one_call(monkeypatch, law):
+    # the entries' runs of draws are drawn in turn from one generator: the same
+    # values, and the same generator state, as one call for all entries
+    counts = np.array([0, 3, 1, 0, 11, 2, 0, 4, 4, 1])  # an entry of 11 outgrows a run of 5
+    whole_rng, runs_rng = ef.replicate_rng(37, 0), ef.replicate_rng(37, 0)
+    whole = law.sample_sum(whole_rng, counts)
+    with monkeypatch.context() as patch:
+        patch.setattr(ef.distributions, "_RUN", 5)
+        runs = law.sample_sum(runs_rng, counts)
+    assert np.array_equal(runs, whole)
+    assert not whole[counts == 0].any() and (whole[counts > 0] > 0).all()
+    assert np.array_equal(runs_rng.bit_generator.random_raw(8),
+                          whole_rng.bit_generator.random_raw(8))
 
 
 @pytest.mark.parametrize("law", [ef.ScalarDist.constant(1.5), ef.ScalarDist.bernoulli(1.0),

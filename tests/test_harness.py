@@ -621,6 +621,7 @@ NOT_WHOLE = [
     (None, "seed", 2.7, "config: seed must be a whole number"),
     (None, "seed", -1, "config: seed must be a whole number in [0, 2**63)"),
     (None, "threshold_override", 1.5, "config: threshold_override must be a whole number"),
+    (None, "workers", True, "config: workers must be a whole number"),
 ]
 
 
@@ -637,7 +638,7 @@ def test_cli_refuses_counts_that_are_not_whole_numbers(tmp_path, capsys, block, 
 
 
 def test_integral_floats_are_whole_numbers(tmp_path):
-    doc = _base_config(tmp_path, replicates=20.0, seed=1e3, threshold_override=50.0)
+    doc = _base_config(tmp_path, replicates=20.0, seed=1e3, threshold_override=50.0, workers=1.0)
     doc["population"].update(N=1e4, a=[2.0])
     config = parse_config(doc)
     assert (config.replicates, config.seed, config.threshold_override) == (20, 1000, 50)
@@ -714,18 +715,21 @@ values = [law.expect(lambda x: np.exp(-x)) for law in laws] + [
 
 
 def test_scipy_special_loads_on_first_use_and_gives_the_same_values():
-    # import plus parse_config of constant, exponential, gamma and beta kernels
-    # leaves out scipy, and the values that need it then equal this process's
+    # import plus parse_config of constant, exponential, gamma and beta kernels,
+    # and extinction on the dynamic graph with exponential lifetimes, leave out
+    # scipy, and the values that need it then equal this process's
     here = {"ef": ef, "np": np}
     exec(SPECIAL_VALUES, here)
     docs = [GOLDEN_CONFIGS[name] for name in
-            ("constant_two_type", "mover", "random_type", "static_graph")]
+            ("constant_two_type", "mover", "random_type", "static_graph", "dynamic_graph")]
     code = "\n".join([
         "import json, sys",
         "import numpy as np",
         "import epifrost as ef",
         "for doc in json.loads(sys.argv[1]):",
-        "    ef.parse_config(doc)",
+        "    config = ef.parse_config(doc)",
+        "# the last config, the dynamic graph with exponential lifetimes",
+        "ef.extinction_probability(config.kernel, config.population.pi, a=config.population.a)",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         SPECIAL_VALUES,
         "print(json.dumps([float(v).hex() for v in values]))",
@@ -779,6 +783,18 @@ def test_cli_solve_extinction_clt_graph(tmp_path, capsys):
     compiled = json.loads(capsys.readouterr().out)
     assert compiled["R"] == pytest.approx(2.5, abs=1e-9)
     assert compiled["mu"] == [[1.0, 2.0], [2.0, 4.0]]
+
+
+@pytest.mark.parametrize("key, value", [("seed", 2**64), ("seed", -1), ("replicates", 0)])
+def test_cli_overrides_meet_the_config_rules(tmp_path, capsys, key, value):
+    # an override is refused as the same field in the file is, before anything runs
+    in_file = _write_config(tmp_path, _base_config(tmp_path, **{key: value}), "in_file.json")
+    assert cli.main(["simulate", "--config", in_file]) == 2
+    refusal = capsys.readouterr().err
+    assert refusal.startswith(f"config error: config: {key} must be a whole number")
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, _base_config(tmp_path)),
+                     f"--{key}", str(value)]) == 2
+    assert capsys.readouterr().err == refusal
 
 
 def test_cli_overrides(tmp_path, capsys):

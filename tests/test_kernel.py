@@ -368,7 +368,7 @@ def test_sampled_escape_term_in_runs_matches_one_call(monkeypatch, name):
         whole_rng = ef.replicate_rng(5, i)
         whole = kernel.escape(active, 100, lambda: whole_rng)
         with monkeypatch.context() as patch:
-            patch.setattr(ef.kernel, "_ESCAPE_RUN", 5)
+            patch.setattr(ef.distributions, "_RUN", 5)
             runs_rng = ef.replicate_rng(5, i)
             runs = kernel.escape(active, 100, lambda: runs_rng)
         assert np.array_equal(runs, whole)
