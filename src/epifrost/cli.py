@@ -154,8 +154,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, and inputs the library rejects only once it runs them
+    except (ValueError, OSError) as exc:
+        # ConfigError, inputs the library rejects only once it runs them, and
+        # a config it cannot read or a records path it cannot write
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(json.dumps(payload, indent=2, default=harness.json_default))

@@ -9,7 +9,8 @@ V = 1 - exp(-U/N), the mover and random-type models.
   * static Bernoulli graph: edge between a type-i and type-j vertex with
     probability alpha_ij / N, contact probability W along each edge, so
     V_{i,j} = alpha_ij W_{i,j} / N: b_i = alpha_i with one W per infective,
-    b_i = diag(alpha_i) with one W per edge;
+    b_i = diag(alpha_i) with one W per (infective, target type); a graph with
+    an independent W on every edge has the law of constant_kernel(alpha E[W]);
   * mixed Bernoulli graph: per-individual connectivity D with finite
     support theta and P(D = theta_j) = pi_j, acquaintance probability
     proportional to D_k D_l, one W per infective: the shared-W static
@@ -100,7 +101,8 @@ def static_bernoulli_kernel(spec: StaticGraphSpec) -> InfectivityKernel:
 
 def _graph_kernel(alpha: np.ndarray, w: ScalarDist, shared: bool) -> InfectivityKernel:
     """V_{i,j} = alpha_ij W_{i,j} / N (alpha / N <= 1): the linear law with one W per
-    infective if ``shared``, else with b_i = diag(alpha_i) and one W per edge."""
+    infective if ``shared``, else with b_i = diag(alpha_i) and one W per
+    (infective, target type)."""
     m = alpha.shape[0]
     if shared:
         return _linear_kernel(alpha[:, :, None], [[w]] * m, hazard=False,

@@ -163,13 +163,10 @@ def substreams(seed: int) -> FreshFn:
     only until the next call."""
     if seed < 0:
         raise ValueError(f"need a nonnegative seed, got {seed}")
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    counter = np.zeros(4, dtype=np.uint64)
-    key = np.random.SeedSequence([seed, 0]).generate_state(2, np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0}
+    rng = replicate_rng(seed, 0)
+    bitgen = rng.bit_generator
+    state = bitgen.state  # the key, a zero counter and an empty buffer
+    counter = state["state"]["counter"]
     calls = itertools.count()
 
     def fresh() -> np.random.Generator:

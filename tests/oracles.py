@@ -14,7 +14,6 @@ kernel's own sampler).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -217,74 +216,39 @@ def dynamic_edge_mean_mc(rho_plus: float, rho_minus: float, beta: float,
     return N * values.mean(), N * values.std(ddof=1) / np.sqrt(samples)
 
 
-@dataclass(frozen=True)
-class CountingSnapshot:
-    """X(t): how many initial susceptibles of each type the first
-    floor(t_k * N * pi_k) infectives of each type k would infect."""
-
-    t: np.ndarray
-    x: np.ndarray
-
-
-def _exposure_counts(spec: PopulationSpec, t: np.ndarray) -> np.ndarray:
-    return np.floor(np.asarray(t, dtype=float) * spec.N * spec.pi).astype(np.int64)
-
-
 def counting_indicators(spec: PopulationSpec, kernel: InfectivityKernel,
-                        exposure_levels: Sequence[np.ndarray],
+                        exposure_levels: Sequence[np.ndarray], realizations: int,
                         rng: np.random.Generator) -> list[list[np.ndarray]]:
-    """Materialize the per-individual infection indicators for one realization.
+    """Materialize the per-individual infection indicators of the counting
+    process X(t) for a batch of realizations (deterministic population split).
 
-    Returns ``chi`` with ``chi[level][i]`` a boolean array over the type-i
-    initial susceptibles (deterministic population split).  All levels share
-    the same underlying contact draws, so nested exposure levels produce
-    nested infection sets.
+    Returns ``chi`` with ``chi[level][i]`` a (realizations, N_i) boolean array
+    over the type-i initial susceptibles: whether one of the first
+    floor(t_k * N * pi_k) infectives of some type k hits them.  Every infective
+    draws V from the kernel's own sampler and one contact coin per susceptible;
+    all levels share these draws, so nested exposure levels give nested
+    infection sets.
     """
-    n_susceptible = (resolve_population(spec).n_susceptible
-                     if spec.allocation is Allocation.DETERMINISTIC else rng.multinomial(spec.N, spec.pi))
-    levels = [np.asarray(t, dtype=float) for t in exposure_levels]
-    counts = [_exposure_counts(spec, t) for t in levels]
-    available = spec.a + n_susceptible
-    for t, c in zip(levels, counts):
-        if np.any(c > available):
-            raise ValueError(
-                f"exposure level {t} asks for {c} infectives but only {available} are available")
-    max_exposure = np.maximum.reduce(counts) if counts else np.zeros(spec.m, dtype=np.int64)
-
-    # draw every infectivity vector once, then independent contact coins per
-    # (infective, susceptible) pair
-    contacts: list[list[np.ndarray]] = []  # contacts[k][i]: (L_k, N_i) booleans
-    for k in range(spec.m):
-        L_k = int(max_exposure[k])
-        if L_k > 0:
-            v = kernel.sample(k, spec.N, rng, size=L_k)  # (L_k, m)
-        else:
-            v = np.zeros((0, spec.m))
-        contacts.append([
-            rng.random((L_k, int(n_susceptible[i]))) < v[:, i][:, None]
-            for i in range(spec.m)
-        ])
-
-    chi: list[list[np.ndarray]] = []
-    for c in counts:
-        level_chi = []
-        for i in range(spec.m):
-            hit = np.zeros(int(n_susceptible[i]), dtype=bool)
-            for k in range(spec.m):
-                if c[k] > 0:
-                    hit |= contacts[k][i][: int(c[k])].any(axis=0)
-            level_chi.append(hit)
-        chi.append(level_chi)
-    return chi
+    if spec.allocation is not Allocation.DETERMINISTIC:
+        raise ValueError("the counting construction takes a deterministic population split")
+    n_susceptible = resolve_population(spec).n_susceptible
+    counts = np.floor(np.array(exposure_levels, dtype=float) * spec.N * spec.pi).astype(np.int64)
+    if np.any(counts > spec.a + n_susceptible):
+        raise ValueError(f"exposure levels {exposure_levels} ask for more infectives than the "
+                         f"{spec.a + n_susceptible} available")
+    contacts = []  # contacts[k][i]: (realizations, L_k, N_i) coins of type-k infectives
+    for k, L_k in enumerate(counts.max(axis=0)):
+        v = kernel.sample(k, spec.N, rng, size=realizations * L_k).reshape(realizations, L_k, spec.m)
+        contacts.append([rng.random((realizations, L_k, n)) < v[:, :, i, None]
+                         for i, n in enumerate(n_susceptible)])
+    return [[np.logical_or.reduce([contacts[k][i][:, :c[k]].any(axis=1) for k in range(spec.m)])
+             for i in range(spec.m)] for c in counts]
 
 
 def evaluate_counting_process(spec: PopulationSpec, kernel: InfectivityKernel,
-                              exposure_levels: Sequence[np.ndarray],
-                              rng: np.random.Generator) -> list[CountingSnapshot]:
-    """Evaluate X(t) at each requested exposure level for one realization."""
-    chi = counting_indicators(spec, kernel, exposure_levels, rng)
-    return [
-        CountingSnapshot(t=np.asarray(t, dtype=float),
-                         x=np.array([int(level[i].sum()) for i in range(spec.m)]))
-        for t, level in zip(exposure_levels, chi)
-    ]
+                              exposure_levels: Sequence[np.ndarray], realizations: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """X(t) as a (levels, realizations, m) array: the type-i infections per
+    realization at each exposure level, from ``counting_indicators``."""
+    chi = counting_indicators(spec, kernel, exposure_levels, realizations, rng)
+    return np.array([[level[i].sum(axis=1) for i in range(spec.m)] for level in chi]).transpose(0, 2, 1)

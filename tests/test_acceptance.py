@@ -234,11 +234,8 @@ def test_criterion_9_property_suites():
     table = ef.table_kernel([(np.array([[1.0], [3.0]]), np.array([0.5, 0.5]))])
     levels = [np.array([0.5]), np.array([0.8])]
     n_real = 100_000
-    chi_t = np.empty(n_real, dtype=bool)
-    chi_u = np.empty(n_real, dtype=bool)
-    for r in range(n_real):
-        chi = counting_indicators(spec, table, levels, ef.replicate_rng(515_151, r))
-        chi_t[r], chi_u[r] = chi[0][0][0], chi[1][0][1]
+    chi = counting_indicators(spec, table, levels, n_real, ef.replicate_rng(515_151, 0))
+    chi_t, chi_u = chi[0][0][:, 0], chi[1][0][:, 1]
     x = chi_t.astype(float) - chi_t.mean()
     y = chi_u.astype(float) - chi_u.mean()
     cov = float(np.mean(x * y))

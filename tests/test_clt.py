@@ -31,6 +31,35 @@ def test_xi_scalar_with_variance_matches_formula():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("kernel, pi, N, t, realizations", [
+    # one case per escape form: nothing drawn, a sampled V per infective, u_sum
+    (ef.constant_kernel([[2.0, 0.5], [1.0, 1.5]]), [0.4, 0.6], 20_000, [0.6, 0.3], 40_000),
+    (ef.table_kernel([(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([0.5, 0.5])),
+                      (np.array([[2.0, 2.0], [0.5, 1.0]]), np.array([0.3, 0.7]))]),
+     [0.5, 0.5], 4_000, [0.15, 0.1], 8_000),
+    (ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+        b=np.array([[[2.0, 0.5], [1.0, 1.0]], [[0.0, 1.0], [2.0, 0.5]]]),
+        sojourn=[[ef.ScalarDist.exponential(1.0), ef.ScalarDist.gamma(2.0, 0.5)],
+                 [ef.ScalarDist.gamma(3.0, 0.3), ef.ScalarDist.exponential(0.5)]])),
+     [0.5, 0.5], 20_000, [0.5, 0.4], 20_000),
+], ids=["deterministic", "sampled", "u_sum"])
+def test_xi_matches_counting_process_covariance(kernel, pi, N, t, realizations):
+    # X_i(t), the type-i susceptibles (N pi_i of them) that the first
+    # floor(t_k N pi_k) infectives of each type k infect, is Binomial given the
+    # infectives' summed log(1 - V): one escape call and one binomial draw it
+    # for every realization. Its covariance, scaled by sqrt(N pi), is Xi at t.
+    pi, t = np.array(pi), np.array(t)
+    active = np.broadcast_to(np.floor(t * N * pi).astype(np.int64), (realizations, 2))
+    rng = ef.replicate_rng(0, 0)
+    p_hit = -np.expm1(kernel.escape(active, N, lambda: rng))
+    x = rng.binomial(np.round(N * pi).astype(np.int64), p_hit) / np.sqrt(N * pi)
+    centered = x - x.mean(axis=0)
+    products = centered[:, :, None] * centered[:, None, :]
+    se = products.std(axis=0, ddof=1) / np.sqrt(realizations)
+    xi = ef.compute_xi(np.exp(-(t * pi) @ kernel.mu), t, np.zeros(2), pi, kernel.lam)
+    assert np.all(np.abs(products.mean(axis=0) - xi) < 4 * se)
+
+
 def test_u_scalar_example():
     u = ef.compute_u(np.array([Q_MU2]), np.array([[2.0]]), np.ones(1))
     assert u[0, 0] == pytest.approx(1 - 2 * Q_MU2, abs=1e-12)

@@ -595,6 +595,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "--config", "{dir}"],
+    ["simulate", "--config", str(RF_VALIDATE), "--replicates", "10", "--out", "{dir}"],
+])
+def test_cli_unreadable_config_or_unwritable_out_is_config_error(tmp_path, capsys, argv):
+    # a directory can be neither read as a config nor written as records;
+    # exit 1 would read as a failed check
+    assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["solve", "extinction", "clt", "graph"])
 @pytest.mark.parametrize("option", ["--seed", "--replicates", "--out"])
 def test_theory_commands_reject_ensemble_options(tmp_path, capsys, command, option):

@@ -266,29 +266,25 @@ def test_weak_lln_error_decreases_with_n():
 def test_counting_process_zero_exposure():
     spec = ef.PopulationSpec(m=2, pi=[0.5, 0.5], N=20, a=[1, 1])
     kernel = ef.constant_kernel(np.full((2, 2), 2.0))
-    snaps = evaluate_counting_process(spec, kernel, [np.zeros(2)], ef.replicate_rng(0, 0))
-    assert np.all(snaps[0].x == 0)
+    x = evaluate_counting_process(spec, kernel, [np.zeros(2)], 1, ef.replicate_rng(0, 0))
+    assert np.all(x == 0)
 
 
 def test_counting_process_certain_infection():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10, a=[2])
     kernel = ef.constant_kernel([[10.0]])  # V = 1 at N = 10
     t_max = np.array([(10 + 2) / 10.0])
-    snaps = evaluate_counting_process(spec, kernel, [t_max], ef.replicate_rng(1, 0))
-    assert snaps[0].x[0] == 10
+    x = evaluate_counting_process(spec, kernel, [t_max], 1, ef.replicate_rng(1, 0))
+    assert x[0, 0, 0] == 10
 
 
 def test_counting_process_mean_matches_formula():
     # E[X(0.5)]/N = 1 - (1 - 2/N)^floor(0.5 N) at N = 50
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=50, a=[0])
     kernel = ef.constant_kernel([[2.0]])
-    level = [np.array([0.5])]
-    total = 0
     runs = 4000
-    for r in range(runs):
-        total += evaluate_counting_process(spec, kernel, level,
-                                           ef.replicate_rng(88, r))[0].x[0]
-    mean_fraction = total / runs / 50
+    x = evaluate_counting_process(spec, kernel, [np.array([0.5])], runs, ef.replicate_rng(88, 0))
+    mean_fraction = x.mean() / 50
     se = np.sqrt(R_NU_HALF_N50 * (1 - R_NU_HALF_N50) / (50 * runs))  # crude upper bound
     assert abs(mean_fraction - R_NU_HALF_N50) < 6 * se + 0.005
 
@@ -300,17 +296,16 @@ def test_counting_process_monotone_in_exposure():
         (np.array([[2.0, 2.0]]), np.array([1.0])),
     ])
     levels = [np.array([0.2, 0.1]), np.array([0.5, 0.4]), np.array([1.0, 0.9])]
-    for r in range(50):
-        snaps = evaluate_counting_process(spec, kernel, levels, ef.replicate_rng(5, r))
-        assert np.all(snaps[0].x <= snaps[1].x)
-        assert np.all(snaps[1].x <= snaps[2].x)
+    x = evaluate_counting_process(spec, kernel, levels, 50, ef.replicate_rng(5, 0))
+    assert np.all(x[0] <= x[1])
+    assert np.all(x[1] <= x[2])
 
 
 def test_counting_process_rejects_excess_exposure():
     spec = ef.PopulationSpec(m=1, pi=[1.0], N=10, a=[1])
     kernel = ef.constant_kernel([[1.0]])
     with pytest.raises(ValueError):
-        evaluate_counting_process(spec, kernel, [np.array([2.0])], ef.replicate_rng(0, 0))
+        evaluate_counting_process(spec, kernel, [np.array([2.0])], 1, ef.replicate_rng(0, 0))
 
 
 def test_indicator_covariance_nonnegative():
@@ -320,12 +315,9 @@ def test_indicator_covariance_nonnegative():
     kernel = ef.table_kernel([(np.array([[1.0], [3.0]]), np.array([0.5, 0.5]))])
     levels = [np.array([0.5]), np.array([0.8])]
     realizations = 100_000
-    chi_t = np.empty(realizations, dtype=bool)
-    chi_u = np.empty(realizations, dtype=bool)
-    for r in range(realizations):
-        chi = counting_indicators(spec, kernel, levels, ef.replicate_rng(303, r))
-        chi_t[r] = chi[0][0][0]  # individual j at exposure t
-        chi_u[r] = chi[1][0][1]  # individual l != j at exposure u
+    chi = counting_indicators(spec, kernel, levels, realizations, ef.replicate_rng(303, 0))
+    chi_t = chi[0][0][:, 0]  # individual j at exposure t
+    chi_u = chi[1][0][:, 1]  # individual l != j at exposure u
     x = chi_t.astype(float) - chi_t.mean()
     y = chi_u.astype(float) - chi_u.mean()
     cov = float(np.mean(x * y))
