@@ -159,9 +159,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # a config it cannot read or a records path it cannot write
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    if isinstance(payload, harness.ValidationReport):  # the string written next to the records
+        print(payload.to_json())
+        return EXIT_OK if payload.all_passed else EXIT_CHECK_FAILURE
     print(json.dumps(payload, indent=2, default=harness.json_default))
-    if isinstance(payload, harness.ValidationReport) and not payload.all_passed:
-        return EXIT_CHECK_FAILURE
     return EXIT_OK
 
 

@@ -11,9 +11,9 @@ failure rate across a suite stays negligible.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -84,23 +84,23 @@ def estimate_outbreak_statistics(ensemble: Ensemble) -> OutbreakStatistics:
 
 def write_records(ensemble: Ensemble, path: Path, fmt: str = "csv") -> None:
     """Write one row per replicate; column order is fixed and versioned."""
-    rows = zip(range(len(ensemble)), ensemble.t_inf.tolist(), ensemble.total.tolist(),
-               ensemble.generations.tolist(),
-               np.where(ensemble.major, "major", "minor").tolist())
     seed = ensemble.seed
+    columns = (ensemble.total.tolist(), ensemble.generations.tolist(),
+               np.where(ensemble.major, "major", "minor").tolist())
     if fmt == "csv":
         m = ensemble.t_inf.shape[1]
+        header = ",".join(["replicate", "seed"] + [f"t_{k + 1}" for k in range(m)]
+                          + ["total", "generations", "class"])
+        row = f"%d,{seed}," + "%d," * (m + 2) + "%s\r\n"
+        rows = zip(range(len(ensemble)), *ensemble.t_inf.T.tolist(), *columns)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# epifrost records v{RECORDS_FORMAT_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "seed"] + [f"t_{k + 1}" for k in range(m)]
-                            + ["total", "generations", "class"])
-            writer.writerows([r, seed, *t, total, gens, cls] for r, t, total, gens, cls in rows)
+            fh.write(f"# epifrost records v{RECORDS_FORMAT_VERSION}\n{header}\r\n")
+            fh.write("".join([row % r for r in rows]))  # one write: faster than one per row
     elif fmt == "jsonl":
         with open(path, "w") as fh:
             fh.writelines(json.dumps({"replicate": r, "seed": seed, "t_inf": t, "total": total,
                                       "generations": gens, "class": cls}) + "\n"
-                          for r, t, total, gens, cls in rows)
+                          for r, (t, total, gens, cls) in enumerate(zip(ensemble.t_inf.tolist(), *columns)))
     else:
         raise ValueError(f"unknown record format {fmt!r}")
 
@@ -129,6 +129,10 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:  # encoded once: ``validate`` writes and prints this string
         return json.dumps(self, indent=2, default=json_default)
 
 

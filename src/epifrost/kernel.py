@@ -188,6 +188,8 @@ class InfectivityKernel:
     u_sum: Optional[USumFn] = field(default=None, repr=False)
     max_scaled: float = math.inf
     deterministic: bool = field(init=False)
+    # a deterministic kernel's rows log(1 - V) (-mu for N=None) per N, and which hold -inf
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -232,24 +234,33 @@ class InfectivityKernel:
         -u_sum(fresh, active)/N.  The others add up one term per type, in type
         order, each on a generator of its own from ``fresh()`` (a deterministic
         kernel's at finite N only): a deterministic kernel draws nothing,
-        active[:, i] * log(1 - V_i) or -active[:, i] * mu[i]; any other draws
-        active[:, i].sum() values of V (``sample``) or U (``u_sampler``) line by
-        line and adds up each line's run in calls of bounded size (``run_sums``).
+        active[:, i] * log(1 - V_i) or -active[:, i] * mu[i], its rows log(1 - V)
+        computed once per N; any other draws active[:, i].sum() values of V
+        (``sample``) or U (``u_sampler``) line by line and adds up each line's
+        run in calls of bounded size (``run_sums``).  The array returned is new.
         """
         active = np.asarray(active)
         if active.ndim != 2 or active.shape[1] != self.m:
             raise ValueError(f"active must count {self.m} infector types per line, got {active.shape}")
         if self.u_sum is not None and not self.deterministic:  # dividing by 1 is exact
             return -self.u_sum(fresh, active) / (1 if N is None else N)
+        if self.deterministic:
+            # one call per type at finite N, cached or not, so later calls keep their numbers
+            rngs = [] if N is None else [fresh() for _ in range(self.m)]
+            if N not in self._rows:
+                with np.errstate(divide="ignore"):  # V = 1 gives -inf
+                    rows = -self.mu if N is None else np.stack(
+                        [np.log1p(-self.sample(i, N, rng)) for i, rng in enumerate(rngs)])
+                self._rows[N] = rows, np.isneginf(rows).any(axis=1)
+            out = None  # summed in type order, from the first term on
+            for counts, row, certain in zip(active.T, *self._rows[N]):
+                # where a type has no infectives its term is 0, not 0 * -inf = nan (V = 1)
+                term = (np.multiply(counts[:, None], row, out=np.zeros(active.shape),
+                                    where=counts[:, None] > 0) if certain else counts[:, None] * row)
+                out = term if out is None else np.add(out, term, out=out)
+            return out
         out = np.zeros(active.shape)
         for i, counts in enumerate(active.T):
-            if self.deterministic:
-                with np.errstate(divide="ignore", invalid="ignore"):  # V = 1 gives -inf
-                    row = -self.mu[i] if N is None else np.log1p(-self.sample(i, N, fresh()))
-                    term = counts[:, None] * row
-                term[counts == 0] = 0.0  # not 0 * -inf = nan
-                out += term
-                continue
             rng = fresh()
             with np.errstate(divide="ignore"):  # V = 1 gives -inf: certain infection
                 out += run_sums(lambda size: -self.u_sampler(i, rng, size) if N is None

@@ -13,7 +13,9 @@ literal indicator construction lives with the test suite's oracles
 A generation depends on the last one only through the active counts, so an
 ensemble runs all of its replicates (lines) together: per generation, one
 escape term over every type (``InfectivityKernel.escape``) and one vector
-binomial over the live lines.  Vector call c of an ensemble draws
+binomial over the live lines.  A deterministic kernel's rows log(1 - V) are
+computed once per N, so its generations draw only the binomials, and a line's
+results are written once, when it stops.  Vector call c of an ensemble draws
 from a Philox generator with the key of ``replicate_rng(seed, 0)`` and
 counter (0, 0, c, 0), line by line, and the sequence of calls depends on
 neither the replicate count nor the outcomes, so row r depends only on the
@@ -126,22 +128,29 @@ def _run_lines(spec: PopulationSpec, kernel: InfectivityKernel, n: int,
         n_susceptible = np.broadcast_to(resolve_population(spec).n_susceptible, (n, m))
     else:
         n_susceptible = fresh().multinomial(N, spec.pi, size=n)
-    remaining = n_susceptible.copy()
+    remaining = n_susceptible.copy()  # row r written once, when line r stops
     generations = np.zeros(n, dtype=np.int64)
     live = np.arange(n if spec.a.any() else 0)
+    left = remaining[live]  # the live lines' remaining susceptibles, in the order of live
     active = np.broadcast_to(spec.a, (live.size, m))
     # cannot be exceeded; guards an infinite loop caused by a bug
     generation, generation_cap = 0, N + int(spec.a.sum()) + 1
     while live.size:
-        infected = -np.expm1(kernel.escape(active, N, fresh))  # drawn before the binomial
-        new = fresh().binomial(remaining[live], infected)
+        infected = kernel.escape(active, N, fresh)  # drawn before the binomial; a new array
+        np.negative(np.expm1(infected, out=infected), out=infected)
+        new = fresh().binomial(left, infected)
         generation += 1
         if generation > generation_cap:
             raise RuntimeError("generation count exceeded the population size; simulator bug")
-        remaining[live] -= new
+        left -= new
         spreading = new.any(axis=1)
-        live, active = live[spreading], new[spreading]
-        generations[live] = generation
+        if not spreading.all():
+            stopped = ~spreading
+            remaining[live[stopped]] = left.compress(stopped, axis=0)
+            generations[live[stopped]] = generation - 1
+            live, left, new = (live[spreading], left.compress(spreading, axis=0),
+                               new.compress(spreading, axis=0))
+        active = new
     return n_susceptible - remaining, generations, n_susceptible
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 import zlib
 
@@ -330,6 +331,42 @@ def test_certain_infection_escape_term_has_no_nan():
         warnings.simplefilter("error")
         escape = kernel.escape(np.array([[0, 0], [2, 0], [0, 0]]), 50, lambda: ef.replicate_rng(0, 0))
     assert escape.tolist() == [[0.0, 0.0], [-np.inf, 2 * np.log1p(-0.1)], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("N", [50, None])
+def test_deterministic_escape_rows_are_computed_once_per_scale(N):
+    # a deterministic kernel keeps its rows log(1 - V) (-mu at N=None) per N:
+    # they equal the per-call formula bit for bit, a V = 1 entry included
+    # (max_scaled == N), and every call sums the same terms as that formula,
+    # exactly 0 where a line has no infectives, while taking one generator per
+    # type at finite N (none at N=None) and sampling V on its first call only
+    constant = ef.constant_kernel([[50.0, 5.0, 0.0], [5.0, 5.0, 2.0], [0.5, 0.0, 1.0]])
+    sampled = []
+    kernel = dataclasses.replace(
+        constant, u_sampler=lambda i, rng, n: sampled.append(i) or constant.u_sampler(i, rng, n))
+    assert kernel.deterministic and kernel.max_scaled == 50
+    with np.errstate(divide="ignore"):
+        rows = -kernel.mu if N is None else np.stack([np.log1p(-constant.sample(i, N, None))
+                                                      for i in range(3)])
+    active = np.array([[0, 0, 0], [2, 0, 0], [0, 3, 1], [1, 1, 1], [0, 0, 0], [4, 0, 7]])
+    formula = np.zeros(active.shape)
+    for counts, row in zip(active.T, rows):
+        with np.errstate(invalid="ignore"):
+            term = counts[:, None] * row
+        term[counts == 0] = 0.0
+        formula += term
+    for call in range(3):
+        fresh_calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            escape = kernel.escape(active, N, lambda: fresh_calls.append(1) or ef.replicate_rng(0, 0))
+        assert len(fresh_calls) == (0 if N is None else 3)
+        assert sampled == ([0, 1, 2] if N is not None and call == 0 else [])
+        sampled.clear()
+        assert kernel._rows[N][0].tobytes() == rows.tobytes()
+        assert np.array_equal(escape, formula)
+        assert (escape[[0, 4]] == 0).all() and (escape[[1, 2, 3, 5]].min(axis=1) < 0).all()
+    assert np.isneginf(rows).any() == (N is not None)
 
 
 @pytest.mark.parametrize("N", [None, 100])
