@@ -416,6 +416,32 @@ GOLDEN_CONFIGS["mover_constant_sojourn"] = {
     "kernel": dict(GOLDEN_CONFIGS["mover"]["kernel"], sojourn=[
         [{"dist": "exponential", "mean": 1.0} if i == j else {"dist": "constant", "value": 0.25}
          for j in range(3)] for i in range(3)])}
+# the static graph with one W per infective, drawn through u_sampler's sum
+GOLDEN_CONFIGS["static_graph_shared"] = {
+    "population": GOLDEN_CONFIGS["static_graph"]["population"],
+    "kernel": dict(GOLDEN_CONFIGS["static_graph"]["kernel"], w_mode="shared")}
+
+
+# movers whose sums are not all drawn in the pooled gamma call: gamma and
+# exponential sojourns beside constant ones that draw nothing (every infective
+# stays in group 0), and uniform sojourns drawn one call per (type, group)
+MOVER_DOCS = {
+    "mover_joint": {
+        "population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
+        "kernel": {"kind": "ball_clancy93",
+                   "b": [[[1.9, 0.0], [0.65, 0.0]], [[0.85, 0.0], [1.1, 0.0]]],
+                   "sojourn": [[{"dist": "gamma", "shape": 2.0, "scale": 0.5},
+                                {"dist": "constant", "value": 0.0}],
+                               [{"dist": "exponential", "mean": 1.5},
+                                {"dist": "constant", "value": 0.0}]]}},
+    "mover_uniform": {
+        "population": GOLDEN_CONFIGS["mover"]["population"],
+        "kernel": dict(GOLDEN_CONFIGS["mover"]["kernel"], sojourn=[
+            [{"dist": "exponential", "mean": 1.0} if i == j
+             else {"dist": "uniform", "low": 0.0, "high": 0.5} for j in range(3)]
+            for i in range(3)])},
+}
+GOLDEN_CONFIGS.update(MOVER_DOCS)
 
 
 @pytest.mark.parametrize("name, replicates, fmt, sha", [
@@ -430,6 +456,10 @@ GOLDEN_CONFIGS["mover_constant_sojourn"] = {
     ("dynamic_graph", 100, "csv", "3b926955f47d3765242e308c72652fde5b1fb0a4918f8b82e94925382d1c39da"),
     ("mover_constant_sojourn", 100, "csv",
      "8dd557ede348c3b889ec7744f616416931c36865ca989f14a5f97bbbeab69f18"),
+    ("mover_uniform", 100, "csv", "0cf42eb3fdb18443434dae7ce095a77ec370b86a77e2a7fbbe6ebe25b5af485e"),
+    ("mover_joint", 100, "csv", "6a08328b617c557175be44763fe48c9e162a59b3241f79087c8dd543cff915c7"),
+    ("static_graph_shared", 100, "csv",
+     "c4c18fd74a18b260a209e13ba4efe764c5d975f6f05b4307071aec1cdf177a8d"),
 ])
 def test_records_match_golden_sha256(tmp_path, name, replicates, fmt, sha):
     # pins the random stream and the records layout: a change to either,
@@ -486,27 +516,6 @@ KIND_CONFIGS = {
     "dynamic_graph": GOLDEN_CONFIGS["dynamic_graph"],
     "ball_clancy93": GOLDEN_CONFIGS["mover"],
     "ball_clancy95": GOLDEN_CONFIGS["random_type"],
-}
-
-
-# movers whose sums are not all drawn in the pooled gamma call: gamma and
-# exponential sojourns beside constant ones that draw nothing (every infective
-# stays in group 0), and uniform sojourns drawn one call per (type, group)
-MOVER_DOCS = {
-    "mover_joint": {
-        "population": {"m": 2, "pi": [0.5, 0.5], "N": 10_000, "a": [1, 0]},
-        "kernel": {"kind": "ball_clancy93",
-                   "b": [[[1.9, 0.0], [0.65, 0.0]], [[0.85, 0.0], [1.1, 0.0]]],
-                   "sojourn": [[{"dist": "gamma", "shape": 2.0, "scale": 0.5},
-                                {"dist": "constant", "value": 0.0}],
-                               [{"dist": "exponential", "mean": 1.5},
-                                {"dist": "constant", "value": 0.0}]]}},
-    "mover_uniform": {
-        "population": GOLDEN_CONFIGS["mover"]["population"],
-        "kernel": dict(GOLDEN_CONFIGS["mover"]["kernel"], sojourn=[
-            [{"dist": "exponential", "mean": 1.0} if i == j
-             else {"dist": "uniform", "low": 0.0, "high": 0.5} for j in range(3)]
-            for i in range(3)])},
 }
 
 

@@ -264,10 +264,10 @@ def _one_type_at_a_time_and_all(counts: np.ndarray, m: int) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("name", ["mover", "mover_joint", "random_type"])
 @pytest.mark.parametrize("n", [1, 7, 1000])
-@pytest.mark.parametrize("N", [100, 20_000])
+@pytest.mark.parametrize("N", [100, 20_000, None])
 def test_log_escape_sums_the_same_draws(exponential_hazard_kernels, name, n, N):
-    # escape is -u_sum/N: the draws of the summed U that u_sum takes on
-    # the same stream, and no other draw; a line without infectives gives 0
+    # escape is -u_sum/N (-u_sum for N=None): the draws of the summed U that u_sum
+    # takes on the same stream, and no other draw; a line without infectives gives 0
     _, kernel = exponential_hazard_kernels[name]
     assert kernel.u_sum is not None
     counts = np.array([0, n, 0, 3])
@@ -275,7 +275,8 @@ def test_log_escape_sums_the_same_draws(exponential_hazard_kernels, name, n, N):
         escape_rng, sum_rng = np.random.default_rng(17), np.random.default_rng(17)
         escape = kernel.escape(active, N, lambda: escape_rng)
         assert escape.shape == (len(counts), kernel.m)
-        assert np.array_equal(escape, -kernel.u_sum(lambda: sum_rng, active) / N)
+        u = kernel.u_sum(lambda: sum_rng, active)
+        assert np.array_equal(escape, -u if N is None else -u / N)
         assert not escape[counts == 0].any() and (escape[counts > 0] < 0).all()
         assert np.array_equal(escape_rng.bit_generator.random_raw(8),
                               sum_rng.bit_generator.random_raw(8))
