@@ -6,11 +6,13 @@ import pytest
 from scipy import integrate, stats
 
 import epifrost as ef
+from epifrost.config import LAWS
 from epifrost.graphs import _dynamic_scaled_u
 from epifrost.harness import json_default
 
 from oracles import (MU_DYN_UNIT, beta_mgf_by_quadrature, dense_spectral_radius,
                      dynamic_edge_mean_mc, minimal_root)
+from test_harness import MOVER_DOCS
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,92 @@ def test_linear_kernel_row_does_not_depend_on_the_batch_size():
                 for n in (2, 3, 4, 5, 7, 8, 16, 17, 33, 100, 1000):
                     assert np.array_equal(kernel.u_sampler(i, rng, n), np.tile(u, (n, 1)))
                     assert np.array_equal(kernel.sample(i, 1000, rng, size=n), np.tile(v, (n, 1)))
+
+
+def _fold_cases():
+    """_linear_kinds, the movers of MOVER_DOCS and two random gamma movers (m = 1
+    and m = 4, 16 terms), each with its b and its scalar laws X_ij."""
+    cases = _linear_kinds()
+    for name, doc in MOVER_DOCS.items():
+        b = np.array(doc["kernel"]["b"], dtype=float)
+        laws = [[LAWS[x["dist"]](**{k: v for k, v in x.items() if k != "dist"}) for x in row]
+                for row in doc["kernel"]["sojourn"]]
+        cases[name] = ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=b, sojourn=laws)), b, laws
+    rng = np.random.default_rng(93)
+    for m in (1, 4):
+        b = rng.uniform(0.0, 3.0, (m, m, m))
+        laws = [[ef.ScalarDist.gamma(*rng.uniform(0.2, 2.0, 2)) for _ in range(m)] for _ in range(m)]
+        cases[f"mover_m{m}"] = ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=b, sojourn=laws)), b, laws
+    return cases
+
+
+def _left_fold(columns, draws) -> np.ndarray:
+    """(lines, m): sum_t draws[t] b_t, added term by term in the order given."""
+    u = draws[0][:, None] * columns[0]
+    for column, x in zip(columns[1:], draws[1:]):
+        u = u + x[:, None] * column
+    return u
+
+
+def _fresh(seed: int):
+    """A fresh() that hands out one generator per call, as the engine's does."""
+    children = iter(np.random.SeedSequence(seed).spawn(32))
+    return lambda: np.random.default_rng(next(children))
+
+
+def _summed_draws(laws, fresh, active) -> list:
+    """u_sum's draws of the summed X_ij, in (type, group) order: one pooled call
+    standard_gamma(active[:, :, None] * shape) * scale for the gamma family, then
+    one generator per other law with variance, for its sample_sum."""
+    gamma = [[x.gamma_shape_scale or (0.0, 1.0) for x in row] for row in laws]
+    shape, scale = np.moveaxis(np.array(gamma), 2, 0)
+    pooled = fresh().standard_gamma(active[:, :, None] * shape) * scale if shape.any() else None
+    return [pooled[:, i, j] if x.gamma_shape_scale
+            else x.sample_sum(None if x.is_constant else fresh(), active[:, i])
+            for i, row in enumerate(laws) for j, x in enumerate(row)]
+
+
+def _check_u_sum(u_sum, laws, b, lines: int) -> None:
+    """u_sum is the left fold of its draws in (type, group) order, and the first
+    k rows of a call are a call on the first k lines."""
+    active = np.random.default_rng(lines).integers(0, 6, (lines, len(laws)))
+    columns = [column for b_i in b for column in b_i.T]
+    u = u_sum(_fresh(lines), active)
+    assert np.array_equal(u, _left_fold(columns, _summed_draws(laws, _fresh(lines), active)))
+    for k in {1, lines // 2, lines - 1} - {0}:
+        assert np.array_equal(u_sum(_fresh(lines), active[:k]), u[:k])
+
+
+@pytest.mark.parametrize("lines", [1, 2, 7, 8, 9, 100, 1000])
+@pytest.mark.parametrize("name", sorted(_fold_cases()))
+def test_linear_kernel_adds_its_terms_in_order_whatever_the_line_count(name, lines):
+    # U_i's terms X_ij b[i][:, j] are added in (type, group) order, one after
+    # the other, so that a row's rounding does not depend on how many lines
+    # a call has; numpy's pairwise summation would not keep that order
+    kernel, b, laws = _fold_cases()[name]
+    for i in range(kernel.m):
+        rng, reference = np.random.default_rng(lines), np.random.default_rng(lines)
+        if name == "static_graph":  # one row of W per infective, in one call
+            draws = list(laws[i][0].sample(reference, (lines, kernel.m)).T)
+        else:
+            draws = [x.sample(reference, lines) for x in laws[i]]
+        assert np.array_equal(kernel.u_sampler(i, rng, lines), _left_fold(b[i].T, draws))
+    if kernel.u_sum is not None:
+        _check_u_sum(kernel.u_sum, laws, b, lines)
+
+
+def test_a_pairwise_sum_of_the_terms_fails_the_fold_check():
+    # the check above can tell a left fold from numpy's pairwise summation,
+    # which adds 8 or more terms along the innermost axis in 8 partial sums
+    _, b, laws = _fold_cases()["mover_m4"]
+    columns = np.array([column for b_i in b for column in b_i.T])
+
+    def pairwise(fresh, active):
+        terms = np.array(_summed_draws(laws, fresh, active)).T[:, None, :] * columns.T
+        return np.ascontiguousarray(terms).sum(axis=-1)
+
+    with pytest.raises(AssertionError):
+        _check_u_sum(pairwise, laws, b, 1000)
 
 
 # ---------------------------------------------------------------------------
