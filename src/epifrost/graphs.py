@@ -303,29 +303,28 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
                    max_scaled: float = math.inf) -> InfectivityKernel:
     """The kernel of U_i = sum_j X_ij b[i][:, j], X_ij ~ laws[i][j] independent:
     mu[i] = b[i] E[X_i], lam[i] = b[i] diag(var X_i) b[i]^T and E[exp(theta . U_i)]
-    = prod_j M_ij(theta . b[i][:, j]).  With ``hazard``, V = 1 - exp(-U/N), and
-    ``u_sum`` draws each line's summed X_ij from that sum's law: the gamma family's
-    Gamma(n k, scale) in one call, then one call per other (i, j) with variance.
+    = prod_j M_ij(theta . b[i][:, j]).  A draw of U multiplies its (type, group)
+    terms in one call and adds them over the leading axis in (type, group) order,
+    a reduction whose rounding of a row does not depend on the line count.  With
+    ``hazard``, V = 1 - exp(-U/N), and ``u_sum`` draws each line's summed X_ij from
+    that sum's law: the gamma family's Gamma(n k, scale) in one call, then one call
+    per other (i, j) with variance.
     """
-    m = b.shape[0]
+    m, _, groups = b.shape
     means = np.array([[x.mean for x in row] for row in laws])
     variances = np.array([[x.var for x in row] for row in laws])
     mu = np.einsum("ikj,ij->ik", b, means)
     lam = np.einsum("ijl,il,ikl->ijk", b, variances, b)
-    columns = [list(zip(laws[i], b[i].T[:, :, None])) for i in range(m)]  # X_ij, (m, 1) b[i][:, j]
+    columns = b.transpose(0, 2, 1).reshape(-1, m, 1)  # row (i, j): b[i][:, j] as (m, 1)
 
-    def linear(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        # term by term, so a row does not depend on the other rows (a matmul's rounding
-        # can depend on how many it has), from the first term on (0 + t is t); built
-        # as (m, lines) so that each product runs along the lines, then transposed
-        (column, x), *rest = terms
-        u = column * x
-        for column, x in rest:
-            u += column * x
-        return u.T
+    def fold(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        # (terms, lines) draws -> (lines, m).  The product keeps the lines innermost,
+        # so numpy adds the terms one after the other (0 + t is t); summing an
+        # innermost axis would be pairwise, whose rounding changes with its length
+        return np.add.reduce(np.multiply(columns[rows], x[:, None, :], order="C"), axis=0).T
 
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return linear([(column, x.sample(rng, n)) for x, column in columns[i]])
+        return fold(np.array([x.sample(rng, n) for x in laws[i]]), slice(i * groups, (i + 1) * groups))
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(math.prod(x.mgf(float(t)) for x, t in zip(laws[i], b[i].T @ theta)))
@@ -335,13 +334,15 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
                                  max_scaled=max_scaled)
 
     shape, scale = np.moveaxis([[x.gamma_shape_scale or (0.0, 1.0) for x in row] for row in laws], 2, 0)
+    some_gamma, all_gamma = shape.any(), shape.all()  # a gamma law's shape is positive
 
     def u_sum(fresh: FreshFn, active: np.ndarray) -> np.ndarray:
         # one call laid out (line, i, j), so row l depends on rows 0..l only; shape 0 draws nothing
-        sums = fresh().standard_gamma(active[:, :, None] * shape) * scale if shape.any() else None
-        return linear([(column, sums[:, i, j] if x.gamma_shape_scale else
-                        x.sample_sum(None if x.is_constant else fresh(), active[:, i]))
-                       for i in range(m) for j, (x, column) in enumerate(columns[i])])
+        sums = fresh().standard_gamma(active[:, :, None] * shape) * scale if some_gamma else None
+        return fold(sums.reshape(-1, len(columns)).T if all_gamma else np.array(
+            [sums[:, i, j] if x.gamma_shape_scale else
+             x.sample_sum(None if x.is_constant else fresh(), active[:, i])
+             for i, row in enumerate(laws) for j, x in enumerate(row)]))
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)
