@@ -334,15 +334,17 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
                                  max_scaled=max_scaled)
 
     shape, scale = np.moveaxis([[x.gamma_shape_scale or (0.0, 1.0) for x in row] for row in laws], 2, 0)
-    some_gamma, all_gamma = shape.any(), shape.all()  # a gamma law's shape is positive
+    some_gamma = shape.any()  # a gamma law's shape is positive
+    others = [(i * groups + j, i, x) for i, row in enumerate(laws) for j, x in enumerate(row)
+              if not x.gamma_shape_scale]  # the terms drawn one call each, in (type, group) order
 
     def u_sum(fresh: FreshFn, active: np.ndarray) -> np.ndarray:
         # one call laid out (line, i, j), so row l depends on rows 0..l only; shape 0 draws nothing
-        sums = fresh().standard_gamma(active[:, :, None] * shape) * scale if some_gamma else None
-        return fold(sums.reshape(-1, len(columns)).T if all_gamma else np.array(
-            [sums[:, i, j] if x.gamma_shape_scale else
-             x.sample_sum(None if x.is_constant else fresh(), active[:, i])
-             for i, row in enumerate(laws) for j, x in enumerate(row)]))
+        x = ((fresh().standard_gamma(active[:, :, None] * shape) * scale).reshape(-1, len(columns)).T
+             if some_gamma else np.zeros((len(columns), len(active))))
+        for row, i, law in others:
+            x[row] = law.sample_sum(None if law.is_constant else fresh(), active[:, i])
+        return fold(x)
 
     def sampler(i: int, N: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return -np.expm1(-u_sampler(i, rng, n) / N)

@@ -159,7 +159,7 @@ USamplerFn = Callable[[int, "np.random.Generator", int], np.ndarray]
 UMgfFn = Callable[[int, np.ndarray], float]
 # fresh() -> the generator for the next vector draw call
 FreshFn = Callable[[], "np.random.Generator"]
-# u_sum(fresh, active) -> new (lines, m): row l one draw of the summed U of active[l, i]
+# u_sum(fresh, active) -> (lines, m): row l one draw of the summed U of active[l, i]
 # i.i.d. copies of U_i for every type i, each numpy call on a generator of its
 # own from fresh(); only for kernels with V = 1 - exp(-U/N)
 USumFn = Callable[[FreshFn, np.ndarray], np.ndarray]
@@ -242,9 +242,8 @@ class InfectivityKernel:
         active = np.asarray(active)
         if active.ndim != 2 or active.shape[1] != self.m:
             raise ValueError(f"active must count {self.m} infector types per line, got {active.shape}")
-        if self.u_sum is not None and not self.deterministic:
-            u = self.u_sum(fresh, active)  # u / -N is -u / N bit for bit
-            return np.negative(u, out=u) if N is None else np.divide(u, -N, out=u)
+        if self.u_sum is not None and not self.deterministic:  # u / -N is -u / N bit for bit
+            return self.u_sum(fresh, active) / (-1 if N is None else -N)
         if self.deterministic:
             # one call per type at finite N, cached or not, so later calls keep their numbers
             rngs = [] if N is None else [fresh() for _ in range(self.m)]
