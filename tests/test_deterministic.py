@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import epifrost as ef
+from epifrost.deterministic import monotone_newton
 from epifrost.errors import ConvergenceError
 
 from scipy.optimize import root
@@ -190,3 +191,35 @@ def test_solve_tau_reducible_seeded_picks_largest_root():
     assert sol.tau[1] == pytest.approx(scalar_tau(1.5), abs=1e-12)
     r = ef.limit_infection_probability(sol.tau + zeta, mu, pi)
     assert np.max(np.abs(sol.tau - r)) <= 1e-12
+
+
+# an affine monotone map F(x) = A x + c, increasing from 0 towards its fixed point
+NEWTON_A = np.array([[0.3, 0.2], [0.1, 0.4]])
+NEWTON_C = np.array([0.2, 0.3])
+
+
+def _newton(jacobian, map_shift=0.0):
+    return monotone_newton(lambda x: (NEWTON_A @ x + NEWTON_C + map_shift, jacobian(x)),
+                           np.zeros(2), 1, 10.0, 1e-12, 1000, "affine")
+
+
+def test_monotone_newton_singular_jacobian_takes_picard_steps():
+    # I - J singular: every step is a Picard step, and the error bound is inf
+    x, it, residual, bound = _newton(lambda x: np.eye(2))
+    assert [v.hex() for v in x] == ["0x1.ccccccccc8888p-2", "0x1.2666666664444p-1"]
+    assert (it, residual.hex(), bound) == (39, "0x1.1120000000000p-41", float("inf"))
+
+
+def test_monotone_newton_refuses_a_nan_candidate():
+    # a NaN Jacobian at x0 gives a NaN candidate: the first step is F(x0) = c,
+    # then Newton on the affine map lands on the root
+    x, it, residual, bound = _newton(lambda x: NEWTON_A if x.any() else np.full((2, 2), np.nan))
+    assert [v.hex() for v in x] == ["0x1.ccccccccccccdp-2", "0x1.2666666666666p-1"]
+    assert (it, residual, bound.hex()) == (3, 0.0, "0x1.2666666666666p-47")
+    assert _newton(lambda x: NEWTON_A)[1] == 2  # the exact Jacobian needs no Picard step
+
+
+def test_monotone_newton_raises_on_a_step_the_wrong_way():
+    # F(x0) < x0 while moving up
+    with pytest.raises(RuntimeError, match="affine iteration lost monotonicity"):
+        _newton(lambda x: NEWTON_A, map_shift=-1.0)

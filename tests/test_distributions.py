@@ -115,6 +115,45 @@ def test_expect_is_an_expectation(law):
     assert _tanh_sinh()[3].min() > 0.0
 
 
+# fixed integrands for the pins below; the last gives an (n, 2) stack
+EXPECT_FUNCTIONS = {
+    "one": np.ones_like,
+    "square": lambda x: x * x,
+    "decay": lambda x: np.exp(-0.7 * x),
+    "stack": lambda x: np.stack([np.sqrt(x), np.expm1(-x)], axis=1),
+}
+
+# E[f(X)] for each EXPECT_FUNCTIONS entry in turn (the stack's two columns last),
+# as float.hex, for every built-in law
+EXPECT_PINS = {
+    "constant(1.5)": ["0x1.0000000000000p+0", "0x1.2000000000000p+1", "0x1.665614d045e77p-2",
+                       "0x1.3988e1409212ep+0", "-0x1.8dc1e236d28f9p-1"],
+    "exponential(mean=2.0)": ["0x1.0000000000000p+0", "0x1.0000000000000p+3", "0x1.aaaaaaaaaaaacp-2",
+                               "0x1.40d931ff62707p+0", "-0x1.5555555555557p-1"],
+    "gamma(shape=2.5, scale=0.8)": ["0x1.0000000000000p+0", "0x1.6666666666666p+2", "0x1.50e3e85e6638cp-2",
+                                     "0x1.587ddfa2f5d6fp+0", "-0x1.8a37212247ee1p-1"],
+    "bernoulli(0.3)": ["0x1.0000000000000p+0", "0x1.3333333333333p-2", "0x1.b2acedbe13330p-1",
+                        "0x1.3333333333333p-2", "-0x1.845ff79183d45p-3"],
+    "uniform(0.0, 1.0)": ["0x1.0000000000000p+0", "0x1.5555555555554p-2", "0x1.70363e8f430d2p-1",
+                           "0x1.5555555555551p-1", "-0x1.78b56362cef35p-2"],
+    "uniform(0.5, 2.0)": ["0x1.0000000000000p+0", "0x1.c000000000000p+0", "0x1.bebf777c313f2p-2",
+                           "0x1.1995ec17f6767p+0", "-0x1.5f2a51daadc47p-1"],
+    "beta(2.0, 3.0)": ["0x1.0000000000000p+0", "0x1.999999999999ap-3", "0x1.86b79dc14a21ep-1",
+                        "0x1.3813813813814p-1", "-0x1.4405450d9b4e7p-2"],
+    "beta(0.5, 0.5)": ["0x1.0000000000000p+0", "0x1.8000000000000p-2", "0x1.73ef48544b57ep-1",
+                        "0x1.45f306dc9c884p-1", "-0x1.6b7bdfc29e173p-2"],
+    "discrete([0.0, 1.0, 4.0])": ["0x1.0000000000000p+0", "0x1.5333333333333p+2", "0x1.ddbb86e0021f0p-2",
+                                   "0x1.199999999999ap+0", "-0x1.389c0d7ee0e06p-1"],
+}
+
+
+@pytest.mark.parametrize("law", BUILT_IN_LAWS, ids=lambda law: law.name)
+def test_expect_values_are_pinned(law):
+    values = np.concatenate([np.asarray(law.expect(f), dtype=float).ravel()
+                             for f in EXPECT_FUNCTIONS.values()])
+    assert [float(v).hex() for v in values] == EXPECT_PINS[law.name]
+
+
 SUM_SIZES = [1, 7, 1000]
 
 

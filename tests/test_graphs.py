@@ -283,6 +283,31 @@ def test_dynamic_moments_match_quadrature(law, lifetime, rates):
         assert np.linalg.eigvalsh(kernel.lam[i]).min() >= -1e-14 * kernel.lam[i].max()
 
 
+@pytest.mark.parametrize("law", [ef.ScalarDist.exponential(1.3), ef.ScalarDist.gamma(2.5, 0.6),
+                                 ef.ScalarDist.discrete([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])],
+                         ids=lambda law: law.name)
+@pytest.mark.parametrize("kernel_first", [True, False])
+def test_dynamic_u_mgf_is_the_lifetimes_expectation(law, kernel_first):
+    # bit for bit the lifetime's expect of exp(u(Q) . theta), whichever of the two
+    # is asked first, and with theta in either order
+    spec = ef.DynamicGraphSpec(q=[law, law], **DYNAMIC_RATES)
+    kernel = ef.dynamic_bernoulli_kernel(spec)
+    keys = [(i, k) for i in range(2) for k in range(len(DYNAMIC_THETAS) + 1)]
+    thetas = [*DYNAMIC_THETAS, np.zeros(2)]
+
+    def by_kernel():
+        return {(i, k): kernel.u_mgf(i, thetas[k]) for i, k in (keys if kernel_first else keys[::-1])}
+
+    def by_expect():
+        return {(i, k): law.expect(lambda v: np.exp(_dynamic_scaled_u(spec, i, v) @ thetas[k]))
+                for i, k in keys}
+
+    if kernel_first:
+        assert by_kernel() == by_expect()
+    else:
+        assert by_expect() == by_kernel()
+
+
 # ---------------------------------------------------------------------------
 # Mover model
 # ---------------------------------------------------------------------------

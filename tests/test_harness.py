@@ -420,6 +420,11 @@ GOLDEN_CONFIGS["mover_constant_sojourn"] = {
 GOLDEN_CONFIGS["static_graph_shared"] = {
     "population": GOLDEN_CONFIGS["static_graph"]["population"],
     "kernel": dict(GOLDEN_CONFIGS["static_graph"]["kernel"], w_mode="shared")}
+# a two-type constant kernel at R = 1 + 1e-4, where the solvers take their most steps
+GOLDEN_CONFIGS["near_critical_two_type"] = {
+    "population": {"m": 2, "pi": [0.6, 0.4], "N": 10_000, "a": [1, 0]},
+    "kernel": {"kind": "constant", "mu": [[1.472622015824888, 0.736311007912444],
+                                          [0.368155503956222, 1.104466511868666]]}}
 
 
 # movers whose sums are not all drawn in the pooled gamma call: gamma and
@@ -496,6 +501,29 @@ def test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sh
     path = _write_config(tmp_path, GOLDEN_CONFIGS[name])
     assert cli.main([command, "--config", path]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("name, command, sha", [
+    ("dynamic_graph", "extinction", "b6a1cb6f74fd579c28c498c0a2fb0e4930752c1f00b86ae2e07ce1bfd321754b"),
+    ("dynamic_graph", "clt", "00e8688eafdb86a34a25cf22c72a195db3a11c89c5d45bbc8211c098a10072ea"),
+    ("static_graph", "extinction", "1aed8a62de72ce8e88b299031947ea07de485470b08156468dc2c3f2362099ee"),
+    ("static_graph", "clt", "d83647ea5c37249ac14000b7e41612ef19e8ce018d780f6f93619d95d39ea8a4"),
+    ("mixed_bernoulli", "extinction",
+     "ffced56cf2f7bee4a6d154c05311ff0f29e5fbfb72bba9555873a59f410b9afc"),
+    ("mixed_bernoulli", "clt", "64fc52496cbbae64e09750b0a76dd8eea3a5d615013f002e9cc60c485147af8a"),
+    ("random_type", "extinction", "c9fe36aa43a249559fa206daaebf613e9bc224450a231502baa883285a160ecd"),
+    ("random_type", "clt", "92137dbc80020ea1342cc7a89e4a3237062985625615979942159537ff1e6234"),
+    ("custom_table", "extinction", "36409f40fcabf6a91e0d3fb767066e95d818aebf810546b5257cfe35ed4d3549"),
+    ("custom_table", "clt", "913842e5078b6cf3e012347752f243182868a3c49e5d56e9f62afaaf0eb18c8d"),
+    ("near_critical_two_type", "extinction",
+     "0584f669664848e322708a26eb235272018e1c5a63246902e6453ecdbce02247"),
+    ("near_critical_two_type", "clt",
+     "a74f5b8e6839d8ee6d678324026d5b0fc6d00f160290af418cfa536cc369cc1b"),
+])
+def test_solver_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha):
+    # extinction runs the safeguarded Newton loop on h, clt on the attack-rate map:
+    # every Newton and Picard step and the error bound reach these bytes
+    test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha)
 
 
 def test_simulate_stdout_without_records_matches_golden_sha256(tmp_path, capsys):
@@ -762,6 +790,18 @@ def test_scipy_special_loads_on_first_use_and_gives_the_same_values():
     loaded, values = out.stdout.splitlines()
     assert loaded == "[]"
     assert [float.fromhex(v) for v in json.loads(values)] == here["values"]
+
+
+def test_load_config_of_gamma_lifetimes_leaves_out_scipy(tmp_path):
+    # the lifetimes' quantile nodes need scipy; loading builds none of them
+    kernel = dict(GOLDEN_CONFIGS["dynamic_graph"]["kernel"],
+                  q=[{"dist": "gamma", "shape": 2.0, "scale": 0.5}] * 2)
+    path = _write_config(tmp_path, dict(GOLDEN_CONFIGS["dynamic_graph"], kernel=kernel))
+    code = ("import sys, epifrost as ef; ef.load_config(sys.argv[1]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
