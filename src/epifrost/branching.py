@@ -116,6 +116,7 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
     """
     m = kernel.m
     pi = _checked_pi(m, pi, a)
+    back = np.sqrt(np.finfo(float).eps) * np.eye(m)  # row j: a step back in s_j
 
     def h(s: np.ndarray) -> np.ndarray:
         theta = (s - 1.0) * pi
@@ -123,8 +124,7 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
 
     def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hs = h(s)
-        back = s - np.sqrt(np.finfo(float).eps) * np.eye(m)  # row j: step back in s_j
-        return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(back)], axis=1)
+        return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(s - back)], axis=1)
 
     if at_most_critical(compute_R(kernel.mu, pi)):
         sol = ExtinctionSolution(q=np.ones(m), iterations=0, residual=0.0)

@@ -101,34 +101,35 @@ def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, n
     x = np.asarray(x0, dtype=float)
     eye = np.eye(len(x))
     fx, jac = map_and_jacobian(x)
-    residual = float(np.max(np.abs(x - fx)))
+    residual = float(abs(step := fx - x).max())  # step: the Picard step
     for it in range(1, max_iter + 1):
-        if np.any(direction * (fx - x) < -1e-15):
+        if (direction * step < -1e-15).any():
             raise RuntimeError(f"{what} iteration lost monotonicity")
         nxt, at_nxt = fx, None
         with np.errstate(all="ignore"):
             try:
-                cand = x - np.linalg.solve(eye - jac, x - fx)
+                cand = x - np.linalg.solve(eye - jac, -step)  # -step is x - fx, exactly
             except np.linalg.LinAlgError:
                 cand = fx
-        inside = (direction * (cand - fx) >= 0) & (direction * (bound - cand) >= 0)
-        if np.all(np.isfinite(cand) & inside):
+            # a NaN or infinite candidate fails one of these against finite fx and bound
+            inside = ((direction * (cand - fx) >= 0) & (direction * (bound - cand) >= 0)).all()
+        if inside:
             at_cand = map_and_jacobian(cand)
             # F(c) - c a few ulps on the wrong side is rounding noise at the root;
             # once a Picard step moves <= tol it ends the loop, and needs no slack
-            slack = 0.0 if residual <= tol else ULP_SLACK * np.maximum(np.abs(cand), 1.0)
-            if np.all(direction * (at_cand[0] - cand) >= -slack):
+            slack = 0.0 if residual <= tol else ULP_SLACK * np.maximum(abs(cand), 1.0)
+            if (direction * (at_cand[0] - cand) >= -slack).all():
                 nxt, at_nxt = cand, at_cand
-        delta = float(np.max(np.abs(nxt - x)))
+        delta = float(abs(nxt - x).max())
         x = nxt
         fx, jac = at_nxt if at_nxt is not None else map_and_jacobian(x)
-        residual = float(np.max(np.abs(x - fx)))
+        residual = float(abs(step := fx - x).max())
         if delta <= tol:
             try:
-                gain = float(np.max(np.abs(np.linalg.inv(eye - jac)).sum(axis=1)))
+                gain = float(abs(np.linalg.inv(eye - jac)).sum(axis=1).max())
             except np.linalg.LinAlgError:
                 gain = float("inf")
-            floor = ROUNDING_FLOOR * max(float(np.max(np.abs(fx))), float(np.max(np.abs(x))))
+            floor = ROUNDING_FLOOR * max(float(abs(fx).max()), float(abs(x).max()))
             return x, it, residual, gain * (residual + floor)
     raise ConvergenceError(f"{what} iteration did not converge", x, residual)
 

@@ -12,12 +12,12 @@ at nonpositive arguments: the extinction solver needs M, the dynamic-graph
 moments need both.  Beta laws (and uniform ones, a shifted and scaled
 Beta(1, 1)) evaluate M through Kummer's confluent hypergeometric function.
 
-``expect(f)`` gives E[f(X)] for any other vectorized f (the dynamic graph's
-generating function): a finite sum for laws with finitely many atoms, and
-otherwise one fixed tanh-sinh rule in probability space (Takahasi and Mori,
-Publ. RIMS 9, 1974) mapped through the law's quantile.  Its weights are
-positive and sum to 1, so E[f(X)] is an exact expectation over a discrete
-law close to X: convexity and monotonicity in f carry over.
+``expect(f)`` = weights @ f(values) gives E[f(X)] for any other vectorized f
+(the dynamic graph's generating function) from the law's ``rule``: its atoms
+if it has finitely many, else one fixed tanh-sinh rule in probability space
+(Takahasi and Mori, Publ. RIMS 9, 1974) mapped through its quantile.  The
+weights are positive and sum to 1, so E[f(X)] is an exact expectation over a
+discrete law close to X: convexity and monotonicity in f carry over.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ class ScalarDist:
     for each entry n of ``counts``, in entry order (an array of the same
     shape; a zero count gives 0 and draws nothing).
     ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
-    and accept any t <= 0.  ``expect(f)`` = E[f(X)] for an f that maps a 1-d
-    array of values to a same-length array (or (n, ...) stack).  A constant
-    law is a one-atom discrete law, and an exponential law is gamma(1, mean).
+    and accept any t <= 0.  ``rule()`` gives (values, weights), built on its
+    first call, and ``expect(f)`` = E[f(X)] = weights @ f(values) for an f that
+    maps a 1-d array of values to a same-length array (or (n, ...) stack).  A
+    constant law is a one-atom discrete law, an exponential law gamma(1, mean).
     """
 
     name: str
@@ -53,7 +54,7 @@ class ScalarDist:
     sample_sum: Callable[[np.random.Generator, np.ndarray], np.ndarray] = field(repr=False)
     mgf: Callable[[float], float] = field(repr=False)
     mgf_prime: Callable[[float], float] = field(repr=False)
-    expect: Callable[[Callable[[np.ndarray], np.ndarray]], float] = field(repr=False)
+    rule: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     support_max: float = np.inf
     gamma_shape_scale: Optional[tuple[float, float]] = None  # (shape, scale) of a gamma law
 
@@ -66,6 +67,10 @@ class ScalarDist:
     @property
     def is_constant(self) -> bool:
         return self.var == 0.0
+
+    def expect(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
+        values, weights = self.rule()
+        return weights @ f(values)
 
     @staticmethod
     def constant(value: float) -> "ScalarDist":
@@ -83,7 +88,7 @@ class ScalarDist:
                        # gamma's pow can be an ulp off these, which moves extinction q
                        mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
                        # -m log(1 - u) = m log(1 + e^z) for u = expit(z): no gammaincinv nodes
-                       expect=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)))
+                       rule=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)))
 
     @staticmethod
     def gamma(shape: float, scale: float) -> "ScalarDist":
@@ -99,7 +104,7 @@ class ScalarDist:
             sample_sum=lambda rng, n: rng.standard_gamma(n * k) * s,  # = rng.gamma(n * k, s)
             mgf=lambda t: float((1.0 - s * t) ** (-k)),
             mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
-            expect=_quantile_rule(lambda z, u, v: s * np.where(
+            rule=_quantile_rule(lambda z, u, v: s * np.where(
                 z < 0, _special().gammaincinv(k, u), _special().gammainccinv(k, v))),
             gamma_shape_scale=(k, s),
         )
@@ -109,6 +114,7 @@ class ScalarDist:
         pp = float(p)
         if not 0 <= pp <= 1:
             raise ValueError(f"bernoulli distribution needs p in [0,1], got {pp}")
+        atoms = np.array([0.0, 1.0]), np.array([1.0 - pp, pp])
         return ScalarDist(
             name=f"bernoulli({pp})",
             mean=pp,
@@ -117,7 +123,7 @@ class ScalarDist:
             sample_sum=lambda rng, n: 1.0 * rng.binomial(n, pp),
             mgf=lambda t: float(1 - pp + pp * np.exp(t)),
             mgf_prime=lambda t: float(pp * np.exp(t)),
-            expect=_atoms([0.0, 1.0], [1.0 - pp, pp]),
+            rule=lambda: atoms,
             support_max=1.0 if pp > 0 else 0.0,
         )
 
@@ -136,7 +142,7 @@ class ScalarDist:
             mgf=lambda t: math.exp(t * a) * _kummer(1.0, 2.0, t * w),
             mgf_prime=lambda t: math.exp(t * a) * (a * _kummer(1.0, 2.0, t * w)
                                                    + w / 2 * _kummer(2.0, 3.0, t * w)),
-            expect=_quantile_rule(lambda z, u, v: np.where(z < 0, a + w * u, b - w * v)),
+            rule=_quantile_rule(lambda z, u, v: np.where(z < 0, a + w * u, b - w * v)),
             support_max=b,
         )
 
@@ -156,7 +162,7 @@ class ScalarDist:
             sample_sum=lambda rng, n: run_sums(lambda size: rng.beta(aa, bb, size), n),
             mgf=lambda t: _kummer(aa, aa + bb, t),
             mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
-            expect=_quantile_rule(lambda z, u, v: np.where(
+            rule=_quantile_rule(lambda z, u, v: np.where(
                 z < 0, _special().betaincinv(aa, bb, u), 1.0 - _special().betaincinv(bb, aa, v))),
             support_max=1.0,
         )
@@ -180,7 +186,7 @@ class ScalarDist:
             sample_sum=lambda rng, n: (rng.multinomial(n, ps) * vals).sum(axis=-1),
             mgf=lambda t: float(np.exp(t * vals) @ ps),
             mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
-            expect=_atoms(vals, ps),
+            rule=lambda: (vals, ps),
             support_max=float(vals.max()),
         )
 
@@ -199,12 +205,6 @@ def run_sums(draw: Callable[[int], np.ndarray], counts, shape: tuple = ()) -> np
         draws = draw(int(starts[run[-1]] + sizes[run[-1]] - starts[run[0]]))
         out[run] = np.add.reduceat(draws, starts[run] - starts[run[0]], axis=0)
     return out.reshape(np.shape(counts) + shape)
-
-
-def _atoms(values, probs) -> Callable:
-    """E[f(X)] as the finite sum over the atoms of X."""
-    values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
-    return lambda f: probs @ f(values)
 
 
 @functools.cache
@@ -229,15 +229,15 @@ def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _quantile_rule(quantile: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Callable:
-    """E[f(X)] = int_0^1 f(F^-1(u)) du by the tanh-sinh rule, given the
-    quantile as a function of (z, u, 1 - u) so that either tail keeps its
-    precision.  Nodes are built on the first call, not when the law is."""
+    """The rule of E[f(X)] = int_0^1 f(F^-1(u)) du: the tanh-sinh nodes through
+    the quantile, a function of (z, u, 1 - u) so that either tail keeps its
+    precision, and their weights.  Nodes are built on the first call."""
     @functools.cache
-    def nodes() -> np.ndarray:
-        z, u, v, _ = _tanh_sinh()
-        return quantile(z, u, v)
+    def rule() -> tuple[np.ndarray, np.ndarray]:
+        z, u, v, w = _tanh_sinh()
+        return quantile(z, u, v), w
 
-    return lambda f: _tanh_sinh()[3] @ f(nodes())
+    return rule
 
 
 def _kummer(a: float, c: float, t: float) -> float:

@@ -32,6 +32,7 @@ draws of U encode.  Prescribed-degree and scale-free graphs are out of scope
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -219,8 +220,8 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     d = beta + rho_minus, c = rho_plus beta / d and g = beta / (rho_minus d)
     the limit weight is u_j(q) = c_j (q + g_j (1 - e^{-d_j q})), so the
     moments are exact in the lifetime's generating function M
-    (``_dynamic_moments``).  The generating function of U is
-    E[exp(theta . u(Q_i))], taken by the lifetime's ``expect``.
+    (``_dynamic_moments``).  The generating function of U, E[exp(theta . u(Q_i))],
+    is the lifetime's ``rule`` applied to u at its nodes, computed once per type.
     """
     m = spec.rho_plus.shape[0]
 
@@ -234,8 +235,11 @@ def dynamic_bernoulli_kernel(spec: DynamicGraphSpec) -> InfectivityKernel:
     mu = np.stack([mean for mean, _ in moments])
     lam = np.stack([cov for _, cov in moments])
 
+    # U_i at the lifetime rule's nodes, built on type i's first call
+    nodes = functools.cache(lambda i: _dynamic_scaled_u(spec, i, spec.q[i].rule()[0]))
+
     def u_mgf(i: int, theta: np.ndarray) -> float:
-        return float(spec.q[i].expect(lambda q: np.exp(_dynamic_scaled_u(spec, i, q) @ theta)))
+        return float(spec.q[i].rule()[1] @ np.exp(nodes(i) @ theta))
 
     return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
                              sampler=sampler)
