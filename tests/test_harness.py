@@ -496,14 +496,8 @@ def test_exponential_theory_output_matches_golden_sha256(tmp_path, capsys, comma
     ("mover", "graph", "ca78f7c35161fb4b94b105acf0b31b3a38f0c75271174e6e8a25dc2e5c37465a"),
     ("dynamic_graph", "solve", "d58772cb4cb4c7c5479247c7da180c0509bed56e60aebe428d95e76918255153"),
     ("dynamic_graph", "graph", "5e570fedd4d04205c653c32401a087632ed87080b41181bf0718cc6bc10bf8fc"),
-])
-def test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha):
-    path = _write_config(tmp_path, GOLDEN_CONFIGS[name])
-    assert cli.main([command, "--config", path]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
-
-
-@pytest.mark.parametrize("name, command, sha", [
+    # extinction runs the safeguarded Newton loop on h, clt on the attack-rate map:
+    # every Newton and Picard step and the error bound reach these bytes
     ("dynamic_graph", "extinction", "b6a1cb6f74fd579c28c498c0a2fb0e4930752c1f00b86ae2e07ce1bfd321754b"),
     ("dynamic_graph", "clt", "00e8688eafdb86a34a25cf22c72a195db3a11c89c5d45bbc8211c098a10072ea"),
     ("static_graph", "extinction", "1aed8a62de72ce8e88b299031947ea07de485470b08156468dc2c3f2362099ee"),
@@ -520,10 +514,10 @@ def test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sh
     ("near_critical_two_type", "clt",
      "a74f5b8e6839d8ee6d678324026d5b0fc6d00f160290af418cfa536cc369cc1b"),
 ])
-def test_solver_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha):
-    # extinction runs the safeguarded Newton loop on h, clt on the attack-rate map:
-    # every Newton and Picard step and the error bound reach these bytes
-    test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha)
+def test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sha):
+    path = _write_config(tmp_path, GOLDEN_CONFIGS[name])
+    assert cli.main([command, "--config", path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
 def test_simulate_stdout_without_records_matches_golden_sha256(tmp_path, capsys):
