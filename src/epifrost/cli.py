@@ -9,6 +9,8 @@
 
 Each command maps the loaded config to one payload, which ``main`` prints as
 one JSON object; ``validate`` prints the report it writes next to the records.
+A command imports the layers it runs when it runs, so ``solve`` never loads
+the simulator.
 Exit codes: 0 success (all enabled checks pass), 1 check failure,
 2 configuration error, 3 numerical failure.
 """
@@ -19,13 +21,16 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import branching, clt, deterministic, harness
-from .config import ExperimentConfig, parse_config, read_document
+from . import deterministic
+from .config import ExperimentConfig, json_arrays, parse_config, read_document
 from .errors import ConvergenceError, SingularMatrixError
+
+if TYPE_CHECKING:
+    from .harness import ValidationReport
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -34,6 +39,8 @@ EXIT_NUMERICAL_FAILURE = 3
 
 
 def _simulate(config: ExperimentConfig) -> dict:
+    from . import harness
+
     _, stats = harness.simulate_ensemble(config)
     return {
         "replicates": stats.n_records,
@@ -64,6 +71,8 @@ def _solve(config: ExperimentConfig) -> dict:
 
 
 def _extinction(config: ExperimentConfig) -> dict:
+    from . import branching
+
     sol = branching.extinction_probability(config.kernel, config.population.pi,
                                            a=config.population.a)
     return {
@@ -77,6 +86,8 @@ def _extinction(config: ExperimentConfig) -> dict:
 
 
 def _clt(config: ExperimentConfig) -> dict:
+    from . import clt
+
     summary = clt.asymptotic_covariance(config.kernel.mu, config.kernel.lam,
                                         config.population.pi, _tau(config).tau,
                                         config.population.zeta,
@@ -103,7 +114,9 @@ def _graph(config: ExperimentConfig) -> dict:
     }
 
 
-def _validate(config: ExperimentConfig) -> harness.ValidationReport:
+def _validate(config: ExperimentConfig) -> ValidationReport:
+    from . import harness
+
     records_path, report = harness.run_experiment(config)
     if records_path is not None:
         print(f"records written to {records_path}", file=sys.stderr)
@@ -159,10 +172,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # a config it cannot read or a records path it cannot write
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if isinstance(payload, harness.ValidationReport):  # the string written next to the records
+    if args.command == "validate":  # its report, the string written next to the records
         print(payload.to_json())
         return EXIT_OK if payload.all_passed else EXIT_CHECK_FAILURE
-    print(json.dumps(payload, indent=2, default=harness.json_default))
+    print(json.dumps(payload, indent=2, default=json_arrays))
     return EXIT_OK
 
 

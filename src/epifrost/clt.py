@@ -19,13 +19,16 @@ stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import _special
 from .errors import InsufficientDataError, SingularMatrixError
 from .kernel import Allocation
-from .simulator import Ensemble
+
+if TYPE_CHECKING:
+    from .simulator import Ensemble
 
 __all__ = [
     "AsymptoticSummary",

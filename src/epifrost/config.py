@@ -35,22 +35,11 @@ import numpy as np
 
 from .distributions import ScalarDist
 from .errors import ConfigError
-from .graphs import (
-    BallClancy93Spec,
-    DynamicGraphSpec,
-    MixedGraphSpec,
-    StaticGraphSpec,
-    ball_clancy93_kernel,
-    ball_clancy95_model,
-    dynamic_bernoulli_kernel,
-    mixed_bernoulli_kernel,
-    static_bernoulli_kernel,
-)
 from .kernel import (Allocation, InfectivityKernel, PopulationSpec, constant_kernel, table_kernel,
                      whole_numbers)
 
 __all__ = ["ExperimentConfig", "VALID_CHECKS", "read_document", "load_config", "parse_config",
-           "build_kernel"]
+           "build_kernel", "json_arrays"]
 
 VALID_CHECKS = ("lln", "major_prob", "clt", "branching_tv")
 
@@ -135,28 +124,43 @@ def _table_row(values, probs):
 
 def _dynamic_graph(rho_plus, rho_minus, beta, q):
     """The dynamic graph, where a single lifetime law q applies to every type."""
+    from .graphs import DynamicGraphSpec, dynamic_bernoulli_kernel
+
     if isinstance(q, ScalarDist):
         q = [q] * len(np.atleast_2d(rho_plus))
     return dynamic_bernoulli_kernel(DynamicGraphSpec(rho_plus, rho_minus, beta, q))
 
 
-def _compiled(spec: type, compile_kernel: Callable) -> Callable:
-    """``compile_kernel(spec(**fields))``, whose fields are the spec's parameters."""
-    def build(**fields):
-        return compile_kernel(spec(**fields))
-    build.__wrapped__ = spec  # inspect.signature reads the spec's
-    return build
+class _Graphs:
+    """``graphs.<build>(graphs.<spec>(**fields))``, or ``graphs.<build>(**fields)``
+    without a spec; its fields are the parameters of the spec, or of build.
+    ``graphs`` loads on the first call or signature read, so a config of a
+    kind outside it never imports it."""
+
+    def __init__(self, build: str, spec: Optional[str] = None):
+        self.build, self.spec = build, spec
+
+    @property
+    def __signature__(self) -> inspect.Signature:
+        from . import graphs
+        return inspect.signature(getattr(graphs, self.spec or self.build))
+
+    def __call__(self, **fields):
+        from . import graphs
+        if self.spec is not None:
+            return getattr(graphs, self.build)(getattr(graphs, self.spec)(**fields))
+        return getattr(graphs, self.build)(**fields)
 
 
 # kind -> (its builder, {field holding laws: how deep they nest in lists})
 KINDS = {
     "constant": (_constant, {}),
     "custom_table": (_custom_table, {}),
-    "static_graph": (_compiled(StaticGraphSpec, static_bernoulli_kernel), {"w": 0}),
-    "mixed_bernoulli": (_compiled(MixedGraphSpec, mixed_bernoulli_kernel), {"w": 0}),
+    "static_graph": (_Graphs("static_bernoulli_kernel", "StaticGraphSpec"), {"w": 0}),
+    "mixed_bernoulli": (_Graphs("mixed_bernoulli_kernel", "MixedGraphSpec"), {"w": 0}),
     "dynamic_graph": (_dynamic_graph, {"q": 1}),
-    "ball_clancy93": (_compiled(BallClancy93Spec, ball_clancy93_kernel), {"sojourn": 2}),
-    "ball_clancy95": (ball_clancy95_model, {"u": 1}),
+    "ball_clancy93": (_Graphs("ball_clancy93_kernel", "BallClancy93Spec"), {"sojourn": 2}),
+    "ball_clancy95": (_Graphs("ball_clancy95_model"), {"u": 1}),
 }
 
 
@@ -225,6 +229,13 @@ def _experiment(population, kernel, replicates=1, seed=0, threshold_override=Non
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the runtime objects."""
     return _build(_experiment, doc, "config")
+
+
+def json_arrays(obj):
+    """``json.dumps``'s ``default`` for numpy arrays and scalars: their plain Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def read_document(path: str | Path):

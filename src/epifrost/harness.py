@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import branching, clt, deterministic
-from .config import ExperimentConfig
+from .config import ExperimentConfig, json_arrays
 from .errors import InsufficientDataError
 from .kernel import InfectivityKernel
 from .simulator import Ensemble, replicate_rng, run_ensemble
@@ -137,13 +137,11 @@ class ValidationReport:
 
 
 def json_default(obj):
-    """``json.dumps``'s ``default``: numpy arrays and scalars as plain Python
-    values, and a validation report as its verdict and its checks' fields."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+    """``json.dumps``'s ``default``: a validation report as its verdict and its
+    checks' fields, and numpy arrays and scalars as ``config.json_arrays`` does."""
     if isinstance(obj, ValidationReport):
         return {"all_passed": obj.all_passed, "checks": [asdict(c) for c in obj.checks]}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return json_arrays(obj)
 
 
 def _check_lln(stats: OutbreakStatistics, tau: np.ndarray) -> CheckResult:

@@ -4,7 +4,7 @@ import pytest
 import epifrost as ef
 from epifrost.errors import InsufficientDataError, SingularMatrixError
 
-from oracles import Q_MU2, TAU_MU2, VAR_CONST_MU2
+from oracles import Q_MU2, TAU_MU2, VAR_CONST_MU2, evaluate_counting_process
 
 
 def test_xi_scalar_no_variance():
@@ -31,23 +31,31 @@ def test_xi_scalar_with_variance_matches_formula():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("kernel, pi, N, t, realizations", [
-    # one case per escape form: nothing drawn, a sampled V per infective, u_sum
-    (ef.constant_kernel([[2.0, 0.5], [1.0, 1.5]]), [0.4, 0.6], 20_000, [0.6, 0.3], 40_000),
-    (ef.table_kernel([(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([0.5, 0.5])),
-                      (np.array([[2.0, 2.0], [0.5, 1.0]]), np.array([0.3, 0.7]))]),
-     [0.5, 0.5], 4_000, [0.15, 0.1], 8_000),
-    (ef.ball_clancy93_kernel(ef.BallClancy93Spec(
+# one kernel and pi per escape form: nothing drawn, a sampled V per infective, u_sum
+ESCAPE_FORMS = {
+    "deterministic": (ef.constant_kernel([[2.0, 0.5], [1.0, 1.5]]), [0.4, 0.6]),
+    "sampled": (ef.table_kernel([(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([0.5, 0.5])),
+                                 (np.array([[2.0, 2.0], [0.5, 1.0]]), np.array([0.3, 0.7]))]),
+                [0.5, 0.5]),
+    "u_sum": (ef.ball_clancy93_kernel(ef.BallClancy93Spec(
         b=np.array([[[2.0, 0.5], [1.0, 1.0]], [[0.0, 1.0], [2.0, 0.5]]]),
         sojourn=[[ef.ScalarDist.exponential(1.0), ef.ScalarDist.gamma(2.0, 0.5)],
                  [ef.ScalarDist.gamma(3.0, 0.3), ef.ScalarDist.exponential(0.5)]])),
-     [0.5, 0.5], 20_000, [0.5, 0.4], 20_000),
-], ids=["deterministic", "sampled", "u_sum"])
-def test_xi_matches_counting_process_covariance(kernel, pi, N, t, realizations):
+              [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("form, N, t, realizations", [
+    ("deterministic", 20_000, [0.6, 0.3], 40_000),
+    ("sampled", 4_000, [0.15, 0.1], 8_000),
+    ("u_sum", 20_000, [0.5, 0.4], 20_000),
+], ids=list(ESCAPE_FORMS))
+def test_xi_matches_counting_process_covariance(form, N, t, realizations):
     # X_i(t), the type-i susceptibles (N pi_i of them) that the first
     # floor(t_k N pi_k) infectives of each type k infect, is Binomial given the
     # infectives' summed log(1 - V): one escape call and one binomial draw it
     # for every realization. Its covariance, scaled by sqrt(N pi), is Xi at t.
+    kernel, pi = ESCAPE_FORMS[form]
     pi, t = np.array(pi), np.array(t)
     active = np.broadcast_to(np.floor(t * N * pi).astype(np.int64), (realizations, 2))
     rng = ef.replicate_rng(0, 0)
@@ -58,6 +66,35 @@ def test_xi_matches_counting_process_covariance(kernel, pi, N, t, realizations):
     se = products.std(axis=0, ddof=1) / np.sqrt(realizations)
     xi = ef.compute_xi(np.exp(-(t * pi) @ kernel.mu), t, np.zeros(2), pi, kernel.lam)
     assert np.all(np.abs(products.mean(axis=0) - xi) < 4 * se)
+
+
+@pytest.mark.parametrize("form", ESCAPE_FORMS)
+def test_u_matches_counting_process_slope(form):
+    # X_j(t)/(N pi_j), the infected fraction of the type-j susceptibles at
+    # exposure level t, has mean slope pi_i mu[i, j] sigma_j(t) in t_i, with
+    # sigma(t) = exp(-(t pi) mu); scaled by sqrt(pi_j / pi_i) that is
+    # (I - U)[i, j].  Each slope is the central difference of X over 2 * STEP
+    # more type-i infectives around c = rint((tau + zeta) N pi), from nested
+    # levels that share their draws, so its SE is the spread of one
+    # realization's difference.  Over seeds 0..39 no case fails; sigma taken
+    # at 1.1 c, or mu transposed, fails every case on every seed.
+    N, STEP, realizations, batch = 300, 6, 2_000, 500
+    kernel, pi = ESCAPE_FORMS[form]
+    pi = np.array(pi)
+    spec = ef.PopulationSpec(m=2, pi=pi, N=N, a=[1, 1])
+    center = np.rint((ef.solve_tau(kernel.mu, pi, spec.zeta).tau + spec.zeta) * N * pi)
+    # type i's count at c -+ STEP; + 0.5 keeps floor(level * N pi) off a rounding edge
+    levels = [(center + sign * STEP * np.eye(2)[i] + 0.5) / (N * pi)
+              for i in range(2) for sign in (-1, 1)]
+    rng = ef.replicate_rng(0, 0)
+    x = np.concatenate([evaluate_counting_process(spec, kernel, levels, batch, rng)
+                        for _ in range(realizations // batch)], axis=1)
+    # slope[r, i, j] of X_j / (N pi_j) in t_i, where t_i moves by 2 STEP / (N pi_i)
+    slope = (x[1::2] - x[0::2]).transpose(1, 0, 2) * pi[:, None] / (2 * STEP * pi[None, :])
+    scaled = slope * np.sqrt(pi[None, :] / pi[:, None])
+    se = scaled.std(axis=0, ddof=1) / np.sqrt(realizations)
+    u = ef.compute_u(np.exp(-(center / N) @ kernel.mu), kernel.mu, pi)
+    assert np.all(np.abs(scaled.mean(axis=0) - (np.eye(2) - u)) < 4 * se)
 
 
 def test_u_scalar_example():
