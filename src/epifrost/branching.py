@@ -21,7 +21,7 @@ call for the gamma family), and otherwise every parent's U, in runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -124,21 +124,25 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
 
     def h_and_jacobian(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hs = h(s)
-        return hs, np.stack([(hs - h(b)) / (s[j] - b[j]) for j, b in enumerate(s - back)], axis=1)
+        jac = np.empty((m, m))
+        for j, b in enumerate(s - back):
+            jac[:, j] = (hs - h(b)) / (s[j] - b[j])
+        return hs, jac
 
     if at_most_critical(compute_R(kernel.mu, pi)):
-        sol = ExtinctionSolution(q=np.ones(m), iterations=0, residual=0.0)
+        q, it, residual, bound = np.ones(m), 0, 0.0, 0.0
     else:
         q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(m), 1, 1.0,
                                                  tol, max_iter, "extinction-probability")
-        sol = ExtinctionSolution(q=np.clip(q, 0.0, 1.0), iterations=it, residual=residual,
-                                 error_bound=bound)
-    if a is None:
-        return sol
-    return replace(sol, major_outbreak_prob=major_outbreak_probability(sol, a))
+        q = np.clip(q, 0.0, 1.0)
+    return ExtinctionSolution(q=q, iterations=it, residual=residual, error_bound=bound,
+                              major_outbreak_prob=None if a is None else _major(q, a))
 
 
 def major_outbreak_probability(solution: ExtinctionSolution, a: np.ndarray) -> float:
     """Probability of a major outbreak from initial counts a: 1 - prod q_i^{a_i}."""
-    a = np.asarray(a, dtype=float)
-    return float(1.0 - np.prod(solution.q ** a))
+    return _major(solution.q, a)
+
+
+def _major(q: np.ndarray, a: np.ndarray) -> float:
+    return float(1.0 - np.prod(q ** np.asarray(a, dtype=float)))

@@ -100,10 +100,13 @@ def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, n
     """
     x = np.asarray(x0, dtype=float)
     eye = np.eye(len(x))
+    # the tests below on differences d, resolved once for the direction:
+    # direction * d >= c is ahead(d, direction * c), and < is back (negation is exact)
+    ahead, back = (np.greater_equal, np.less) if direction > 0 else (np.less_equal, np.greater)
     fx, jac = map_and_jacobian(x)
     residual = float(abs(step := fx - x).max())  # step: the Picard step
     for it in range(1, max_iter + 1):
-        if (direction * step < -1e-15).any():
+        if back(step, direction * -1e-15).any():
             raise RuntimeError(f"{what} iteration lost monotonicity")
         nxt, at_nxt = fx, None
         with np.errstate(all="ignore"):
@@ -112,13 +115,13 @@ def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, n
             except np.linalg.LinAlgError:
                 cand = fx
             # a NaN or infinite candidate fails one of these against finite fx and bound
-            inside = ((direction * (cand - fx) >= 0) & (direction * (bound - cand) >= 0)).all()
+            inside = (ahead(cand - fx, 0.0) & ahead(bound - cand, 0.0)).all()
         if inside:
             at_cand = map_and_jacobian(cand)
             # F(c) - c a few ulps on the wrong side is rounding noise at the root;
             # once a Picard step moves <= tol it ends the loop, and needs no slack
-            slack = 0.0 if residual <= tol else ULP_SLACK * np.maximum(abs(cand), 1.0)
-            if (direction * (at_cand[0] - cand) >= -slack).all():
+            slack = 0.0 if residual <= tol else -direction * ULP_SLACK * np.maximum(abs(cand), 1.0)
+            if ahead(at_cand[0] - cand, slack).all():
                 nxt, at_nxt = cand, at_cand
         delta = float(abs(nxt - x).max())
         x = nxt
@@ -149,17 +152,17 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
     mu = np.asarray(mu, dtype=float)
     pi = np.asarray(pi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    if np.any(mu < 0):
+    if (mu < 0).any():
         raise ValueError("mu must be nonnegative")
-    if np.any(zeta < 0):
+    if (zeta < 0).any():
         raise ValueError("zeta must be nonnegative")
     m = len(pi)
 
     R = compute_R(mu, pi)
     regime = _regime(R)
-    risk = not check_irreducibility(mu, pi) and bool(np.any(zeta == 0))
+    risk = not check_irreducibility(mu, pi) and bool((zeta == 0).any())
 
-    if np.all(zeta == 0) and at_most_critical(R):
+    if (zeta == 0).all() and at_most_critical(R):
         tau = np.zeros(m)
         return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=0,
                                      residual=0.0, regime=regime, error_bound=0.0,
@@ -182,9 +185,9 @@ def compute_R(mu: np.ndarray, pi: np.ndarray) -> float:
     """Spectral radius of M Pi from the dense eigenvalues of mu @ diag(pi)."""
     mu = np.asarray(mu, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    if np.any(mu < 0):
+    if (mu < 0).any():
         raise ValueError("mu must be nonnegative")
-    return float(np.max(np.abs(np.linalg.eigvals(mu * pi[None, :]))))
+    return float(abs(np.linalg.eigvals(mu * pi[None, :])).max())
 
 
 def check_irreducibility(mu: np.ndarray, pi: np.ndarray) -> bool:

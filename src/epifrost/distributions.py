@@ -232,10 +232,13 @@ def _quantile_rule(quantile: Callable[[np.ndarray, np.ndarray, np.ndarray], np.n
     """The rule of E[f(X)] = int_0^1 f(F^-1(u)) du: the tanh-sinh nodes through
     the quantile, a function of (z, u, 1 - u) so that either tail keeps its
     precision, and their weights.  Nodes are built on the first call."""
-    @functools.cache
+    memo = []
+
     def rule() -> tuple[np.ndarray, np.ndarray]:
-        z, u, v, w = _tanh_sinh()
-        return quantile(z, u, v), w
+        if not memo:
+            z, u, v, w = _tanh_sinh()
+            memo.append((quantile(z, u, v), w))
+        return memo[0]
 
     return rule
 

@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 
+# most products one block of a linear law's fold holds: 2 MiB of doubles, so that
+# at m <= 3 (9 terms) the fold of up to 5000 lines is a single block
+_FOLD_BLOCK = 1 << 18
+
+
 def _is_list_of(laws, m: int) -> bool:
     """Whether ``laws`` is a sequence of m entries, not a single law."""
     return not isinstance(laws, ScalarDist) and len(laws) == m
@@ -308,11 +313,11 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
     """The kernel of U_i = sum_j X_ij b[i][:, j], X_ij ~ laws[i][j] independent:
     mu[i] = b[i] E[X_i], lam[i] = b[i] diag(var X_i) b[i]^T and E[exp(theta . U_i)]
     = prod_j M_ij(theta . b[i][:, j]).  A draw of U multiplies its (type, group)
-    terms in one call and adds them over the leading axis in (type, group) order,
-    a reduction whose rounding of a row does not depend on the line count.  With
-    ``hazard``, V = 1 - exp(-U/N), and ``u_sum`` draws each line's summed X_ij from
-    that sum's law: the gamma family's Gamma(n k, scale) in one call, then one call
-    per other (i, j) with variance.
+    terms a bounded block at a time and adds them one after the other in (type,
+    group) order, a left fold whose rounding of a row does not depend on the line
+    count.  With ``hazard``, V = 1 - exp(-U/N), and ``u_sum`` draws each line's
+    summed X_ij from that sum's law: the gamma family's Gamma(n k, scale) in one
+    call, then one call per other (i, j) with variance.
     """
     m, _, groups = b.shape
     means = np.array([[x.mean for x in row] for row in laws])
@@ -322,16 +327,23 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
     columns = b.transpose(0, 2, 1).reshape(-1, m, 1)  # row (i, j): b[i][:, j] as (m, 1)
 
     def fold(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        # (terms, lines) draws -> (lines, m).  The product keeps the lines innermost,
-        # so numpy adds the terms one after the other (0 + t is t); summing an
-        # innermost axis would be pairwise, whose rounding changes with its length
-        return np.add.reduce(np.multiply(columns[rows], x[:, None, :], order="C"), axis=0).T
+        # (terms, lines) draws -> (lines, m).  A block keeps the lines innermost, so numpy
+        # adds its terms one after the other, the first onto the blocks before (acc + t is
+        # t + acc); summing an innermost axis would be pairwise, rounding with its length
+        terms = columns[rows]
+        n = _FOLD_BLOCK // (m * x.shape[1] or 1) or 1  # terms per block
+        acc = np.add.reduce(np.multiply(terms[:n], x[:n, None, :], order="C"), axis=0)
+        for k in range(n, len(terms), n):
+            block = np.multiply(terms[k:k + n], x[k:k + n, None, :], order="C")
+            block[0] += acc
+            acc = np.add.reduce(block, axis=0)
+        return acc.T
 
     def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return fold(np.array([x.sample(rng, n) for x in laws[i]]), slice(i * groups, (i + 1) * groups))
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
-        return float(math.prod(x.mgf(float(t)) for x, t in zip(laws[i], b[i].T @ theta)))
+        return float(math.prod(x.mgf(t) for x, t in zip(laws[i], (b[i].T @ theta).tolist())))
 
     if not hazard:
         return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,

@@ -80,7 +80,7 @@ class PopulationSpec:
         a = self.a
         if a is None and self.zeta is not None:  # a takes precedence over zeta
             zeta = np.asarray(self.zeta, dtype=float)
-            if zeta.shape != (self.m,) or not np.all((0 <= zeta) & (zeta < math.inf)):
+            if zeta.shape != (self.m,) or not ((0 <= zeta) & (zeta < math.inf)).all():
                 raise ValueError("zeta must be a finite nonnegative vector of length m")
             a = np.rint(zeta * self.N * pi)
         a = whole_numbers("a", np.zeros(self.m) if a is None else a, shape=(self.m,))  # a copy
@@ -99,7 +99,7 @@ def check_type_distribution(pi: np.ndarray) -> None:
     """Refuse type proportions unless strictly positive and summing to 1."""
     if not abs(pi.sum() - 1.0) <= 1e-12:  # so a NaN or infinite entry fails too
         raise ValueError(f"pi must sum to 1 within 1e-12, got sum={pi.sum()!r}")
-    if np.any(pi <= 0):
+    if (pi <= 0).any():
         raise ValueError("all type proportions must be strictly positive")
 
 
@@ -200,15 +200,17 @@ class InfectivityKernel:
             raise ValueError(f"lam must be ({self.m},{self.m},{self.m}), got {lam.shape}")
         if not 0 <= mu.min() <= mu.max() < math.inf:  # NaN fails too
             raise ValueError("mu must be finite and nonnegative")
-        if not np.abs(lam).max() < math.inf:
-            raise ValueError("lam must be finite")
-        lam_t = lam.transpose(0, 2, 1)  # every type in one pass; the first bad one is named
-        asymmetric = (np.abs(lam - lam_t) > 1e-9 + 1e-5 * np.abs(lam_t)).any(axis=(1, 2))
-        for i in np.flatnonzero(asymmetric | (np.linalg.eigvalsh((lam + lam_t) / 2)[:, 0] < -1e-9))[:1]:
-            raise ValueError(f"lam[{i}] must be {'symmetric' if asymmetric[i] else 'positive semidefinite'}")
+        deterministic = not lam.any()  # NaN and inf count as nonzero
+        if not deterministic:  # a zero lam is finite, symmetric and PSD
+            if not np.abs(lam).max() < math.inf:
+                raise ValueError("lam must be finite")
+            lam_t = lam.transpose(0, 2, 1)  # every type in one pass; the first bad one is named
+            asymmetric = (np.abs(lam - lam_t) > 1e-9 + 1e-5 * np.abs(lam_t)).any(axis=(1, 2))
+            for i in np.flatnonzero(asymmetric | (np.linalg.eigvalsh((lam + lam_t) / 2)[:, 0] < -1e-9))[:1]:
+                raise ValueError(f"lam[{i}] must be {'symmetric' if asymmetric[i] else 'positive semidefinite'}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "deterministic", not lam.any())
+        object.__setattr__(self, "deterministic", deterministic)
 
     def sample(self, infector_type: int, N: int, rng: np.random.Generator,
                size: Optional[int] = None) -> np.ndarray:
@@ -279,7 +281,7 @@ def constant_kernel(scaled: np.ndarray) -> InfectivityKernel:
     and lam = 0."""
     scaled = np.atleast_2d(np.asarray(scaled, dtype=float))
     m = scaled.shape[0]
-    if scaled.shape != (m, m) or not np.all((0 <= scaled) & (scaled < math.inf)):
+    if scaled.shape != (m, m) or not ((0 <= scaled) & (scaled < math.inf)).all():
         raise ValueError("mu, the scaled infectivity, must be a finite nonnegative square matrix")
     return table_kernel([(row[None, :], [1.0]) for row in scaled])
 
@@ -301,14 +303,15 @@ def table_kernel(rows: list[tuple[np.ndarray, np.ndarray]]) -> InfectivityKernel
             raise ValueError(f"row {i}: value vectors must have length m={m}")
         if vals.shape[0] != ps.shape[0]:
             raise ValueError(f"row {i}: values and probs must have matching length")
-        if not (np.all((0 <= vals) & (vals < math.inf)) and np.all(ps >= 0)
+        if not (((0 <= vals) & (vals < math.inf)).all() and (ps >= 0).all()
                 and abs(ps.sum() - 1.0) <= 1e-12):  # each test refuses NaN as well
             raise ValueError(f"row {i}: need finite nonnegative values and probs summing to 1")
         values.append(vals)
         probs.append(ps)
 
     mu = np.stack([p @ v for v, p in zip(values, probs)])
-    lam = np.stack([((v - mean) * p[:, None]).T @ (v - mean) for v, p, mean in zip(values, probs, mu)])
+    spread = [v - mean for v, mean in zip(values, mu)]
+    lam = np.stack([(d * p[:, None]).T @ d for d, p in zip(spread, probs)])
 
     # a type whose rows of positive probability are one vector draws nothing
     support = [vals[ps > 0] for vals, ps in zip(values, probs)]

@@ -193,33 +193,48 @@ def test_solve_tau_reducible_seeded_picks_largest_root():
     assert np.max(np.abs(sol.tau - r)) <= 1e-12
 
 
-# an affine monotone map F(x) = A x + c, increasing from 0 towards its fixed point
+# an affine monotone map F(x) = A x + c with its fixed point at (0.45, 0.575),
+# approached from below (from 0, bound 10) or from above (from 1, bound 0)
 NEWTON_A = np.array([[0.3, 0.2], [0.1, 0.4]])
 NEWTON_C = np.array([0.2, 0.3])
+NEWTON_SIDES = {"up": (0.0, 1, 10.0), "down": (1.0, -1, 0.0)}  # x0, direction, bound
 
 
-def _newton(jacobian, map_shift=0.0):
+def _newton(jacobian, side="up", map_shift=0.0):
+    x0, direction, bound = NEWTON_SIDES[side]
     return monotone_newton(lambda x: (NEWTON_A @ x + NEWTON_C + map_shift, jacobian(x)),
-                           np.zeros(2), 1, 10.0, 1e-12, 1000, "affine")
+                           np.full(2, x0), direction, bound, 1e-12, 1000, "affine")
 
 
-def test_monotone_newton_singular_jacobian_takes_picard_steps():
+@pytest.mark.parametrize("side", NEWTON_SIDES)
+def test_monotone_newton_singular_jacobian_takes_picard_steps(side):
     # I - J singular: every step is a Picard step, and the error bound is inf
-    x, it, residual, bound = _newton(lambda x: np.eye(2))
-    assert [v.hex() for v in x] == ["0x1.ccccccccc8888p-2", "0x1.2666666664444p-1"]
-    assert (it, residual.hex(), bound) == (39, "0x1.1120000000000p-41", float("inf"))
+    x, it, residual, bound = _newton(lambda x: np.eye(2), side)
+    assert ([v.hex() for v in x], residual.hex()) == {
+        "up": (["0x1.ccccccccc8888p-2", "0x1.2666666664444p-1"], "0x1.1120000000000p-41"),
+        "down": (["0x1.ccccccccd0889p-2", "0x1.2666666668444p-1"], "0x1.dde0000000000p-42"),
+    }[side]
+    assert (it, bound) == (39, float("inf"))
 
 
-def test_monotone_newton_refuses_a_nan_candidate():
-    # a NaN Jacobian at x0 gives a NaN candidate: the first step is F(x0) = c,
+@pytest.mark.parametrize("side", NEWTON_SIDES)
+def test_monotone_newton_refuses_a_nan_candidate(side):
+    # a NaN Jacobian at x0 gives a NaN candidate: the first step is F(x0),
     # then Newton on the affine map lands on the root
-    x, it, residual, bound = _newton(lambda x: NEWTON_A if x.any() else np.full((2, 2), np.nan))
-    assert [v.hex() for v in x] == ["0x1.ccccccccccccdp-2", "0x1.2666666666666p-1"]
-    assert (it, residual, bound.hex()) == (3, 0.0, "0x1.2666666666666p-47")
-    assert _newton(lambda x: NEWTON_A)[1] == 2  # the exact Jacobian needs no Picard step
+    x0 = NEWTON_SIDES[side][0]
+    x, it, residual, bound = _newton(
+        lambda x: NEWTON_A if (x != x0).any() else np.full((2, 2), np.nan), side)
+    assert ([v.hex() for v in x], residual.hex(), bound.hex()) == {
+        "up": (["0x1.ccccccccccccdp-2", "0x1.2666666666666p-1"], "0x0.0p+0", "0x1.2666666666666p-47"),
+        "down": (["0x1.ccccccccccccdp-2", "0x1.2666666666667p-1"], "0x1.0000000000000p-53",
+                 "0x1.2e66666666667p-47"),
+    }[side]
+    assert it == 3
+    assert _newton(lambda x: NEWTON_A, side)[1] == 2  # the exact Jacobian needs no Picard step
 
 
-def test_monotone_newton_raises_on_a_step_the_wrong_way():
-    # F(x0) < x0 while moving up
+@pytest.mark.parametrize("side", NEWTON_SIDES)
+def test_monotone_newton_raises_on_a_step_the_wrong_way(side):
+    # F(x0) on the far side of x0 from the direction of travel
     with pytest.raises(RuntimeError, match="affine iteration lost monotonicity"):
-        _newton(lambda x: NEWTON_A, map_shift=-1.0)
+        _newton(lambda x: NEWTON_A, side, map_shift=-NEWTON_SIDES[side][1])

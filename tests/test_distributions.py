@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import epifrost as ef
+from epifrost import distributions
 from epifrost.distributions import _tanh_sinh
 
 from oracles import beta_mgf_by_quadrature
@@ -152,6 +153,22 @@ def test_expect_values_are_pinned(law):
     values = np.concatenate([np.asarray(law.expect(f), dtype=float).ravel()
                              for f in EXPECT_FUNCTIONS.values()])
     assert [float(v).hex() for v in values] == EXPECT_PINS[law.name]
+
+
+def test_quantile_rules_are_built_lazily_and_once(monkeypatch):
+    # constructing a law evaluates no quantile; its first rule() builds the
+    # nodes, and every later call returns those same arrays
+    def refuse():
+        raise AssertionError("a quantile was evaluated at construction")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "_special", refuse)
+        laws = [ef.ScalarDist.gamma(2.5, 0.8), ef.ScalarDist.beta(2.0, 3.0),
+                ef.ScalarDist.uniform(0.5, 2.0), ef.ScalarDist.exponential(2.0)]
+    for law in laws:
+        values, weights = law.rule()
+        again = law.rule()
+        assert again[0] is values and again[1] is weights
 
 
 SUM_SIZES = [1, 7, 1000]

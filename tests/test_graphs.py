@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,8 +395,9 @@ def test_linear_kernel_row_does_not_depend_on_the_batch_size():
 
 
 def _fold_cases():
-    """_linear_kinds, the movers of MOVER_DOCS and two random gamma movers (m = 1
-    and m = 4, 16 terms), each with its b and its scalar laws X_ij."""
+    """_linear_kinds, the movers of MOVER_DOCS and three random gamma movers (m = 1,
+    m = 4 with 16 terms, and m = 16 with 256 terms, whose fold of 1000 lines spans
+    several blocks), each with its b and its scalar laws X_ij."""
     cases = _linear_kinds()
     for name, doc in MOVER_DOCS.items():
         b = np.array(doc["kernel"]["b"], dtype=float)
@@ -403,7 +405,7 @@ def _fold_cases():
                 for row in doc["kernel"]["sojourn"]]
         cases[name] = ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=b, sojourn=laws)), b, laws
     rng = np.random.default_rng(93)
-    for m in (1, 4):
+    for m in (1, 4, 16):
         b = rng.uniform(0.0, 3.0, (m, m, m))
         laws = [[ef.ScalarDist.gamma(*rng.uniform(0.2, 2.0, 2)) for _ in range(m)] for _ in range(m)]
         cases[f"mover_m{m}"] = ef.ball_clancy93_kernel(ef.BallClancy93Spec(b=b, sojourn=laws)), b, laws
@@ -463,6 +465,20 @@ def test_linear_kernel_adds_its_terms_in_order_whatever_the_line_count(name, lin
         assert np.array_equal(kernel.u_sampler(i, rng, lines), _left_fold(b[i].T, draws))
     if kernel.u_sum is not None:
         _check_u_sum(kernel.u_sum, laws, b, lines)
+
+
+def test_linear_kernel_fold_holds_a_bounded_block_of_products():
+    # 2000 lines of the m = 16 mover draw m^2 * 2000 doubles (3.9 MiB); the fold
+    # multiplies them a block at a time, not all m^3 * 2000 products (62.5 MiB)
+    kernel = _fold_cases()["mover_m16"][0]
+    active = np.random.default_rng(16).integers(0, 6, (2000, 16))
+    tracemalloc.start()
+    try:
+        kernel.u_sum(_fresh(16), active)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 16 * 2000 * 8
 
 
 def test_a_pairwise_sum_of_the_terms_fails_the_fold_check():

@@ -492,6 +492,16 @@ def test_exponential_theory_output_matches_golden_sha256(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("name, command, sha", [
+    # constant kernels: m = 1 and m = 2, and solve near R = 1
+    ("reed_frost", "solve", "ef94d240090882fbc07bf9cdbc9ba1ae05a142794dd59c1acb0d0d0dbbbbdbd8"),
+    ("reed_frost", "extinction", "a69fcd25ec71d846f6d4c2af048855a0e6bd075ad884655acfe3356d2ff277de"),
+    ("reed_frost", "clt", "ee99547b08f23b36710c74a55efbe646571bf020ff706e70a2eb3ccc9783adff"),
+    ("constant_two_type", "solve", "cf4cf8228cac0a3f659de9e4d57353ceee9a6a2a1a71c1aab419e467c3d09861"),
+    ("constant_two_type", "extinction",
+     "42850cf65b30dc1487c1299bc91e20cb7ce727c06536ccd1406ae023aa67bd54"),
+    ("constant_two_type", "clt", "7cfcbefdfbfa167e7c08859d112ed5224875f9fb34eaaa4c9209df2cefb10563"),
+    ("near_critical_two_type", "solve",
+     "688797c6f71813127b4b7e99cd32ea55c8e301e1554ac08660ec6c7b9c6200c3"),
     ("mover", "solve", "68fc6aaba7682595d9366ce5e72402f1d04c60dcf0089633fc46493624149e78"),
     ("mover", "graph", "ca78f7c35161fb4b94b105acf0b31b3a38f0c75271174e6e8a25dc2e5c37465a"),
     ("dynamic_graph", "solve", "d58772cb4cb4c7c5479247c7da180c0509bed56e60aebe428d95e76918255153"),
