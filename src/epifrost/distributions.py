@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,18 +77,18 @@ class ScalarDist:
         v = float(value)
         if not 0 <= v < math.inf:  # each check refuses NaN as well
             raise ValueError(f"constant distribution needs value >= 0 and finite, got {v}")
-        return replace(ScalarDist.discrete([v], [1.0]), name=f"constant({v})")
+        return _atoms(f"constant({v})", np.array([v]), np.array([1.0]))
 
     @staticmethod
     def exponential(mean: float) -> "ScalarDist":
         m = float(mean)
         if not 0 < m < math.inf:
             raise ValueError(f"exponential distribution needs mean > 0 and finite, got {m}")
-        return replace(ScalarDist.gamma(1.0, m), name=f"exponential(mean={m})",
-                       # gamma's pow can be an ulp off these, which moves extinction q
-                       mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
-                       # -m log(1 - u) = m log(1 + e^z) for u = expit(z): no gammaincinv nodes
-                       rule=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)))
+        return _gamma(f"exponential(mean={m})", 1.0, m,
+                      # gamma's pow can be an ulp off these, which moves extinction q
+                      mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
+                      # -m log(1 - u) = m log(1 + e^z) for u = expit(z): no gammaincinv nodes
+                      quantile=lambda z, u, v: m * np.logaddexp(0.0, z))
 
     @staticmethod
     def gamma(shape: float, scale: float) -> "ScalarDist":
@@ -96,18 +96,11 @@ class ScalarDist:
         if not (0 < k < math.inf and 0 < s < math.inf):
             raise ValueError(f"gamma distribution needs finite shape > 0 and scale > 0, "
                              f"got shape={k}, scale={s}")
-        return ScalarDist(
-            name=f"gamma(shape={k}, scale={s})",
-            mean=k * s,
-            var=k * s * s,
-            sample=lambda rng, size: rng.gamma(k, s, size),
-            sample_sum=lambda rng, n: rng.standard_gamma(n * k) * s,  # = rng.gamma(n * k, s)
-            mgf=lambda t: float((1.0 - s * t) ** (-k)),
-            mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
-            rule=_quantile_rule(lambda z, u, v: s * np.where(
-                z < 0, _special().gammaincinv(k, u), _special().gammainccinv(k, v))),
-            gamma_shape_scale=(k, s),
-        )
+        return _gamma(f"gamma(shape={k}, scale={s})", k, s,
+                      mgf=lambda t: float((1.0 - s * t) ** (-k)),
+                      mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
+                      quantile=lambda z, u, v: s * np.where(
+                          z < 0, _special().gammaincinv(k, u), _special().gammainccinv(k, v)))
 
     @staticmethod
     def bernoulli(p: float) -> "ScalarDist":
@@ -176,19 +169,39 @@ class ScalarDist:
         if not (np.all((0 <= vals) & (vals < np.inf)) and np.all(ps >= 0)
                 and abs(ps.sum() - 1.0) <= 1e-12):
             raise ValueError("discrete distribution needs finite values >= 0 and probs summing to 1")
-        mean = float(vals @ ps)
-        var = float((vals - mean) ** 2 @ ps)
-        return ScalarDist(
-            name=f"discrete({vals.tolist()})",
-            mean=mean,
-            var=var,
-            sample=lambda rng, size: rng.choice(vals, size=size, p=ps),
-            sample_sum=lambda rng, n: (rng.multinomial(n, ps) * vals).sum(axis=-1),
-            mgf=lambda t: float(np.exp(t * vals) @ ps),
-            mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
-            rule=lambda: (vals, ps),
-            support_max=float(vals.max()),
-        )
+        return _atoms(f"discrete({vals.tolist()})", vals, ps)
+
+
+def _gamma(name: str, k: float, s: float, mgf: Callable, mgf_prime: Callable,
+           quantile: Callable) -> ScalarDist:
+    """The gamma(k, s) law under ``name``, with M, M' and the quantile given."""
+    return ScalarDist(
+        name=name,
+        mean=k * s,
+        var=k * s * s,
+        sample=lambda rng, size: rng.gamma(k, s, size),
+        sample_sum=lambda rng, n: rng.standard_gamma(n * k) * s,  # = rng.gamma(n * k, s)
+        mgf=mgf,
+        mgf_prime=mgf_prime,
+        rule=_quantile_rule(quantile),
+        gamma_shape_scale=(k, s),
+    )
+
+
+def _atoms(name: str, vals: np.ndarray, ps: np.ndarray) -> ScalarDist:
+    """The law of finitely many atoms, checked values ``vals`` with probabilities ``ps``."""
+    mean = float(vals @ ps)
+    return ScalarDist(
+        name=name,
+        mean=mean,
+        var=float((vals - mean) ** 2 @ ps),
+        sample=lambda rng, size: rng.choice(vals, size=size, p=ps),
+        sample_sum=lambda rng, n: (rng.multinomial(n, ps) * vals).sum(axis=-1),
+        mgf=lambda t: float(np.exp(t * vals) @ ps),
+        mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
+        rule=lambda: (vals, ps),
+        support_max=float(vals.max()),
+    )
 
 
 def run_sums(draw: Callable[[int], np.ndarray], counts, shape: tuple = ()) -> np.ndarray:

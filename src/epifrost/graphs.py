@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .deterministic import check_irreducibility
 from .distributions import ScalarDist
-from .kernel import Allocation, FreshFn, InfectivityKernel, check_type_distribution
+from .kernel import Allocation, FreshFn, InfectivityKernel, USamplerFn, check_type_distribution
 
 __all__ = [
     "StaticGraphSpec",
@@ -113,10 +113,10 @@ def _graph_kernel(alpha: np.ndarray, w: ScalarDist, shared: bool) -> Infectivity
     if shared:
         return _linear_kernel(alpha[:, :, None], [[w]] * m, hazard=False,
                               max_scaled=float(alpha.max()))
-    kernel = _linear_kernel(alpha[:, :, None] * np.eye(m), [[w] * m] * m, hazard=False,
-                            max_scaled=float(alpha.max()))
     # a batch's W in one row-major call, not one call per column: rows are prefixes
-    return replace(kernel, u_sampler=lambda i, rng, n: w.sample(rng, (n, m)) * alpha[i])
+    return _linear_kernel(alpha[:, :, None] * np.eye(m), [[w] * m] * m, hazard=False,
+                          max_scaled=float(alpha.max()),
+                          u_sampler=lambda i, rng, n: w.sample(rng, (n, m)) * alpha[i])
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +309,17 @@ def ball_clancy93_kernel(spec: BallClancy93Spec) -> InfectivityKernel:
 
 
 def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: bool,
-                   max_scaled: float = math.inf) -> InfectivityKernel:
+                   max_scaled: float = math.inf,
+                   u_sampler: Optional[USamplerFn] = None) -> InfectivityKernel:
     """The kernel of U_i = sum_j X_ij b[i][:, j], X_ij ~ laws[i][j] independent:
     mu[i] = b[i] E[X_i], lam[i] = b[i] diag(var X_i) b[i]^T and E[exp(theta . U_i)]
     = prod_j M_ij(theta . b[i][:, j]).  A draw of U multiplies its (type, group)
     terms a bounded block at a time and adds them one after the other in (type,
     group) order, a left fold whose rounding of a row does not depend on the line
-    count.  With ``hazard``, V = 1 - exp(-U/N), and ``u_sum`` draws each line's
-    summed X_ij from that sum's law: the gamma family's Gamma(n k, scale) in one
-    call, then one call per other (i, j) with variance.
+    count, unless ``u_sampler`` draws U itself.  With ``hazard``, V = 1 - exp(-U/N),
+    and ``u_sum`` draws each line's summed X_ij from that sum's law: the gamma
+    family's Gamma(n k, scale) in one call, then one call per other (i, j) with
+    variance.
     """
     m, _, groups = b.shape
     means = np.array([[x.mean for x in row] for row in laws])
@@ -339,8 +341,10 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
             acc = np.add.reduce(block, axis=0)
         return acc.T
 
-    def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return fold(np.array([x.sample(rng, n) for x in laws[i]]), slice(i * groups, (i + 1) * groups))
+    if u_sampler is None:
+        def u_sampler(i: int, rng: np.random.Generator, n: int) -> np.ndarray:
+            return fold(np.array([x.sample(rng, n) for x in laws[i]]),
+                        slice(i * groups, (i + 1) * groups))
 
     def u_mgf(i: int, theta: np.ndarray) -> float:
         return float(math.prod(x.mgf(t) for x, t in zip(laws[i], (b[i].T @ theta).tolist())))
@@ -349,7 +353,8 @@ def _linear_kernel(b: np.ndarray, laws: Sequence[Sequence[ScalarDist]], hazard: 
         return InfectivityKernel(m=m, mu=mu, lam=lam, u_sampler=u_sampler, u_mgf=u_mgf,
                                  max_scaled=max_scaled)
 
-    shape, scale = np.moveaxis([[x.gamma_shape_scale or (0.0, 1.0) for x in row] for row in laws], 2, 0)
+    shape, scale = np.array([[x.gamma_shape_scale or (0.0, 1.0) for x in row]
+                             for row in laws]).transpose(2, 0, 1)
     some_gamma = shape.any()  # a gamma law's shape is positive
     others = [(i * groups + j, i, x) for i, row in enumerate(laws) for j, x in enumerate(row)
               if not x.gamma_shape_scale]  # the terms drawn one call each, in (type, group) order

@@ -12,7 +12,7 @@ failure rate across a suite stays negligible.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import branching, clt, deterministic
-from .config import ExperimentConfig, json_arrays
+from .config import ExperimentConfig, json_text
 from .errors import InsufficientDataError
 from .kernel import InfectivityKernel
 from .simulator import Ensemble, replicate_rng, run_ensemble
@@ -29,7 +29,6 @@ __all__ = [
     "OutbreakStatistics",
     "CheckResult",
     "ValidationReport",
-    "json_default",
     "estimate_outbreak_statistics",
     "write_records",
     "simulate_ensemble",
@@ -133,15 +132,8 @@ class ValidationReport:
 
     @cached_property
     def _json(self) -> str:  # encoded once: ``validate`` writes and prints this string
-        return json.dumps(self, indent=2, default=json_default)
-
-
-def json_default(obj):
-    """``json.dumps``'s ``default``: a validation report as its verdict and its
-    checks' fields, and numpy arrays and scalars as ``config.json_arrays`` does."""
-    if isinstance(obj, ValidationReport):
-        return {"all_passed": obj.all_passed, "checks": [asdict(c) for c in obj.checks]}
-    return json_arrays(obj)
+        # its verdict and each check's fields, the arrays written as they stand
+        return json_text({"all_passed": self.all_passed, "checks": [vars(c) for c in self.checks]})
 
 
 def _check_lln(stats: OutbreakStatistics, tau: np.ndarray) -> CheckResult:

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
 import epifrost as ef
 from epifrost import distributions
-from epifrost.distributions import _tanh_sinh
+from epifrost.distributions import _quantile_rule, _tanh_sinh
 
 from oracles import beta_mgf_by_quadrature
 
@@ -319,3 +321,34 @@ def test_special_cases_keep_their_names_and_checks():
     for scaled in (np.ones((2, 3)), -np.ones((2, 2))):
         with pytest.raises(ValueError, match="nonnegative square matrix"):
             ef.constant_kernel(scaled)
+
+
+def _replaced_exponential(m: float) -> ef.ScalarDist:
+    """exponential(m) as it was once built: gamma(1, m) with its name, M, M' and rule replaced."""
+    return replace(ef.ScalarDist.gamma(1.0, m), name=f"exponential(mean={m})",
+                   mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
+                   rule=_quantile_rule(lambda z, u, v: m * np.logaddexp(0.0, z)))
+
+
+def _replaced_constant(v: float) -> ef.ScalarDist:
+    """constant(v) as it was once built: discrete([v], [1]) with its name replaced."""
+    return replace(ef.ScalarDist.discrete([v], [1.0]), name=f"constant({v})")
+
+
+@pytest.mark.parametrize("law, reference", [
+    *((ef.ScalarDist.exponential(m), _replaced_exponential(m)) for m in (1e-3, 0.25, 1.0, 2.0, 37.5)),
+    *((ef.ScalarDist.constant(v), _replaced_constant(v)) for v in (0.0, 0.4, 1.5, 1e6)),
+], ids=lambda law: law.name)
+def test_direct_laws_equal_the_replaced_ones(law, reference):
+    for attr in ("name", "mean", "var", "support_max", "gamma_shape_scale", "is_constant"):
+        assert getattr(law, attr) == getattr(reference, attr)
+    for t in (0.0, -0.3, -2.0, -50.0, -1e4):
+        assert float(law.mgf(t)).hex() == float(reference.mgf(t)).hex()
+        assert float(law.mgf_prime(t)).hex() == float(reference.mgf_prime(t)).hex()
+    for mine, theirs in zip(law.rule(), reference.rule()):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    for size in (1, 1000, (40, 3)):
+        rng, again = ef.replicate_rng(19, 0), ef.replicate_rng(19, 0)
+        assert np.array_equal(law.sample(rng, size), reference.sample(again, size))
+        assert np.array_equal(law.sample_sum(rng, COUNTS), reference.sample_sum(again, COUNTS))
+        assert rng.random() == again.random()

@@ -7,9 +7,8 @@ import pytest
 from scipy import integrate, stats
 
 import epifrost as ef
-from epifrost.config import LAWS
+from epifrost.config import LAWS, json_arrays
 from epifrost.graphs import _dynamic_scaled_u
-from epifrost.harness import json_default
 
 from oracles import (MU_DYN_UNIT, beta_mgf_by_quadrature, dense_spectral_radius,
                      dynamic_edge_mean_mc, minimal_root)
@@ -42,10 +41,10 @@ def test_static_degenerate_w_draws_nothing(w):
     # V is almost surely constant, so sampling it leaves the stream untouched
     kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(alpha=np.full((2, 2), 1.5), w=w))
     rng = np.random.Generator(np.random.Philox(7))
-    before = json.dumps(rng.bit_generator.state, default=json_default)
+    before = json.dumps(rng.bit_generator.state, default=json_arrays)
     assert np.all(kernel.sample(0, 100, rng) == 1.5 * w.mean / 100)
     assert np.all(kernel.sample(1, 100, rng, size=5) == 1.5 * w.mean / 100)
-    assert json.dumps(rng.bit_generator.state, default=json_default) == before
+    assert json.dumps(rng.bit_generator.state, default=json_arrays) == before
 
 
 def test_static_bernoulli_w_moments():
@@ -65,6 +64,38 @@ def test_static_shared_vs_independent_w():
                        np.diagonal(shared.lam, axis1=1, axis2=2))
     assert indep.lam[0, 0, 1] == 0.0
     assert shared.lam[0, 0, 1] == pytest.approx(alpha[0, 0] * alpha[0, 1] * w.var)
+
+
+GRAPH_BUILDS = {
+    "static_independent": lambda w: ef.static_bernoulli_kernel(
+        ef.StaticGraphSpec(alpha=[[2.0, 0.5], [0.5, 1.0]], w=w)),
+    "static_shared": lambda w: ef.static_bernoulli_kernel(
+        ef.StaticGraphSpec(alpha=[[2.0, 0.5], [0.5, 1.0]], w=w, w_mode="shared")),
+    "mixed": lambda w: ef.mixed_bernoulli_kernel(ef.MixedGraphSpec([1.0, 2.0], [0.4, 0.6], w))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_BUILDS))
+def test_graph_kernels_are_checked_once(monkeypatch, name):
+    # a graph kernel is built in one construction: its lam's symmetry and PSD
+    # tests run once
+    checks = []
+    check = ef.InfectivityKernel.__post_init__
+    monkeypatch.setattr(ef.InfectivityKernel, "__post_init__",
+                        lambda kernel: (checks.append(kernel), check(kernel))[1])
+    kernel = GRAPH_BUILDS[name](ef.ScalarDist.beta(2.0, 3.0))
+    assert checks == [kernel] and not kernel.deterministic
+
+
+def test_independent_w_draws_one_row_major_call():
+    alpha = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 3.0], [0.0, 3.0, 1.5]])
+    w = ef.ScalarDist.beta(2.0, 3.0)
+    kernel = ef.static_bernoulli_kernel(ef.StaticGraphSpec(alpha=alpha, w=w))
+    for i in range(3):
+        for n in (1, 7, 500):
+            rng, reference = ef.replicate_rng(11, n), ef.replicate_rng(11, n)
+            assert np.array_equal(kernel.u_sampler(i, rng, n), w.sample(reference, (n, 3)) * alpha[i])
+            assert rng.random() == reference.random()
 
 
 def test_static_rejects_bad_alpha():
