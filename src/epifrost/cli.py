@@ -9,8 +9,10 @@
 
 Each command maps the loaded config to one payload, which ``main`` prints as
 one JSON object; ``validate`` prints the report it writes next to the records.
-A command imports the layers it runs when it runs, so ``solve`` never loads
-the simulator.
+``solve``, ``extinction`` and ``clt`` print the config's theory
+(``ExperimentConfig.attack_rate``, ``extinction``, ``asymptotics``), each
+part solved on its first read.  A command imports the layers it runs when it
+runs, so ``solve`` never loads the simulator and ``graph`` solves nothing.
 Exit codes: 0 success (all enabled checks pass), 1 check failure,
 2 configuration error, 3 numerical failure.
 """
@@ -24,7 +26,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import deterministic
 from .config import ExperimentConfig, json_text, parse_config, read_document
 from .errors import ConvergenceError, SingularMatrixError
 
@@ -50,13 +51,8 @@ def _simulate(config: ExperimentConfig) -> dict:
     }
 
 
-def _tau(config: ExperimentConfig) -> deterministic.DeterministicSolution:
-    return deterministic.solve_tau(config.kernel.mu, config.population.pi,
-                                   config.population.zeta)
-
-
 def _solve(config: ExperimentConfig) -> dict:
-    sol = _tau(config)
+    sol = config.attack_rate
     return {
         "tau": sol.tau,
         "sigma": sol.sigma,
@@ -70,10 +66,7 @@ def _solve(config: ExperimentConfig) -> dict:
 
 
 def _extinction(config: ExperimentConfig) -> dict:
-    from . import branching
-
-    sol = branching.extinction_probability(config.kernel, config.population.pi,
-                                           a=config.population.a)
+    sol = config.extinction
     return {
         "q": sol.q,
         "major_outbreak_prob": sol.major_outbreak_prob,
@@ -85,12 +78,7 @@ def _extinction(config: ExperimentConfig) -> dict:
 
 
 def _clt(config: ExperimentConfig) -> dict:
-    from . import clt
-
-    summary = clt.asymptotic_covariance(config.kernel.mu, config.kernel.lam,
-                                        config.population.pi, _tau(config).tau,
-                                        config.population.zeta,
-                                        allocation=config.population.allocation)
+    summary = config.asymptotics
     return {
         "sigma": np.diag(summary.sigma_diag),
         "xi": summary.xi,
@@ -103,6 +91,8 @@ def _clt(config: ExperimentConfig) -> dict:
 
 
 def _graph(config: ExperimentConfig) -> dict:
+    from . import deterministic
+
     kernel = config.kernel
     return {
         "kind": config.kernel_kind,

@@ -99,7 +99,6 @@ def asymptotic_covariance(mu: np.ndarray, lam: np.ndarray, pi: np.ndarray,
     tau = np.asarray(tau, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     sigma = 1.0 - tau
-    m = len(pi)
     allocation = Allocation(allocation)
 
     xi = compute_xi(sigma, tau, zeta, pi, lam)
@@ -111,7 +110,7 @@ def asymptotic_covariance(mu: np.ndarray, lam: np.ndarray, pi: np.ndarray,
                    * alloc_cov
                    * (1.0 - sigma)[None, :] * inv_sqrt_pi[None, :])
     else:
-        upsilon = np.zeros((m, m))
+        upsilon = np.zeros_like(xi)
 
     u_inv = np.linalg.inv(u)
     cov = u_inv.T @ (xi + upsilon) @ u_inv

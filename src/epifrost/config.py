@@ -19,6 +19,10 @@ kind in ``KINDS``, a ``custom_table`` row, a scalar law in ``LAWS``) is one
 JSON object whose fields are the parameters of the function that builds it
 (``_build``).  Kinds that assign types at random (mixed_bernoulli,
 ball_clancy95) force multinomial allocation and supply pi themselves.
+
+A config holds its theory: tau (``attack_rate``), q (``extinction``) and the
+Gaussian limit (``asymptotics``), each solved on its first read, kept on the
+config and importing its layer only then, so loading a config solves nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -37,6 +41,9 @@ from .distributions import ScalarDist
 from .errors import ConfigError
 from .kernel import (Allocation, InfectivityKernel, PopulationSpec, constant_kernel, table_kernel,
                      whole_numbers)
+
+if TYPE_CHECKING:
+    from . import branching, clt, deterministic
 
 __all__ = ["ExperimentConfig", "VALID_CHECKS", "read_document", "load_config", "parse_config",
            "build_kernel", "json_arrays", "json_text"]
@@ -55,6 +62,28 @@ class ExperimentConfig:
     output_path: Optional[Path] = None
     output_format: str = "csv"
     checks: tuple[str, ...] = ()
+
+    # the theory; each solver is looked up on its module at the first read, as a tracer rebinds it
+    @functools.cached_property
+    def attack_rate(self) -> deterministic.DeterministicSolution:
+        """The deterministic fixed point tau of (mu, pi, zeta)."""
+        from . import deterministic
+        return deterministic.solve_tau(self.kernel.mu, self.population.pi, self.population.zeta)
+
+    @functools.cached_property
+    def extinction(self) -> branching.ExtinctionSolution:
+        """The extinction probabilities q of the branching approximation, seeded by a."""
+        from . import branching
+        return branching.extinction_probability(self.kernel, self.population.pi,
+                                                a=self.population.a)
+
+    @functools.cached_property
+    def asymptotics(self) -> clt.AsymptoticSummary:
+        """The Gaussian limit of the final-size fractions around ``attack_rate``'s tau."""
+        from . import clt
+        pop, kernel = self.population, self.kernel
+        return clt.asymptotic_covariance(kernel.mu, kernel.lam, pop.pi, self.attack_rate.tau,
+                                         pop.zeta, allocation=pop.allocation)
 
 
 @functools.cache  # one signature read per builder, not one per config

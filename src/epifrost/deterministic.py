@@ -73,12 +73,6 @@ def at_most_critical(R: float) -> bool:
     return R <= 1.0 + CRITICAL_TOL
 
 
-def _regime(R: float) -> Regime:
-    if abs(R - 1.0) <= CRITICAL_TOL:
-        return Regime.CRITICAL
-    return Regime.SUPERCRITICAL if R > 1.0 else Regime.SUBCRITICAL
-
-
 def monotone_newton(map_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                     x0: np.ndarray, direction: int, bound: float, tol: float, max_iter: int,
                     what: str) -> tuple[np.ndarray, int, float, float]:
@@ -152,21 +146,14 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
     mu = np.asarray(mu, dtype=float)
     pi = np.asarray(pi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    if (mu < 0).any():
-        raise ValueError("mu must be nonnegative")
+    R = compute_R(mu, pi)  # raises first on a negative mu
     if (zeta < 0).any():
         raise ValueError("zeta must be nonnegative")
     m = len(pi)
 
-    R = compute_R(mu, pi)
-    regime = _regime(R)
+    regime = (Regime.CRITICAL if abs(R - 1.0) <= CRITICAL_TOL
+              else Regime.SUPERCRITICAL if R > 1.0 else Regime.SUBCRITICAL)
     risk = not check_irreducibility(mu, pi) and bool((zeta == 0).any())
-
-    if (zeta == 0).all() and at_most_critical(R):
-        tau = np.zeros(m)
-        return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=0,
-                                     residual=0.0, regime=regime, error_bound=0.0,
-                                     nonuniqueness_risk=risk)
 
     rate = (mu * pi[:, None]).T  # rate[i, k] = pi_k mu[k, i]
 
@@ -174,8 +161,11 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
         s = rate @ (t + zeta)
         return -np.expm1(-s), np.exp(-s)[:, None] * rate
 
-    tau, it, residual, bound = monotone_newton(attack_map, np.ones(m), -1, 0.0,
-                                               tol, max_iter, "attack-rate")
+    if (zeta == 0).all() and at_most_critical(R):
+        tau, it, residual, bound = np.zeros(m), 0, 0.0, 0.0
+    else:
+        tau, it, residual, bound = monotone_newton(attack_map, np.ones(m), -1, 0.0,
+                                                   tol, max_iter, "attack-rate")
     return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=it,
                                  residual=residual, regime=regime, error_bound=bound,
                                  nonuniqueness_risk=risk)

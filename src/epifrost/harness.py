@@ -1,12 +1,13 @@
 """Experiment orchestration: ensembles, summary statistics, theory checks.
 
-``run_experiment`` resolves the configured population, runs the ensemble,
-computes the deterministic / branching / Gaussian theory for the same
-inputs, executes the enabled checks and writes both the per-replicate
-records (CSV or JSON lines) and a JSON validation report.  Each check
-reports its theoretical value, empirical estimate, standard error and the
-tolerance actually applied; tolerances use 4-sigma bands so the false
-failure rate across a suite stays negligible.
+``run_experiment`` runs the configured ensemble, then executes the enabled
+checks against the config's theory (``ExperimentConfig.attack_rate``,
+``extinction``, ``asymptotics``, each solved on its first read, so a run
+solves only what its checks read) and writes both the per-replicate records
+(CSV or JSON lines) and a JSON validation report.  Each check reports its
+theoretical value, empirical estimate, standard error and the tolerance
+actually applied; tolerances use 4-sigma bands so the false failure rate
+across a suite stays negligible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import branching, clt, deterministic
+from . import branching, clt
 from .config import ExperimentConfig, json_text
 from .errors import InsufficientDataError
 from .kernel import InfectivityKernel
@@ -242,29 +243,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[Optional[Path], Validation
     caller; check failures only show up as failed entries in the report.
     """
     pop = config.population
-    kernel = config.kernel
     ensemble, stats = simulate_ensemble(config)
+    # each check reads only the parts of the config's theory it compares against
+    checks = {
+        "lln": lambda: _check_lln(stats, config.attack_rate.tau),
+        "major_prob": lambda: _check_major_prob(stats, config.extinction.major_outbreak_prob),
+        "clt": lambda: _check_clt(ensemble, config.attack_rate.tau, config.asymptotics,
+                                  pop.N, pop.pi),
+        "branching_tv": lambda: _check_branching_tv(ensemble, config.kernel, pop.pi, pop.a,
+                                                    config.seed),
+    }
+    report = ValidationReport(checks=[checks[name]() for name in config.checks])
     records_path = config.output_path
-
-    checks: list[CheckResult] = []
-    if config.checks:
-        solution = deterministic.solve_tau(kernel.mu, pop.pi, pop.zeta)
-        for name in config.checks:
-            if name == "lln":
-                checks.append(_check_lln(stats, solution.tau))
-            elif name == "major_prob":
-                ext = branching.extinction_probability(kernel, pop.pi, a=pop.a)
-                checks.append(_check_major_prob(stats, ext.major_outbreak_prob))
-            elif name == "clt":
-                summary = clt.asymptotic_covariance(kernel.mu, kernel.lam, pop.pi,
-                                                    solution.tau, pop.zeta,
-                                                    allocation=pop.allocation)
-                checks.append(_check_clt(ensemble, solution.tau, summary, pop.N, pop.pi))
-            elif name == "branching_tv":
-                checks.append(_check_branching_tv(ensemble, kernel, pop.pi, pop.a,
-                                                  config.seed))
-
-    report = ValidationReport(checks=checks)
     if records_path is not None:
         report_path = records_path.with_suffix(records_path.suffix + ".report.json")
         report_path.write_text(report.to_json())

@@ -892,14 +892,58 @@ def test_load_config_of_gamma_lifetimes_leaves_out_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # exactly critical kernel: tau = 0, sigma = 1 makes the transport matrix
-    # singular, which the clt command must surface as a numerical failure
+@pytest.mark.parametrize("command, code",
+                         [("solve", 0), ("extinction", 0), ("clt", 3), ("graph", 0)])
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, command, code):
+    # exactly critical kernel, no seeds: tau = 0, sigma = 1 makes the transport matrix
+    # singular, which the clt command must surface as a numerical failure; the other
+    # commands never solve the Gaussian limit, so they print theirs
     doc = _base_config(tmp_path, kernel={"kind": "constant", "mu": [[1.0]]})
     doc["population"]["a"] = [0]
     path = _write_config(tmp_path, doc, "critical.json")
-    assert cli.main(["clt", "--config", path]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert cli.main([command, "--config", path]) == code
+    assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
+
+
+SOLVERS = (("deterministic", "solve_tau"), ("branching", "extinction_probability"),
+           ("clt", "asymptotic_covariance"))
+
+
+def _logged(log: list, name: str, function):
+    def logged(*args, **kwargs):
+        log.append(name)
+        return function(*args, **kwargs)
+    return logged
+
+
+@pytest.mark.parametrize("entry, checks, calls", [
+    ("load_config", [], (0, 0, 0)),
+    ("solve", [], (1, 0, 0)),
+    ("extinction", [], (0, 1, 0)),
+    ("clt", [], (1, 0, 1)),
+    ("graph", [], (0, 0, 0)),
+    ("validate", ["lln", "major_prob", "clt", "branching_tv"], (1, 1, 1)),
+    ("validate", ["lln"], (1, 0, 0)),
+    ("validate", ["branching_tv"], (0, 0, 0)),
+])
+def test_each_entry_point_solves_only_the_theory_it_reads_and_once(tmp_path, capsys, monkeypatch,
+                                                                   entry, checks, calls):
+    # calls of (solve_tau, extinction_probability, asymptotic_covariance), logged
+    # through the module attributes the config's theory looks up when first read
+    log = []
+    for module, name in SOLVERS:
+        home = getattr(ef, module)
+        monkeypatch.setattr(home, name, _logged(log, name, getattr(home, name)))
+    monkeypatch.setattr(harness, "simulate_ensemble",
+                        _logged(log, "ensemble", harness.simulate_ensemble))
+    path = _write_config(tmp_path, _base_config(tmp_path, checks=checks))
+    if entry == "load_config":
+        ef.load_config(path)
+    else:
+        assert cli.main([entry, "--config", path]) in (0, 1)
+    assert tuple(log.count(name) for _, name in SOLVERS) == calls
+    if entry == "validate":  # the ensemble and its records first, then the solves
+        assert log[0] == "ensemble"
 
 
 def test_cli_solve_extinction_clt_graph(tmp_path, capsys):
