@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, json_text, parse_config, read_document
+from .config import ExperimentConfig, json_arrays, parse_config, read_document
 from .errors import ConvergenceError, SingularMatrixError
 
 if TYPE_CHECKING:
@@ -164,7 +165,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "validate":  # its report, the string written next to the records
         print(payload.to_json())
         return EXIT_OK if payload.all_passed else EXIT_CHECK_FAILURE
-    print(json_text(payload))
+    print(json.dumps(payload, indent=2, default=json_arrays))
     return EXIT_OK
 
 

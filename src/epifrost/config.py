@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from . import branching, clt, deterministic
 
 __all__ = ["ExperimentConfig", "VALID_CHECKS", "read_document", "load_config", "parse_config",
-           "build_kernel", "json_arrays", "json_text"]
+           "build_kernel", "json_arrays"]
 
 VALID_CHECKS = ("lln", "major_prob", "clt", "branching_tv")
 
@@ -265,72 +265,6 @@ def json_arrays(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names for these
-_string = json.encoder.encode_basestring_ascii
-
-
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, default=json_arrays)`` byte for byte, for an acyclic
-    obj: the payload of every command and the validation report.  ``json.dumps``
-    writes an indented document through one Python generator per container; this
-    appends each piece to one list."""
-    pieces = []
-    _json_pieces(obj, "\n", pieces.append)
-    return "".join(pieces)
-
-
-def _json_pieces(obj, newline: str, put: Callable[[str], None]) -> None:
-    """Put obj's pieces; ``newline`` breaks a line and indents it to obj's own level."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            put("[]")
-            return
-        inner = newline + "  "
-        head = "[" + inner
-        for value in obj:
-            put(head)
-            _json_pieces(value, inner, put)
-            head = "," + inner
-        put(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            put("{}")
-            return
-        inner = newline + "  "
-        head = "{" + inner
-        for key, value in obj.items():
-            text = key if isinstance(key, str) else _json_scalar(key)  # a key's text is quoted
-            if text is None:
-                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-            put(head + _string(text) + ": ")
-            _json_pieces(value, inner, put)
-            head = "," + inner
-        put(newline + "}")
-    elif (text := _json_scalar(obj)) is not None:
-        put(text)
-    else:
-        _json_pieces(json_arrays(obj), newline, put)
-
-
-def _json_scalar(obj) -> Optional[str]:
-    """obj's text if it is a str, None, a bool, an int or a float, tested in
-    ``json.dumps``'s order (a bool is an int), else None."""
-    if isinstance(obj, str):
-        return _string(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _FLOATS.get(text, text)
-    return None
 
 
 def read_document(path: str | Path):

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import branching, clt
-from .config import ExperimentConfig, json_text
+from .config import ExperimentConfig, json_arrays
 from .errors import InsufficientDataError
 from .kernel import InfectivityKernel
 from .simulator import Ensemble, replicate_rng, run_ensemble
@@ -134,7 +134,8 @@ class ValidationReport:
     @cached_property
     def _json(self) -> str:  # encoded once: ``validate`` writes and prints this string
         # its verdict and each check's fields, the arrays written as they stand
-        return json_text({"all_passed": self.all_passed, "checks": [vars(c) for c in self.checks]})
+        return json.dumps({"all_passed": self.all_passed, "checks": [vars(c) for c in self.checks]},
+                          indent=2, default=json_arrays)
 
 
 def _check_lln(stats: OutbreakStatistics, tau: np.ndarray) -> CheckResult:

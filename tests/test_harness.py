@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -364,59 +363,6 @@ def test_validate_report_bytes_match_golden_sha256(tmp_path, capsys, name, repli
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(report).hexdigest() == report_sha
     assert stdout.encode() == report + b"\n"
-
-
-_CHARACTERS = ["a", "Z", "0", " ", '"', "\\", "/", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "中",
-               "\u2028", "\U0001f600"]
-_NUMBERS = [0, -1, 7, 2**63, -(2**63) - 1, 2**64 + 5, 10**30, 0.0, -0.0, 1.5, -2.25e-7, 1e300,
-            math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2]
-
-
-def _random_payload(rng, depth: int):
-    """A random value of what payloads hold: nested dicts, lists and tuples (empty
-    ones too), strings, bools, None, big ints, special and subnormal floats, numpy
-    scalars and arrays (0-d, empty and 2-d)."""
-    kind = rng.randrange(14 if depth else 11)
-    if kind == 0:
-        return "".join(rng.choice(_CHARACTERS) for _ in range(rng.randrange(6)))
-    if kind == 1:
-        return rng.choice([True, False, None])
-    if kind in (2, 3):
-        return rng.choice(_NUMBERS)
-    if kind == 4:
-        return rng.uniform(-1, 1) * 10.0 ** rng.randrange(-320, 300)
-    if kind == 5:
-        return rng.choice([np.float64(rng.choice(_NUMBERS[7:])), np.int64(rng.randrange(-2**63, 2**63)),
-                           np.bool_(rng.random() < 0.5)])
-    if kind == 6:
-        return np.array(rng.choice(_NUMBERS[7:]))
-    if kind == 7:
-        return rng.choice([np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3), dtype=np.int64)])
-    if kind in (8, 9):
-        shape = rng.choice([(2, 3), (3, 2), (6,)])
-        if kind == 8:
-            return np.array([rng.choice(_NUMBERS[7:]) for _ in range(6)]).reshape(shape)
-        ints = np.array([rng.randrange(-99, 99) for _ in range(6)]).reshape(shape)
-        return ints if rng.random() < 0.5 else ints > 0
-    if kind == 10:
-        return rng.choice([[], (), {}])
-    items = [_random_payload(rng, depth - 1) for _ in range(rng.randrange(5))]
-    if kind == 11:
-        return items
-    if kind == 12:
-        return tuple(items)
-    keys = [rng.choice(["", "tau", "é\"q\"", "\n", rng.choice(_NUMBERS), True, None]) for _ in items]
-    return dict(zip(keys, items))
-
-
-def test_json_text_writes_what_json_dumps_writes():
-    rng = random.Random(29)
-    for _ in range(400):
-        payload = _random_payload(rng, 4)
-        assert config.json_text(payload) == json.dumps(payload, indent=2, default=config.json_arrays)
-    for bad in (object(), {"a": [1, {2j: 3}]}, [np.datetime64("2020")]):
-        with pytest.raises(TypeError):
-            config.json_text(bad)
 
 
 def test_failing_check_detected(tmp_path):
