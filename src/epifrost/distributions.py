@@ -6,18 +6,21 @@ exposes sampling, draws from the law of the sum of n i.i.d. copies for
 every entry n of a count array (``sample_sum``: one Gamma, binomial or
 multinomial call where the sum's law is closed; for uniform and beta laws,
 n draws per entry added up by ``run_sums``, as the sampled escape term adds
-its draws), exact first and second moments, and its exact moment
-generating function M(t) = E[exp(tX)] and derivative M'(t) = E[X exp(tX)]
-at nonpositive arguments: the extinction solver needs M, the dynamic-graph
-moments need both.  Beta laws (and uniform ones, a shifted and scaled
-Beta(1, 1)) evaluate M through Kummer's confluent hypergeometric function.
+its draws), exact first and second moments, and its moment generating
+function M(t) = E[exp(tX)] and derivative M'(t) = E[X exp(tX)] at
+nonpositive arguments: the extinction solver needs M, the dynamic-graph
+moments need both.  Gamma and exponential laws have M in closed form; every
+other law takes M and M' from its rule, below, as weights @ exp(t values).
 
-``expect(f)`` = weights @ f(values) gives E[f(X)] for any other vectorized f
-(the dynamic graph's generating function) from the law's ``rule``: its atoms
-if it has finitely many, else one fixed tanh-sinh rule in probability space
-(Takahasi and Mori, Publ. RIMS 9, 1974) mapped through its quantile.  The
-weights are positive and sum to 1, so E[f(X)] is an exact expectation over a
-discrete law close to X: convexity and monotonicity in f carry over.
+``expect(f)`` = weights @ f(values) gives E[f(X)] for any vectorized f (the
+dynamic graph's generating function) from the law's ``rule``: its atoms if it
+has finitely many, else one double-exponential rule weighted by the density
+(Takahasi and Mori, Publ. RIMS 9, 1974).  A gamma law is X = scale e^Z and a
+beta law X = expit(Z) (a uniform law a shifted and scaled Beta(1, 1)), with
+Z = pi sinh(s) on a grid of s (``_rule``: longer for a slow tail, narrowed
+about the mode for a sharp peak); the weights are Z's density there times
+dZ/ds.  They are positive and sum to 1, so E[f(X)] is an exact expectation
+over a discrete law close to X: convexity and monotonicity in f carry over.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ class ScalarDist:
     ``sample_sum(rng, counts)`` draws X_1 + ... + X_n for i.i.d. copies, one
     for each entry n of ``counts``, in entry order (an array of the same
     shape; a zero count gives 0 and draws nothing).
-    ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact
-    and accept any t <= 0.  ``rule()`` gives (values, weights), built on its
+    ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact to
+    rounding and accept any t <= 0.  ``rule()`` gives (values, weights), built on its
     first call, and ``expect(f)`` = E[f(X)] = weights @ f(values) for an f that
     maps a 1-d array of values to a same-length array (or (n, ...) stack).  A
     constant law is a one-atom discrete law, an exponential law gamma(1, mean).
@@ -86,9 +89,7 @@ class ScalarDist:
             raise ValueError(f"exponential distribution needs mean > 0 and finite, got {m}")
         return _gamma(f"exponential(mean={m})", 1.0, m,
                       # gamma's pow can be an ulp off these, which moves extinction q
-                      mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2,
-                      # -m log(1 - u) = m log(1 + e^z) for u = expit(z): no gammaincinv nodes
-                      quantile=lambda z, u, v: m * np.logaddexp(0.0, z))
+                      mgf=lambda t: 1.0 / (1.0 - m * t), mgf_prime=lambda t: m / (1.0 - m * t) ** 2)
 
     @staticmethod
     def gamma(shape: float, scale: float) -> "ScalarDist":
@@ -98,9 +99,7 @@ class ScalarDist:
                              f"got shape={k}, scale={s}")
         return _gamma(f"gamma(shape={k}, scale={s})", k, s,
                       mgf=lambda t: float((1.0 - s * t) ** (-k)),
-                      mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)),
-                      quantile=lambda z, u, v: s * np.where(
-                          z < 0, _special().gammaincinv(k, u), _special().gammainccinv(k, v)))
+                      mgf_prime=lambda t: float(k * s * (1.0 - s * t) ** (-k - 1.0)))
 
     @staticmethod
     def bernoulli(p: float) -> "ScalarDist":
@@ -132,16 +131,12 @@ class ScalarDist:
             var=w ** 2 / 12,
             sample=lambda rng, size: rng.uniform(a, b, size),
             sample_sum=lambda rng, n: run_sums(lambda size: rng.uniform(a, b, size), n),
-            mgf=lambda t: math.exp(t * a) * _kummer(1.0, 2.0, t * w),
-            mgf_prime=lambda t: math.exp(t * a) * (a * _kummer(1.0, 2.0, t * w)
-                                                   + w / 2 * _kummer(2.0, 3.0, t * w)),
-            rule=_quantile_rule(lambda z, u, v: np.where(z < 0, a + w * u, b - w * v)),
+            **_by_rule(_beta_rule(1.0, 1.0, lambda x: a + w * x)),
             support_max=b,
         )
 
     @staticmethod
     def beta(a: float, b: float) -> "ScalarDist":
-        # M(t) = M(a, a+b, t) and M'(t) = (a/(a+b)) M(a+1, a+b+1, t) (Kummer's M)
         aa, bb = float(a), float(b)
         if not (0 < aa < math.inf and 0 < bb < math.inf):
             raise ValueError(f"beta distribution needs finite a > 0 and b > 0, got a={aa}, b={bb}")
@@ -153,10 +148,7 @@ class ScalarDist:
             var=var,
             sample=lambda rng, size: rng.beta(aa, bb, size),
             sample_sum=lambda rng, n: run_sums(lambda size: rng.beta(aa, bb, size), n),
-            mgf=lambda t: _kummer(aa, aa + bb, t),
-            mgf_prime=lambda t: mean * _kummer(aa + 1.0, aa + bb + 1.0, t),
-            rule=_quantile_rule(lambda z, u, v: np.where(
-                z < 0, _special().betaincinv(aa, bb, u), 1.0 - _special().betaincinv(bb, aa, v))),
+            **_by_rule(_beta_rule(aa, bb, lambda x: x)),
             support_max=1.0,
         )
 
@@ -172,9 +164,8 @@ class ScalarDist:
         return _atoms(f"discrete({vals.tolist()})", vals, ps)
 
 
-def _gamma(name: str, k: float, s: float, mgf: Callable, mgf_prime: Callable,
-           quantile: Callable) -> ScalarDist:
-    """The gamma(k, s) law under ``name``, with M, M' and the quantile given."""
+def _gamma(name: str, k: float, s: float, mgf: Callable, mgf_prime: Callable) -> ScalarDist:
+    """The gamma(k, s) law under ``name``, with M and M' given."""
     return ScalarDist(
         name=name,
         mean=k * s,
@@ -183,7 +174,8 @@ def _gamma(name: str, k: float, s: float, mgf: Callable, mgf_prime: Callable,
         sample_sum=lambda rng, n: rng.standard_gamma(n * k) * s,  # = rng.gamma(n * k, s)
         mgf=mgf,
         mgf_prime=mgf_prime,
-        rule=_quantile_rule(quantile),
+        # X = s e^Z: Z's density is e^(kz - e^z) up to a constant, peaked at log k
+        rule=_rule(lambda z: s * np.exp(z), lambda z: k * z - np.exp(z), math.log(k), (k, math.inf)),
         gamma_shape_scale=(k, s),
     )
 
@@ -197,9 +189,7 @@ def _atoms(name: str, vals: np.ndarray, ps: np.ndarray) -> ScalarDist:
         var=float((vals - mean) ** 2 @ ps),
         sample=lambda rng, size: rng.choice(vals, size=size, p=ps),
         sample_sum=lambda rng, n: (rng.multinomial(n, ps) * vals).sum(axis=-1),
-        mgf=lambda t: float(np.exp(t * vals) @ ps),
-        mgf_prime=lambda t: float((vals * np.exp(t * vals)) @ ps),
-        rule=lambda: (vals, ps),
+        **_by_rule(lambda: (vals, ps)),
         support_max=float(vals.max()),
     )
 
@@ -221,44 +211,66 @@ def run_sums(draw: Callable[[int], np.ndarray], counts, shape: tuple = ()) -> np
 
 
 @functools.cache
-def _special():
-    """``scipy.special``, imported on its first use: it would be most of what
-    ``import epifrost`` costs, and only the quantiles, Kummer's M and the
-    Mardia p-values need it."""
-    from scipy import special
-    return special
+def _grid(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """pi sinh(s) and log cosh(s), the log of d(pi sinh s)/ds up to the constant pi,
+    at s = j / 64 for j = first..last."""
+    s = np.arange(first, last + 1) / 64.0
+    return math.pi * np.sinh(s), np.log(np.cosh(s))
 
 
-@functools.cache
-def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tanh-sinh rule on (0, 1) as (z, u, 1 - u, weights): nodes
-    u = expit(z), z = pi sinh(t), at t = j / 64 for |t| <= 4 (513 nodes, the
-    last within 1e-37 of either end), weights normalized to sum to 1."""
-    t = np.arange(-256, 257) / 64.0
-    z = math.pi * np.sinh(t)
-    u, v = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
-    w = u * v * np.cosh(t)  # du/dt up to the constant pi / 64, removed below
-    return z, u, v, w / w.sum()
+def _end(rate: float) -> int:
+    """The last grid index on a side where Z's density falls off as exp(-rate |z|)
+    (rate inf: faster): 320, s = 5, or further out until rate |z| >= 37, so that
+    the tail beyond holds below about 1e-16 of the mass."""
+    return max(320, math.ceil(64.0 * math.asinh(37.0 / (math.pi * rate))))
 
 
-def _quantile_rule(quantile: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Callable:
-    """The rule of E[f(X)] = int_0^1 f(F^-1(u)) du: the tanh-sinh nodes through
-    the quantile, a function of (z, u, 1 - u) so that either tail keeps its
-    precision, and their weights.  Nodes are built on the first call."""
+def _rule(nodes: Callable[[np.ndarray], np.ndarray], log_density: Callable[[np.ndarray], np.ndarray],
+          mode: float, rates: tuple[float, float]) -> Callable:
+    """The double-exponential rule of E[f(X)] for X = nodes(Z), Z of log density
+    ``log_density`` up to a constant, peaked at ``mode`` and falling off as
+    exp(rates[0] z) and exp(-rates[1] z) in its tails.
+
+    The points are z = pi sinh(s) at s = j / 64 for |s| <= 5, each end extended
+    as ``_end`` says.  A density narrower at its peak than the grid resolves,
+    6 sd < 1 with sd = (1/rates[0] + 1/rates[1])^(1/2), gets the points
+    mode + 6 sd pi sinh(s) instead.  Each weighs the density times dz/ds there,
+    normalized to sum to 1, and points whose weight underflows are left out.
+    The rule is built on its first call."""
+    width = min(1.0, 6.0 * math.sqrt(1.0 / rates[0] + 1.0 / rates[1]))
+    center = mode if width < 1.0 else 0.0
     memo = []
 
     def rule() -> tuple[np.ndarray, np.ndarray]:
         if not memo:
-            z, u, v, w = _tanh_sinh()
-            memo.append((quantile(z, u, v), w))
+            grid, log_cosh = _grid(-_end(rates[0]), _end(rates[1]))
+            z = center + width * grid
+            log_w = log_density(z) + log_cosh
+            w = np.exp(log_w - log_w.max())
+            keep = w > 0.0
+            memo.append((nodes(z[keep]), w[keep] / w[keep].sum()))
         return memo[0]
 
     return rule
 
 
-def _kummer(a: float, c: float, t: float) -> float:
-    """Kummer's M(a, c, t) for t <= 0 as e^t M(c - a, c, -t), a series of positive
-    terms; below t = -700, where that form overflows, scipy's M(a, c, t) itself."""
-    if t < -700.0:
-        return float(_special().hyp1f1(a, c, t))
-    return math.exp(t) * float(_special().hyp1f1(c - a, c, -t))
+def _beta_rule(a: float, b: float, scaled: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """The rule of scaled(X) for X ~ Beta(a, b), X = expit(Z): Z's density is
+    X^a (1 - X)^b, with log X = -log(1 + e^-z) and log(1 - X) = -log(1 + e^z)."""
+    return _rule(lambda z: scaled(np.exp(-np.logaddexp(0.0, -z))),
+                 lambda z: -a * np.logaddexp(0.0, -z) - b * np.logaddexp(0.0, z),
+                 math.log(a) - math.log(b), (a, b))
+
+
+def _by_rule(rule: Callable[[], tuple[np.ndarray, np.ndarray]]) -> dict:
+    """``rule`` with the M and M' it gives, weights @ exp(tX) and weights @ (X exp(tX)),
+    as ``ScalarDist`` fields: each call reads the rule's arrays once."""
+    def mgf(t: float) -> float:
+        values, weights = rule()
+        return float(np.exp(t * values) @ weights)
+
+    def mgf_prime(t: float) -> float:
+        values, weights = rule()
+        return float((values * np.exp(t * values)) @ weights)
+
+    return {"mgf": mgf, "mgf_prime": mgf_prime, "rule": rule}

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 import epifrost as ef
+from epifrost.clt import _chi2_tail
 from epifrost.errors import InsufficientDataError, SingularMatrixError
 
 from oracles import Q_MU2, TAU_MU2, VAR_CONST_MU2, evaluate_counting_process
@@ -217,6 +221,26 @@ def test_mardia_detects_normal_and_non_normal():
     skewed = rng.exponential(1.0, size=(4000, 2))
     _, p_skew, _, _ = ef.mardia_test(skewed)
     assert p_skew < 1e-6
+
+
+def test_chi2_tail_matches_scipy():
+    for df in range(1, 221):
+        for x in [0.0, 1e-3, 0.5, *np.linspace(0.0, 5.0 * df + 30.0, 41)[1:]]:
+            assert _chi2_tail(df, x) == pytest.approx(special.chdtrc(df, x), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_mardia_p_values_match_scipy_tails(m):
+    # Gaussian, skewed and heavy-tailed samples: p-values from near 1 down to far tails
+    rng = np.random.default_rng(40 + m)
+    for y in (rng.standard_normal((300, m)), rng.exponential(1.0, (300, m)),
+              rng.standard_t(8.0, (1000, m)), rng.standard_normal((50, m)) ** 3):
+        n = len(y)
+        b1, p_skew, b2, p_kurt = ef.mardia_test(y)
+        z_kurt = (b2 - m * (m + 2)) / math.sqrt(8.0 * m * (m + 2) / n)
+        assert p_skew == pytest.approx(special.chdtrc(m * (m + 1) * (m + 2) / 6.0, n * b1 / 6.0),
+                                       rel=1e-12, abs=0.0)
+        assert p_kurt == pytest.approx(2.0 * special.ndtr(-abs(z_kurt)), rel=1e-12, abs=0.0)
 
 
 def test_gaussian_check_insufficient_data():

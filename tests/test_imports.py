@@ -1,6 +1,6 @@
 """What each entry point loads: the package resolves its names on first access,
-``load_config`` imports graphs only for a graph kind, and each command imports
-only the layers it runs."""
+``load_config`` imports graphs only for a graph kind, each command imports
+only the layers it runs, and no command needs scipy."""
 
 import json
 import os
@@ -124,3 +124,33 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(ef, name)
     assert not hasattr(ef, name)
+
+
+# each command's exit code and stdout, in one fresh interpreter; "block" first
+# makes every import of scipy, or of any of its modules, raise ImportError
+COMMANDS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+from epifrost import cli
+calls = json.loads(sys.argv[2])
+outputs = []
+for call in calls:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(call)
+    outputs.append([code, stdout.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    calls = [[command, "--config", str(path)] for path in sorted(CONFIGS.glob("*.json"))
+             for command in ("solve", "extinction", "clt", "graph")]
+    calls += [["validate", "--config", str(CONFIGS / name), "--out", str(tmp_path / f"{name}.csv")]
+              for name in ("rf_validate.json", "mover_ensemble.json")]
+    blocked = json.loads(_run(COMMANDS, "block", json.dumps(calls)))
+    free = json.loads(_run(COMMANDS, "free", json.dumps(calls)))
+    assert len(calls) == 42 and all(code in (0, 1) for code, _ in free)
+    for call, without, with_scipy in zip(calls, blocked, free):
+        assert without == with_scipy, call
