@@ -44,10 +44,11 @@ class ScalarDist:
     for each entry n of ``counts``, in entry order (an array of the same
     shape; a zero count gives 0 and draws nothing).
     ``mgf(t)`` = E[exp(tX)] and ``mgf_prime(t)`` = E[X exp(tX)] are exact to
-    rounding and accept any t <= 0.  ``rule()`` gives (values, weights), built on its
-    first call, and ``expect(f)`` = E[f(X)] = weights @ f(values) for an f that
-    maps a 1-d array of values to a same-length array (or (n, ...) stack).  A
-    constant law is a one-atom discrete law, an exponential law gamma(1, mean).
+    rounding and accept any t <= 0.  ``rule()`` gives (values, weights), built
+    on its first call, and ``expect(f)`` = E[f(X)] = weights @ f(values) for an
+    f that maps a 1-d array of values to a same-length array (or (n, ...)
+    stack).  A constant law is a one-atom discrete law, an exponential law
+    gamma(1, mean).
     """
 
     name: str
@@ -221,8 +222,9 @@ def _grid(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
 def _end(rate: float) -> int:
     """The last grid index on a side where Z's density falls off as exp(-rate |z|)
     (rate inf: faster): 320, s = 5, or further out until rate |z| >= 37, so that
-    the tail beyond holds below about 1e-16 of the mass."""
-    return max(320, math.ceil(64.0 * math.asinh(37.0 / (math.pi * rate))))
+    the tail beyond holds below about 1e-16 of the mass (capped at s = 708, for a
+    rate so small that 1 / rate overflows)."""
+    return max(320, math.ceil(64.0 * math.asinh(min(37.0 / (math.pi * rate), 1e307))))
 
 
 def _rule(nodes: Callable[[np.ndarray], np.ndarray], log_density: Callable[[np.ndarray], np.ndarray],
