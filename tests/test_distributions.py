@@ -187,6 +187,16 @@ def test_rules_of_slow_tailed_and_narrow_laws_give_their_moments(law, moment):
     assert law.expect(lambda x: (x - law.mean) ** 2) == pytest.approx(law.var, rel=1e-12)
 
 
+def test_rules_of_denormal_shapes_are_built():
+    # 1 / shape overflows: the grid stops at s = 708, and the law is a point mass
+    # at 0 (gamma) or 1 (beta) to rounding
+    gamma, beta = ef.ScalarDist.gamma(5e-324, 1.0), ef.ScalarDist.beta(2.0, 5e-324)
+    for law in (gamma, beta):
+        assert law.rule()[1].sum() == pytest.approx(1.0, rel=1e-15)
+    assert gamma.mgf(-1.0) == pytest.approx(1.0, rel=1e-15)
+    assert beta.mgf(-1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
 SUM_SIZES = [1, 7, 1000]
 
 
