@@ -14,8 +14,7 @@ import importlib as _importlib
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "branching": ("ExtinctionSolution", "TotalProgeny", "extinction_probability",
-                  "major_outbreak_probability", "simulate_progeny_lines",
-                  "simulate_total_progeny"),
+                  "simulate_progeny_lines", "simulate_total_progeny"),
     "clt": ("AsymptoticSummary", "GaussianCheckReport", "asymptotic_covariance", "compute_u",
             "compute_xi", "gaussian_check", "mardia_test"),
     "config": ("ExperimentConfig", "load_config", "parse_config"),

@@ -35,7 +35,6 @@ __all__ = [
     "simulate_progeny_lines",
     "simulate_total_progeny",
     "extinction_probability",
-    "major_outbreak_probability",
 ]
 
 
@@ -95,12 +94,12 @@ def simulate_total_progeny(kernel: InfectivityKernel, pi: np.ndarray, a: np.ndar
 @dataclass(frozen=True)
 class ExtinctionSolution:
     q: np.ndarray
+    major_outbreak_prob: Optional[float]  # 1 - prod q_i^{a_i}; None without ancestors a
     iterations: int  # Newton or Picard steps
     residual: float
-    mc_samples: int = 0  # always 0: h is exact for every kernel
-    major_outbreak_prob: Optional[float] = None
     # linearized bound on |q - root of h|
-    error_bound: float = 0.0
+    error_bound: float
+    mc_samples: int = 0  # always 0: h is exact for every kernel
 
 
 def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float = 1e-12,
@@ -112,7 +111,8 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
     The Jacobian is a backward difference: h is convex, so it never
     overstates the slope.  Kernels with ``deterministic.at_most_critical(R)``,
     where ``solve_tau`` gives tau = 0, short-circuit to q = 1 (exact for
-    R <= 1 by standard branching theory).
+    R <= 1 by standard branching theory).  Given ancestors ``a``, the result
+    carries the major-outbreak probability 1 - prod q_i^{a_i}.
     """
     m = kernel.m
     pi = _checked_pi(m, pi, a)
@@ -135,14 +135,6 @@ def extinction_probability(kernel: InfectivityKernel, pi: np.ndarray, tol: float
         q, it, residual, bound = monotone_newton(h_and_jacobian, np.zeros(m), 1, 1.0,
                                                  tol, max_iter, "extinction-probability")
         q = np.clip(q, 0.0, 1.0)
-    return ExtinctionSolution(q=q, iterations=it, residual=residual, error_bound=bound,
-                              major_outbreak_prob=None if a is None else _major(q, a))
-
-
-def major_outbreak_probability(solution: ExtinctionSolution, a: np.ndarray) -> float:
-    """Probability of a major outbreak from initial counts a: 1 - prod q_i^{a_i}."""
-    return _major(solution.q, a)
-
-
-def _major(q: np.ndarray, a: np.ndarray) -> float:
-    return float(1.0 - np.prod(q ** np.asarray(a, dtype=float)))
+    major = None if a is None else float(1.0 - np.prod(q ** np.asarray(a, dtype=float)))
+    return ExtinctionSolution(q=q, major_outbreak_prob=major, iterations=it, residual=residual,
+                              error_bound=bound)

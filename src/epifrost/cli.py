@@ -9,10 +9,12 @@
 
 Each command maps the loaded config to one payload, which ``main`` prints as
 one JSON object; ``validate`` prints the report it writes next to the records.
-``solve``, ``extinction`` and ``clt`` print the config's theory
-(``ExperimentConfig.attack_rate``, ``extinction``, ``asymptotics``), each
-part solved on its first read.  A command imports the layers it runs when it
-runs, so ``solve`` never loads the simulator and ``graph`` solves nothing.
+``solve``, ``extinction`` and ``clt`` print one result of the config's theory
+(``ExperimentConfig.attack_rate``, ``extinction``, ``asymptotics``), solved on
+its first read, as that result's fields in their declared order: the
+payload's schema is the result type's.  A command imports the layers it runs
+when it runs, so ``solve`` never loads the simulator and ``graph`` solves
+nothing.
 Exit codes: 0 success (all enabled checks pass), 1 check failure,
 2 configuration error, 3 numerical failure.
 """
@@ -52,45 +54,6 @@ def _simulate(config: ExperimentConfig) -> dict:
     }
 
 
-def _solve(config: ExperimentConfig) -> dict:
-    sol = config.attack_rate
-    return {
-        "tau": sol.tau,
-        "sigma": sol.sigma,
-        "R": sol.R,
-        "regime": sol.regime.value,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-        "error_bound": sol.error_bound,
-        "nonuniqueness_risk": sol.nonuniqueness_risk,
-    }
-
-
-def _extinction(config: ExperimentConfig) -> dict:
-    sol = config.extinction
-    return {
-        "q": sol.q,
-        "major_outbreak_prob": sol.major_outbreak_prob,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-        "error_bound": sol.error_bound,
-        "mc_samples": sol.mc_samples,
-    }
-
-
-def _clt(config: ExperimentConfig) -> dict:
-    summary = config.asymptotics
-    return {
-        "sigma": np.diag(summary.sigma_diag),
-        "xi": summary.xi,
-        "u": summary.u_matrix,
-        "upsilon": summary.upsilon,
-        "asym_cov": summary.asym_cov,
-        "cond_u": summary.cond_u,
-        "allocation": summary.allocation.value,
-    }
-
-
 def _graph(config: ExperimentConfig) -> dict:
     from . import deterministic
 
@@ -117,9 +80,9 @@ def _validate(config: ExperimentConfig) -> ValidationReport:
 # takes --seed, --replicates and --out)
 COMMANDS = {
     "simulate": (_simulate, True),
-    "solve": (_solve, False),
-    "extinction": (_extinction, False),
-    "clt": (_clt, False),
+    "solve": (lambda config: vars(config.attack_rate), False),
+    "extinction": (lambda config: vars(config.extinction), False),
+    "clt": (lambda config: vars(config.asymptotics), False),
     "graph": (_graph, False),
     "validate": (_validate, True),
 }

@@ -50,13 +50,13 @@ MIN_MAJOR = 500  # fewest major-outbreak records the Gaussian check runs on
 
 @dataclass(frozen=True)
 class AsymptoticSummary:
-    sigma_diag: np.ndarray
+    sigma: np.ndarray  # the diagonal of Sigma
     xi: np.ndarray
-    u_matrix: np.ndarray
+    u: np.ndarray
     upsilon: np.ndarray
     asym_cov: np.ndarray
-    allocation: Allocation
     cond_u: float
+    allocation: Allocation
 
 
 def compute_xi(sigma: np.ndarray, tau: np.ndarray, zeta: np.ndarray,
@@ -119,13 +119,13 @@ def asymptotic_covariance(mu: np.ndarray, lam: np.ndarray, pi: np.ndarray,
     u_inv = np.linalg.inv(u)
     cov = u_inv.T @ (xi + upsilon) @ u_inv
     return AsymptoticSummary(
-        sigma_diag=np.diag(sigma),
+        sigma=sigma,
         xi=xi,
-        u_matrix=u,
+        u=u,
         upsilon=upsilon,
         asym_cov=(cov + cov.T) / 2.0,
-        allocation=allocation,
         cond_u=float(np.linalg.cond(u)),
+        allocation=allocation,
     )
 
 

@@ -49,9 +49,9 @@ class DeterministicSolution:
     tau: np.ndarray
     sigma: np.ndarray
     R: float
+    regime: Regime
     iterations: int  # Newton or Picard steps
     residual: float
-    regime: Regime
     # linearized bound on |tau - fixed point|; its gain grows like 1/(R - 1) near R = 1
     error_bound: float
     # True when the fixed point may not be unique: reducible mean matrix
@@ -166,9 +166,8 @@ def solve_tau(mu: np.ndarray, pi: np.ndarray, zeta: np.ndarray,
     else:
         tau, it, residual, bound = monotone_newton(attack_map, np.ones(m), -1, 0.0,
                                                    tol, max_iter, "attack-rate")
-    return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, iterations=it,
-                                 residual=residual, regime=regime, error_bound=bound,
-                                 nonuniqueness_risk=risk)
+    return DeterministicSolution(tau=tau, sigma=1.0 - tau, R=R, regime=regime, iterations=it,
+                                 residual=residual, error_bound=bound, nonuniqueness_risk=risk)
 
 
 def compute_R(mu: np.ndarray, pi: np.ndarray) -> float:

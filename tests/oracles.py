@@ -92,11 +92,17 @@ def estimate_moments(kernel: InfectivityKernel, N: int, samples: int = 100_000,
 
 def beta_mgf_by_quadrature(a: float, b: float, t: float) -> float:
     """E[exp(tX)] for X ~ Beta(a, b) by adaptive quadrature, no Kummer function
-    involved: weight="alg" folds x^(a-1) (1-x)^(b-1) into the rule, endpoint
-    singularities included."""
-    integral, _ = integrate.quad(lambda x: math.exp(t * x), 0.0, 1.0, weight="alg",
-                                 wvar=(a - 1.0, b - 1.0), epsabs=0.0, epsrel=2e-14, limit=200)
-    return integral / special.beta(a, b)
+    involved.  [0, 1] is split at c = min(0.5, 40/|t|), so that e^(tx) falls by
+    at most e^-40 on [0, c]; on each piece weight="alg" folds the singular
+    factor at its own end into the rule (x^(a-1) on [0, c], (1-x)^(b-1) on
+    [c, 1]) and the other factor stays in the smooth integrand."""
+    c = min(0.5, 40.0 / abs(t)) if t else 0.5
+    opts = dict(weight="alg", epsabs=0.0, epsrel=2e-14, limit=200)
+    left, _ = integrate.quad(lambda x: math.exp(t * x) * (1.0 - x) ** (b - 1.0), 0.0, c,
+                             wvar=(a - 1.0, 0.0), **opts)
+    right, _ = integrate.quad(lambda x: math.exp(t * x) * x ** (a - 1.0), c, 1.0,
+                              wvar=(0.0, b - 1.0), **opts)
+    return (left + right) / special.beta(a, b)
 
 
 def minimal_root(h, m: int) -> np.ndarray:

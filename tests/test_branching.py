@@ -212,15 +212,6 @@ def test_offspring_mean_matches_threshold_matrix():
         assert np.all(np.abs(mean - kernel.mu[k] * pi) <= 4 * se)
 
 
-def test_major_outbreak_probability_examples():
-    one = ef.ExtinctionSolution(q=np.array([1.0]), iterations=0, residual=0.0, mc_samples=0)
-    assert ef.major_outbreak_probability(one, np.array([5])) == 0.0
-    sol = ef.ExtinctionSolution(q=np.array([0.2032]), iterations=1, residual=0.0, mc_samples=0)
-    assert ef.major_outbreak_probability(sol, np.array([2])) == pytest.approx(1 - 0.2032 ** 2)
-    two = ef.ExtinctionSolution(q=np.array([0.5, 1.0]), iterations=1, residual=0.0, mc_samples=0)
-    assert ef.major_outbreak_probability(two, np.array([1, 5])) == pytest.approx(0.5)
-
-
 def test_extinction_solution_carries_major_prob():
     sol = ef.extinction_probability(ef.constant_kernel([[2.0]]), [1.0], a=np.array([2]))
     assert sol.major_outbreak_prob == pytest.approx(1 - Q_MU2 ** 2, abs=1e-9)

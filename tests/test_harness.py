@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -555,6 +556,18 @@ def test_theory_stdout_matches_golden_sha256(tmp_path, capsys, name, command, sh
     path = _write_config(tmp_path, GOLDEN_CONFIGS[name])
     assert cli.main([command, "--config", path]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("command, result_type", [
+    ("solve", ef.DeterministicSolution),
+    ("extinction", ef.ExtinctionSolution),
+    ("clt", ef.AsymptoticSummary),
+])
+@pytest.mark.parametrize("path", sorted(RF_VALIDATE.parent.glob("*.json")), ids=lambda p: p.stem)
+def test_theory_payload_is_its_result_type(capsys, command, result_type, path):
+    assert cli.main([command, "--config", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [f.name for f in dataclasses.fields(result_type)]
 
 
 def test_simulate_stdout_without_records_matches_golden_sha256(tmp_path, capsys):

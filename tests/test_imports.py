@@ -19,8 +19,8 @@ LAYERS = ("branching", "clt", "config", "deterministic", "distributions", "error
 
 # the public namespace of the package when its __init__ imported every submodule
 PUBLIC = (
-    "ExtinctionSolution", "TotalProgeny", "extinction_probability", "major_outbreak_probability",
-    "simulate_progeny_lines", "simulate_total_progeny",
+    "ExtinctionSolution", "TotalProgeny", "extinction_probability", "simulate_progeny_lines",
+    "simulate_total_progeny",
     "AsymptoticSummary", "GaussianCheckReport", "asymptotic_covariance", "compute_u",
     "compute_xi", "gaussian_check", "mardia_test",
     "ExperimentConfig", "load_config", "parse_config",
